@@ -7,16 +7,21 @@ of signs.  The multiplication on components (s, w) is
     (s, w) * (s', w') = (s * theta_w(s') * c(w, w'), w w')
 
 with unit (+1, e) and the inverse forced by the cocycle.  The scheme
-side carries the signs; the monoid side sees only exponents.  Axioms are
-checked diagrammatically: associativity, both unit laws and both inverse
-laws, componentwise with exact matrix and sign algebra, on both sides.
+side carries the signs; the monoid side sees only exponents.
 
-Everything is exhaustively checkable at desk scale; the catalog stores
-laws as (theta, cocycle) and materializes per-pair morphism data only
-when a check asks for it.
+The five group diagrams (associativity, both unit laws, both inverse
+laws) on both sides hold exactly when three law facts hold: W's table
+is a group, theta is a homomorphism, and the cochain is a normalized
+2-cocycle.  Each fact has one verification kernel, run over the table's
+generating set, that returns its first violation or None; the raising
+validators and check_group_axioms all call these kernels.
+
+The catalog stores laws as (theta, cocycle) and materializes per-pair
+morphism data only when a check asks for it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     AxiomsFailed,
@@ -45,9 +50,6 @@ from .schemes import (
     rank_part,
 )
 
-FULL_ASSOC_LIMIT = 128
-FULL_PAIR_LIMIT = 150
-
 
 @dataclass(frozen=True)
 class FiniteGroupTable:
@@ -70,14 +72,30 @@ class FiniteGroupTable:
     def index(self, label) -> int:
         return self.elements.index(label)
 
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Each element, in order, that the right products e s1 ... sk of
+        the earlier picks do not reach; on lexicographic S_n these are the
+        adjacent transpositions (see reductive.symmetric_table)."""
+        picks, reached = [], {self.identity}
+        for x in range(self.order()):
+            if x not in reached:
+                picks.append(x)
+                stack = list(reached)
+                while stack:
+                    row = self.mult[stack.pop()]
+                    new = {row[s] for s in picks} - reached
+                    reached |= new
+                    stack.extend(new)
+        return tuple(picks)
+
     @staticmethod
-    def build(elements, mul, validate: bool | None = None) -> "FiniteGroupTable":
+    def build(elements, mul) -> "FiniteGroupTable":
         """Assemble a table from labels and a label-level product.
 
-        Identity and inverses are located and always verified (O(n^2));
-        associativity is verified exhaustively (O(n^3)) when n is at most
-        FULL_ASSOC_LIMIT or validate=True forces it, and skipped only for
-        large tables coming from constructions checked elsewhere.
+        Locates the identity and inverses, then verifies the group laws
+        with table_violation: O(n^2) for units and inverses, Light's test
+        over the generating set for associativity.
         """
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
@@ -90,34 +108,15 @@ class FiniteGroupTable:
             )
         except KeyError as bad:
             raise AxiomsFailed(f"product leaves the element set: {bad.args[0]!r}")
-        identity = None
-        for i in range(n):
-            if all(table[i][j] == j and table[j][i] == j for j in range(n)):
-                identity = i
-                break
-        if identity is None:
-            raise AxiomsFailed("no two-sided identity")
-        inverses = []
-        for i in range(n):
-            j = next((j for j in range(n)
-                      if table[i][j] == identity and table[j][i] == identity), None)
-            if j is None:
-                raise AxiomsFailed(f"element {elements[i]!r} has no inverse")
-            inverses.append(j)
-        do_assoc = validate if validate is not None else n <= FULL_ASSOC_LIMIT
-        if do_assoc:
-            for a in range(n):
-                ra = table[a]
-                for b in range(n):
-                    ab = ra[b]
-                    rb = table[b]
-                    for c in range(n):
-                        if table[ab][c] != ra[rb[c]]:
-                            raise AxiomsFailed(
-                                f"associativity fails at "
-                                f"({elements[a]!r}, {elements[b]!r}, {elements[c]!r})"
-                            )
-        return FiniteGroupTable(elements, table, identity, tuple(inverses))
+        try:
+            identity = table.index(tuple(range(n)))
+        except ValueError:
+            raise AxiomsFailed("no two-sided identity") from None
+        # right inverses; a row without the identity keeps e, which the kernel rejects
+        inverses = tuple(row.index(identity) if identity in row else identity for row in table)
+        t = FiniteGroupTable(elements, table, identity, inverses)
+        _raise_on(table_violation(t), t, AxiomsFailed)
+        return t
 
     @staticmethod
     def trivial(label="e") -> "FiniteGroupTable":
@@ -141,7 +140,40 @@ class FiniteGroupTable:
             return (sa.elements[sa.mul(sa.index(x[0]), sa.index(y[0]))],
                     sb.elements[sb.mul(sb.index(x[1]), sb.index(y[1]))])
 
-        return FiniteGroupTable.build(labels, mul, validate=False if self.order() * other.order() > FULL_ASSOC_LIMIT else None)
+        return FiniteGroupTable.build(labels, mul)
+
+
+def _raise_on(violation, w: FiniteGroupTable, error: type) -> None:
+    """Raise error naming a kernel's violation, if there is one."""
+    if violation is not None:
+        kind, at = violation
+        raise error(f"{kind} fails at ({', '.join(repr(w.elements[i]) for i in at)})")
+
+
+def table_violation(t: FiniteGroupTable):
+    """First failure of the group laws on t's table, or None.
+
+    Returns (kind, indices): ("two-sided identity", (a,)), ("two-sided
+    inverse", (a,)) for a's stored inverse, or ("associativity", (x, s, y)).
+    Associativity is Light's test (Clifford-Preston I, 1.2): the s with
+    (x s) y = x (s y) for all x, y are closed under products and hold e,
+    so s need only run over the generators: n^2 |S| lookups, not n^3.
+    """
+    m, e, n = t.mult, t.identity, t.order()
+    for a in range(n):
+        if m[e][a] != a or m[a][e] != a:
+            return "two-sided identity", (a,)
+        b = t.inverses[a]
+        if m[a][b] != e or m[b][a] != e:
+            return "two-sided inverse", (a,)
+    for x in range(n):
+        row = m[x]
+        for s in t.generators:
+            left = m[row[s]]
+            for y, sy in enumerate(m[s]):
+                if left[y] != row[sy]:
+                    return "associativity", (x, s, y)
+    return None
 
 
 def tables_isomorphic_by(f: dict, a: FiniteGroupTable, b: FiniteGroupTable) -> bool:
@@ -179,35 +211,35 @@ class ThetaRep:
     def matrix(self, i: int) -> Mat:
         return self.matrices[i]
 
-    def validate(self, force: bool = False) -> None:
-        """Unimodularity, identity at e, and the homomorphism law.
-
-        The pairwise homomorphism check costs |W|^2 matrix products; it
-        runs when |W| <= FULL_PAIR_LIMIT or force=True.  Catalog builders
-        that produce matrices from a permutation action verify the law at
-        the permutation level instead (see reductive helpers).
-        """
-        for i, m in enumerate(self.matrices):
-            if det(m) not in (1, -1):
-                raise ThetaNotHomomorphism(
-                    f"matrix for {self.w.elements[i]!r} is not invertible over Z"
-                )
-        if not self.matrices[self.w.identity].is_identity():
-            raise ThetaNotHomomorphism("identity element must act by the identity matrix")
-        n = self.w.order()
-        if n > FULL_PAIR_LIMIT and not force:
-            return
-        for i in range(n):
-            for j in range(n):
-                if self.matrices[i] * self.matrices[j] != self.matrices[self.w.mul(i, j)]:
-                    raise ThetaNotHomomorphism(
-                        f"matrix({self.w.elements[i]!r}) * matrix({self.w.elements[j]!r}) "
-                        f"!= matrix of the product"
-                    )
+    def validate(self) -> None:
+        """Raise ThetaNotHomomorphism at the first theta_violation."""
+        _raise_on(theta_violation(self), self.w, ThetaNotHomomorphism)
 
     @staticmethod
     def trivial(w: FiniteGroupTable, r: int) -> "ThetaRep":
         return ThetaRep(w, r, tuple(Mat.identity(r) for _ in range(w.order())))
+
+
+def theta_violation(theta: ThetaRep):
+    """First failure of theta's laws, or None.
+
+    Returns ("unimodularity", (g,)) when det theta(g) is not +-1,
+    ("theta(e) = 1", (e,)), or ("homomorphism law", (g, s)) when
+    theta(g) theta(s) != theta(gs).  s runs over W's generating set
+    only: every h is e s1 ... sk, so theta(gh) = theta(g) theta(h)
+    follows by induction on k.  That costs |W| |S| matrix products.
+    """
+    w, mats = theta.w, theta.matrices
+    for g, m in enumerate(mats):
+        if det(m) not in (1, -1):
+            return "unimodularity", (g,)
+    if not mats[w.identity].is_identity():
+        return "theta(e) = 1", (w.identity,)
+    for g, m in enumerate(mats):
+        for s in w.generators:
+            if m * mats[s] != mats[w.mul(g, s)]:
+                return "homomorphism law", (g, s)
+    return None
 
 
 @dataclass(frozen=True)
@@ -231,7 +263,8 @@ class Cocycle:
         return self.table[i][j]
 
     def is_trivial(self) -> bool:
-        return all(all(s == 1 for s in v) for row in self.table for v in row)
+        one = (1,) * self.r
+        return all(v == one for row in self.table for v in row)
 
     @staticmethod
     def trivial(w: FiniteGroupTable, r: int) -> "Cocycle":
@@ -240,38 +273,54 @@ class Cocycle:
                                    for _ in range(w.order())))
 
     def validate(self, theta: ThetaRep) -> None:
-        """Normalization and the 2-cocycle identity, exhaustively.
+        """Raise CocycleInvalid at the first cocycle_violation; theta must
+        already pass ThetaRep.validate."""
+        _raise_on(cocycle_violation(self, theta), self.w, CocycleInvalid)
 
-        theta_w1(c(w2,w3)) * c(w1, w2w3) = c(w1,w2) * c(w1w2, w3).
-        A trivial table satisfies everything and is skipped.
-        """
-        if self.is_trivial():
-            return
-        w = self.w
-        n = w.order()
-        e = w.identity
-        one = (1,) * self.r
-        for i in range(n):
-            if self.value(e, i) != one or self.value(i, e) != one:
-                raise CocycleInvalid(
-                    f"normalization fails at {w.elements[i]!r}"
-                )
-        if n ** 3 > scale_cap(2_000_000):
-            raise OutOfScale(f"cocycle identity over {n}^3 triples exceeds the cap")
-        for i in range(n):
-            mi = theta.matrix(i)
-            for j in range(n):
-                ij = w.mul(i, j)
-                cij = self.value(i, j)
-                for k in range(n):
-                    lhs = mul_signs(apply_exponent_to_signs(mi, self.value(j, k)),
-                                    self.value(i, w.mul(j, k)))
-                    rhs = mul_signs(cij, self.value(ij, k))
-                    if lhs != rhs:
-                        raise CocycleInvalid(
-                            f"cocycle identity fails at ({w.elements[i]!r}, "
-                            f"{w.elements[j]!r}, {w.elements[k]!r})"
-                        )
+
+def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
+    """First failure of normalization or the 2-cocycle identity, or None.
+
+    Returns ("left normalization", (a,)) when c(e, a) != 1,
+    ("right normalization", (a,)) when c(a, e) != 1, or
+    ("cocycle identity", (a, s, b)) when
+    theta_a(c(s, b)) * c(a, sb) != c(a, s) * c(as, b).
+    The identity is checked for s in W's generating set only, which
+    suffices once theta is a homomorphism and c is normalized.  Proof:
+    the identity at all (a, b, c) is associativity of the sign extension
+    (u, a)(v, b) = (u theta_a(v) c(a, b), ab); the pairs (u, e) and
+    (1, s) generate it, (x (u, e)) y = x ((u, e) y) holds by
+    normalization, and for (1, s) it is the identity at (a, s, b), so
+    Light's test gives associativity.  A trivial table is skipped.
+    """
+    if cocycle.is_trivial():
+        return None
+    w = cocycle.w
+    n = w.order()
+    e = w.identity
+    one = (1,) * cocycle.r
+    for a in range(n):
+        if cocycle.value(e, a) != one:
+            return "left normalization", (a,)
+        if cocycle.value(a, e) != one:
+            return "right normalization", (a,)
+    gens = w.generators
+    work = n * n * len(gens)
+    cap = scale_cap(2_000_000)
+    if work > cap:
+        raise OutOfScale(f"cocycle identity guard: {n}^2 x {len(gens)} generators = {work} "
+                         f"triples exceeds cap {cap} (override with F1KIT_MAX_SCALE)")
+    for a in range(n):
+        ma = theta.matrix(a)
+        for s in gens:
+            a_s = w.mul(a, s)
+            c_as = cocycle.value(a, s)
+            for b in range(n):
+                lhs = mul_signs(apply_exponent_to_signs(ma, cocycle.value(s, b)),
+                                cocycle.value(a, w.mul(s, b)))
+                if lhs != mul_signs(c_as, cocycle.value(a_s, b)):
+                    return "cocycle identity", (a, s, b)
+    return None
 
 
 @dataclass(frozen=True)
@@ -340,19 +389,6 @@ class GroupModel:
             return Mat.identity(self.r), self.law.theta.matrix(i), (1,) * self.r
         return Mat.identity(self.r), Mat.identity(self.r), (1,) * self.r
 
-    def inversion_blocks(self, side: str, i: int):
-        """Exponent and signs of the inversion on component i."""
-        winv = self.w.inv(i)
-        if side == "z" or self.mo_law == TWISTED:
-            e = -self.law.theta.matrix(winv)
-        else:
-            e = -Mat.identity(self.r)
-        if side == "z":
-            signs = self.law.cocycle.value(winv, i)
-        else:
-            signs = (1,) * self.r
-        return e, signs
-
 
 def constant_group(table: FiniteGroupTable) -> GroupModel:
     """Rank-0 model: one point cell per element of the finite group."""
@@ -375,8 +411,9 @@ def extension_model(law: ExtensionLaw, cell_dims: dict, mo_law: str = TWISTED) -
     cell_dims maps each element label of W to the total dimension of its
     cell; the cell is the refined torification of G_m^r x A^(d - r), so
     every dimension must be at least r.  theta and the cocycle are
-    validated here; a broken theta surfaces as ThetaNotHomomorphism (and
-    would equally fail the associativity diagram if smuggled past).
+    validated here, over W's generating set and at every size; a broken
+    theta surfaces as ThetaNotHomomorphism, a broken cochain as
+    CocycleInvalid.
     """
     law.theta.validate()
     law.cocycle.validate(law.theta)
@@ -390,33 +427,6 @@ def extension_model(law: ExtensionLaw, cell_dims: dict, mo_law: str = TWISTED) -
             raise ShapeMismatch(f"cell dimension {d} below rank {r} at {label!r}")
         cells.append(Cell(r, label, d - r))
     return GroupModel(law, Torification(tuple(cells)), mo_law)
-
-
-def direct_product(a: GroupModel, b: GroupModel) -> GroupModel:
-    """Componentwise product model; cells multiply, laws act blockwise."""
-    if a.mo_law != b.mo_law:
-        raise ShapeMismatch("direct_product needs matching monoid-side laws")
-    w = a.w.product(b.w)
-    r = a.r + b.r
-    mats = []
-    table = []
-    for la in range(a.w.order()):
-        for lb in range(b.w.order()):
-            mats.append(a.law.theta.matrix(la).block_diag(b.law.theta.matrix(lb)))
-    theta = ThetaRep(w, r, tuple(mats))
-    for la in range(a.w.order()):
-        for lb in range(b.w.order()):
-            row = []
-            for ka in range(a.w.order()):
-                for kb in range(b.w.order()):
-                    row.append(a.law.cocycle.value(la, ka) + b.law.cocycle.value(lb, kb))
-            table.append(tuple(row))
-    law = ExtensionLaw(theta, Cocycle(w, r, tuple(table)))
-    cells = []
-    for ca in a.cells.cells:
-        for cb in b.cells.cells:
-            cells.append(Cell(ca.dim + cb.dim, (ca.label, cb.label), ca.affine + cb.affine))
-    return GroupModel(law, Torification(tuple(cells)), a.mo_law)
 
 
 def f1_points_group(g: GroupModel) -> FiniteGroupTable:
@@ -436,91 +446,49 @@ def _diagram_witness(side, name, labels, part):
     return {"side": side, "diagram": name, "at": list(labels), "part": part}
 
 
-def check_group_axioms(g: GroupModel) -> Report:
-    """All five group diagrams, on both sides, exhaustively.
+# the diagram instance, and the part of it, that each kernel violation fails
+_FAILING_DIAGRAM = {
+    "two-sided identity": ("unit", "component"),
+    "two-sided inverse": ("inverse", "component"),
+    "associativity": ("associativity", "component"),
+    "unimodularity": ("right-inverse", "exponent"),
+    "theta(e) = 1": ("left-unit", "exponent"),
+    "homomorphism law": ("associativity", "exponent"),     # at (g, s, e)
+    "left normalization": ("left-unit", "signs"),
+    "right normalization": ("right-unit", "signs"),
+    "cocycle identity": ("associativity", "signs"),
+}
 
-    Associativity runs over all component triples; unit and inverse
-    diagrams over all components.  Exponent blocks are compared with
-    cached pairwise matrix products, signs with exact +-1 algebra, so a
-    failure pinpoints the first offending diagram and components.
+
+def check_group_axioms(g: GroupModel) -> Report:
+    """All five group diagrams, on both sides, through the three law facts.
+
+    The diagrams hold exactly when table_violation, theta_violation (on
+    the monoid side only under the twisted law) and cocycle_violation
+    find nothing; a violation names a failing diagram instance.  Each
+    side has 2|W| unit, 2|W| inverse and |W|^3 associativity instances,
+    enumerated side (mo, z) > diagram > components; checks counts them
+    all on a pass, and is the witness's position among them on a failure.
     """
     w = g.w
     n = w.order()
-    checks = 0
-    prod_cache: dict[tuple[int, int], Mat] = {}
-
-    def mat_prod(i, j):
-        if (i, j) not in prod_cache:
-            prod_cache[(i, j)] = g.law.theta.matrix(i) * g.law.theta.matrix(j)
-        return prod_cache[(i, j)]
-
-    for side in ("mo", "z"):
-        e = w.identity
-        # unit diagrams: mu(e, a) = a = mu(a, e) with identity coordinates
-        for a in range(n):
-            checks += 2
-            if w.mul(e, a) != a or w.mul(a, e) != a:
-                return Report.failed(checks, _diagram_witness(side, "unit", [w.elements[a]], "component"))
-            _, left_b, left_s = g.law_blocks(side, e, a)
-            if not left_b.is_identity():
-                return Report.failed(checks, _diagram_witness(side, "left-unit", [w.elements[a]], "exponent"))
-            if any(s != 1 for s in left_s):
-                return Report.failed(checks, _diagram_witness(side, "left-unit", [w.elements[a]], "signs"))
-            right_a, _, right_s = g.law_blocks(side, a, e)
-            if not right_a.is_identity():
-                return Report.failed(checks, _diagram_witness(side, "right-unit", [w.elements[a]], "exponent"))
-            if any(s != 1 for s in right_s):
-                return Report.failed(checks, _diagram_witness(side, "right-unit", [w.elements[a]], "signs"))
-
-        # inverse diagrams: mu(inv a, a) = e = mu(a, inv a) with trivial coordinates
-        for a in range(n):
-            checks += 2
-            ai = w.inv(a)
-            if w.mul(ai, a) != e or w.mul(a, ai) != e:
-                return Report.failed(checks, _diagram_witness(side, "inverse", [w.elements[a]], "component"))
-            inv_e, inv_s = g.inversion_blocks(side, a)
-            la, lb, ls = g.law_blocks(side, ai, a)
-            if not (la * inv_e + lb).is_zero():
-                return Report.failed(checks, _diagram_witness(side, "left-inverse", [w.elements[a]], "exponent"))
-            if mul_signs(ls, apply_exponent_to_signs(la, inv_s)) != (1,) * g.r:
-                return Report.failed(checks, _diagram_witness(side, "left-inverse", [w.elements[a]], "signs"))
-            ra, rb, rs = g.law_blocks(side, a, ai)
-            if not (ra + rb * inv_e).is_zero():
-                return Report.failed(checks, _diagram_witness(side, "right-inverse", [w.elements[a]], "exponent"))
-            if mul_signs(rs, apply_exponent_to_signs(rb, inv_s)) != (1,) * g.r:
-                return Report.failed(checks, _diagram_witness(side, "right-inverse", [w.elements[a]], "signs"))
-
-        # associativity: blocks [A2A1 | A2B1 | B2] vs [A1' | B1'A2' | B1'B2']
-        twisted = (side == "z") or (g.mo_law == TWISTED)
-        for a in range(n):
-            for b in range(n):
-                ab = w.mul(a, b)
-                sab = g.law_blocks(side, a, b)[2]
-                for c in range(n):
-                    checks += 1
-                    labels = [w.elements[a], w.elements[b], w.elements[c]]
-                    if w.mul(ab, c) != w.mul(a, w.mul(b, c)):
-                        return Report.failed(checks, _diagram_witness(side, "associativity", labels, "component"))
-                    bc = w.mul(b, c)
-                    if twisted:
-                        # A blocks are identities; exponent equality reduces to
-                        # B(a,b)=theta_a matching and theta_ab = theta_a theta_b
-                        lhs_mid = g.law.theta.matrix(a)
-                        lhs_right = g.law.theta.matrix(ab)
-                        rhs_mid = g.law.theta.matrix(a)
-                        rhs_right = mat_prod(a, b)
-                    else:
-                        lhs_mid = lhs_right = Mat.identity(g.r)
-                        rhs_mid = rhs_right = Mat.identity(g.r)
-                    if lhs_mid != rhs_mid or lhs_right != rhs_right:
-                        return Report.failed(checks, _diagram_witness(side, "associativity", labels, "exponent"))
-                    lhs_s = mul_signs(sab, g.law_blocks(side, ab, c)[2])
-                    theta_a = g.law.theta.matrix(a) if twisted else Mat.identity(g.r)
-                    rhs_s = mul_signs(g.law_blocks(side, a, bc)[2],
-                                      apply_exponent_to_signs(theta_a, g.law_blocks(side, b, c)[2]))
-                    if lhs_s != rhs_s:
-                        return Report.failed(checks, _diagram_witness(side, "associativity", labels, "signs"))
-    return Report.passed(checks)
+    side, bad = "mo", table_violation(w)
+    if bad is None:
+        side, bad = ("mo" if g.mo_law == TWISTED else "z"), theta_violation(g.law.theta)
+    if bad is None:
+        side, bad = "z", cocycle_violation(g.law.cocycle, g.law.theta)
+    if bad is None:
+        return Report.passed(2 * (4 * n + n ** 3))
+    kind, at = bad
+    diagram, part = _FAILING_DIAGRAM[kind]
+    if kind == "homomorphism law":
+        at += (w.identity,)
+    pos = 0 if side == "mo" else 4 * n + n ** 3
+    if diagram == "associativity":
+        pos += 4 * n + (at[0] * n + at[1]) * n + at[2] + 1
+    else:
+        pos += 2 * at[0] + 2 + (2 * n if diagram.endswith("inverse") else 0)
+    return Report.failed(pos, _diagram_witness(side, diagram, [w.elements[i] for i in at], part))
 
 
 def require_group(g: GroupModel) -> None:
@@ -570,14 +538,14 @@ def inversion_weak_morphism(g: GroupModel) -> WeakMorphism:
     rk = g.rank_scheme
     targets, comaps, exps, signs = [], [], [], []
     free1 = FgAbelianGroup.free(g.r)
-    for i, (la, _) in enumerate(rk.components):
+    for i in range(g.w.order()):
         k = g.w.inv(i)
         targets.append(g.w.elements[k])
-        mo_e, _ = g.inversion_blocks("mo", i)
+        z_e = -g.law.theta.matrix(k)
+        mo_e = z_e if g.mo_law == TWISTED else -Mat.identity(g.r)
         comaps.append(GroupHom.on_free(free1, free1, mo_e.transpose()))
-        z_e, z_s = g.inversion_blocks("z", i)
         exps.append(z_e)
-        signs.append(z_s)
+        signs.append(g.law.cocycle.value(k, i))
     mo = StrongMorphismRk(rk, rk, tuple(targets), tuple(comaps))
     z = MonomialMap(rk, rk, tuple(targets), tuple(exps), tuple(signs))
     return WeakMorphism(mo, z)
@@ -606,8 +574,7 @@ def z_rank_group(g: GroupModel) -> FiniteGroupTable:
         out = mul_signs(mul_signs(s, theta_t), g.law.cocycle.value(i, j))
         return (out, g.w.elements[g.w.mul(i, j)])
 
-    return FiniteGroupTable.build(labels, mul,
-                                  validate=None if order <= FULL_ASSOC_LIMIT else False)
+    return FiniteGroupTable.build(labels, mul)
 
 
 def z_rank_projection_is_hom(g: GroupModel) -> Report:

@@ -85,21 +85,13 @@ def perm_matrix(w: Perm) -> Mat:
 
 
 def symmetric_table(n: int) -> FiniteGroupTable:
-    return FiniteGroupTable.build(one_line_perms(n), perm_compose)
+    """S_n on one-line labels; its generators are the adjacent transpositions.
 
-
-def _permutation_theta(w: FiniteGroupTable, n: int) -> ThetaRep:
-    """Theta from one-line permutation labels, verified at the label level.
-
-    P is functorial in the permutation, so checking the table's own
-    composition law on labels gives the matrix homomorphism law without
-    |W|^2 matrix products; the cheap composition check runs here.
+    >>> t = symmetric_table(4)
+    >>> [t.elements[s] for s in t.generators]
+    [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
     """
-    for i, u in enumerate(w.elements):
-        for j, v in enumerate(w.elements):
-            if w.elements[w.mul(i, j)] != perm_compose(u, v):
-                raise ShapeMismatch("table does not multiply by composition")
-    return ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
+    return FiniteGroupTable.build(one_line_perms(n), perm_compose)
 
 
 def gl_model(n: int) -> GroupModel:
@@ -112,7 +104,7 @@ def gl_model(n: int) -> GroupModel:
     if not 1 <= n <= cap:
         raise OutOfScale(f"gl_model needs 1 <= n <= {cap}, got {n}")
     w = symmetric_table(n)
-    theta = _permutation_theta(w, n)
+    theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
     base = n + n * (n - 1) // 2
     dims = {p: base + perm_length(p) for p in w.elements}
@@ -170,7 +162,7 @@ def parabolic_model(n: int, parts) -> GroupModel:
     parts = _check_composition(n, parts)
     elements = block_perms(n, parts)
     w = FiniteGroupTable.build(elements, perm_compose)
-    theta = _permutation_theta(w, n)
+    theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
     dim_u = (n * n - sum(k * k for k in parts)) // 2
     dim_b = sum(k * (k - 1) // 2 for k in parts)

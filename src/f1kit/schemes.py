@@ -70,9 +70,11 @@ class RankScheme:
     components: tuple[tuple[Label, FgAbelianGroup], ...]
 
     def __post_init__(self):
-        labels = [l for l, _ in self.components]
-        if len(set(labels)) != len(labels):
+        positions = {l: i for i, (l, _) in enumerate(self.components)}
+        if len(positions) != len(self.components):
             raise ShapeMismatch("component labels must be distinct")
+        # a lookup table, not a field: ==, hash and repr see components only
+        object.__setattr__(self, "_positions", positions)
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(l for l, _ in self.components)
@@ -81,10 +83,10 @@ class RankScheme:
         return self.components[self.index(label)][1]
 
     def index(self, label: Label) -> int:
-        for i, (l, _) in enumerate(self.components):
-            if l == label:
-                return i
-        raise ShapeMismatch(f"no component labeled {label!r}")
+        try:
+            return self._positions[label]
+        except (KeyError, TypeError):
+            raise ShapeMismatch(f"no component labeled {label!r}") from None
 
     def is_free(self) -> bool:
         return all(not g.torsion for _, g in self.components)
@@ -294,9 +296,6 @@ class MonomialMap:
             if len(s) != tgt_rank or any(v not in (1, -1) for v in s):
                 raise ShapeMismatch(f"component {i}: signs must be +-1 of length {tgt_rank}")
 
-    def target_index(self, i: int) -> int:
-        return self.target.index(self.targets[i])
-
 
 def identity_map(x: RankScheme) -> MonomialMap:
     return MonomialMap(
@@ -318,64 +317,6 @@ def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
         exps.append(g.exponents[j] * f.exponents[i])
         signs.append(mul_signs(g.signs[j], apply_exponent_to_signs(g.exponents[j], f.signs[i])))
     return MonomialMap(f.source, g.target, tuple(targets), tuple(exps), tuple(signs))
-
-
-def product_map(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    src = product_scheme(f.source, g.source)
-    tgt = product_scheme(f.target, g.target)
-    targets, exps, signs = [], [], []
-    for la, _ in f.source.components:
-        i = f.source.index(la)
-        for lb, _ in g.source.components:
-            j = g.source.index(lb)
-            targets.append((f.targets[i], g.targets[j]))
-            exps.append(f.exponents[i].block_diag(g.exponents[j]))
-            signs.append(f.signs[i] + g.signs[j])
-    return MonomialMap(src, tgt, tuple(targets), tuple(exps), tuple(signs))
-
-
-def pairing_map(f: MonomialMap, g: MonomialMap) -> MonomialMap:
-    if f.source != g.source:
-        raise ShapeMismatch("pairing needs a common source")
-    tgt = product_scheme(f.target, g.target)
-    targets, exps, signs = [], [], []
-    for i in range(len(f.source.components)):
-        targets.append((f.targets[i], g.targets[i]))
-        exps.append(f.exponents[i].vstack(g.exponents[i]))
-        signs.append(f.signs[i] + g.signs[i])
-    return MonomialMap(f.source, tgt, tuple(targets), tuple(exps), tuple(signs))
-
-
-def projection_map(a: RankScheme, b: RankScheme, which: int) -> MonomialMap:
-    src = product_scheme(a, b)
-    tgt = (a, b)[which]
-    targets, exps, signs = [], [], []
-    for la, ga in a.components:
-        for lb, gb in b.components:
-            ra, rb = ga.rank, gb.rank
-            if which == 0:
-                targets.append(la)
-                exps.append(Mat.identity(ra).hstack(Mat.zeros(ra, rb)))
-                signs.append((1,) * ra)
-            else:
-                targets.append(lb)
-                exps.append(Mat.zeros(rb, ra).hstack(Mat.identity(rb)))
-                signs.append((1,) * rb)
-    return MonomialMap(src, tgt, tuple(targets), tuple(exps), tuple(signs))
-
-
-def terminal_map(x: RankScheme) -> MonomialMap:
-    pt = point_scheme()
-    n = len(x.components)
-    return MonomialMap(
-        x, pt, ("*",) * n,
-        tuple(Mat.zeros(0, g.rank) for _, g in x.components),
-        ((),) * n,
-    )
-
-
-def diagonal_map(x: RankScheme) -> MonomialMap:
-    return pairing_map(identity_map(x), identity_map(x))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from f1kit.errors import (
 )
 from f1kit.linalg import Mat
 from f1kit.groups import (
+    PRODUCT,
     Cocycle,
     ExtensionLaw,
     FiniteGroupTable,
@@ -32,7 +33,8 @@ from f1kit.groups import (
     z_rank_group,
     z_rank_projection_is_hom,
 )
-from f1kit.schemes import check_weak
+from f1kit.reductive import gl_model, parabolic_model
+from f1kit.schemes import Cell, Torification, apply_exponent_to_signs, check_weak, mul_signs
 
 
 def sl2_model() -> GroupModel:
@@ -190,3 +192,194 @@ def test_broken_law_is_caught():
     with pytest.raises(ThetaNotHomomorphism):
         extension_model(ExtensionLaw(ThetaRep(w, 1, mats), Cocycle.trivial(w, 1)),
                         {"e": 1, "a": 1, "b": 1})
+
+
+def test_build_rejects_nonassociative_loop_of_order_129():
+    # Z/129 with one row cycle switch: rows 1 and 44 trade their entries in
+    # the three columns where row 1 holds 2, 45 or 88.  Rows and columns stay
+    # permutations and row 0, column 0 and every 0 entry are untouched, so
+    # this is a loop with two-sided inverses, but it is not associative.
+    n = 129
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for y in range(n):
+        if table[1][y] in (2, 45, 88):
+            table[1][y], table[44][y] = table[44][y], table[1][y]
+    with pytest.raises(AxiomsFailed, match="associativity"):
+        FiniteGroupTable.build(range(n), lambda a, b: table[a][b])
+
+
+def test_theta_validate_rejects_bad_theta_on_151_elements():
+    # k -> (-1)^k is not a homomorphism on Z/151, which has odd order
+    w = FiniteGroupTable.cyclic(151)
+    mats = tuple(Mat.from_rows(1, 1, [[(-1) ** k]]) for k in range(151))
+    with pytest.raises(ThetaNotHomomorphism):
+        ThetaRep(w, 1, mats).validate()
+
+
+def test_cocycle_guard_names_guard_estimate_cap_and_override(monkeypatch):
+    law = sl2_model().law
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
+    with pytest.raises(OutOfScale, match=r"cocycle identity guard: 2\^2 x 1 generators = 4 "
+                                         r"triples exceeds cap 3 .*F1KIT_MAX_SCALE"):
+        law.cocycle.validate(law.theta)
+
+
+def test_group_suite_checks_count_diagram_instances():
+    assert check_group_axioms(gl_model(2)).checks == 32
+    assert check_group_axioms(gl_model(3)).checks == 480
+
+
+# -- literal diagram oracle ---------------------------------------------------
+
+def literal_diagram_failures(g: GroupModel):
+    """Every diagram instance of g, evaluated literally.
+
+    Instances run in the order side (mo, z) > unit, inverse, associativity
+    > components; each composes the law, unit and inversion morphisms' own
+    per-component exponent blocks and signs with Mat products and
+    apply_exponent_to_signs.  Returns the number of instances and a dict
+    from each failing (side, diagram, labels, part) to its position.
+    """
+    w, r = g.w, g.r
+    n, e = w.order(), w.identity
+    law, unit, inv = law_weak_morphism(g), unit_weak_morphism(g), inversion_weak_morphism(g)
+    ident, one = Mat.identity(r), (1,) * r
+    idn = (ident, one)
+    diag = (ident.vstack(ident), one + one)
+    terminal = (Mat.zeros(0, r), ())
+
+    def comp(f, side, label):
+        """(target component, (exponent, signs)) of f at a source component."""
+        if side == "z":
+            i = f.z_side.source.index(label)
+            return w.index(f.z_side.targets[i]), (f.z_side.exponents[i], f.z_side.signs[i])
+        i = f.mo_side.source.index(label)
+        exp = f.mo_side.comaps[i].free_matrix.transpose()
+        return w.index(f.mo_side.targets[i]), (exp, (1,) * exp.rows)
+
+    def after(outer, inner):
+        return outer[0] * inner[0], mul_signs(outer[1], apply_exponent_to_signs(outer[0], inner[1]))
+
+    def times(f, h):
+        return f[0].block_diag(h[0]), f[1] + h[1]
+
+    failures, pos = {}, 0
+
+    def record(side, diagram, at, got, want):
+        labels = tuple(w.elements[i] for i in at)
+        for part, k in (("exponent", 0), ("signs", 1)):
+            if got[k] != want[k]:
+                failures[(side, diagram, labels, part)] = pos
+
+    for side in ("mo", "z"):
+        def mu(i, j):
+            return comp(law, side, (w.elements[i], w.elements[j]))
+        u = comp(unit, side, "*")[1]
+        for a in range(n):
+            pos += 2
+            (t1, m1), (t2, m2) = mu(e, a), mu(a, e)
+            if t1 != a or t2 != a:
+                failures[(side, "unit", (w.elements[a],), "component")] = pos
+                continue
+            record(side, "left-unit", [a], after(m1, times(u, idn)), idn)
+            record(side, "right-unit", [a], after(m2, times(idn, u)), idn)
+        for a in range(n):
+            pos += 2
+            ai, i_a = comp(inv, side, w.elements[a])
+            (t1, m1), (t2, m2) = mu(ai, a), mu(a, ai)
+            if t1 != e or t2 != e:
+                failures[(side, "inverse", (w.elements[a],), "component")] = pos
+                continue
+            const = after(u, terminal)
+            record(side, "left-inverse", [a], after(m1, after(times(i_a, idn), diag)), const)
+            record(side, "right-inverse", [a], after(m2, after(times(idn, i_a), diag)), const)
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    pos += 1
+                    (ab, m_ab), (bc, m_bc) = mu(a, b), mu(b, c)
+                    (t1, m1), (t2, m2) = mu(ab, c), mu(a, bc)
+                    if t1 != t2:
+                        labels = tuple(w.elements[i] for i in (a, b, c))
+                        failures[(side, "associativity", labels, "component")] = pos
+                        continue
+                    record(side, "associativity", [a, b, c],
+                           after(m1, times(m_ab, idn)), after(m2, times(idn, m_bc)))
+    return pos, failures
+
+
+def _c(k):
+    return FiniteGroupTable.cyclic(k)
+
+
+V4 = FiniteGroupTable.cyclic(2).product(FiniteGroupTable.cyclic(2))   # generators 1, 2
+
+
+def _hand_built(w, mats, minus=(), mo_law="twisted"):
+    """Model straight from GroupModel, bypassing extension_model.
+
+    mats gives theta as row lists (an int is a 1x1 matrix); the cochain
+    is -1 at the index pairs in minus and +1 elsewhere.
+    """
+    mats = tuple(Mat.from_rows(1, 1, [[m]]) if isinstance(m, int) else
+                 Mat.from_rows(len(m), len(m), m) for m in mats)
+    r = mats[0].rows
+    n = w.order()
+    cocycle = tuple(tuple((-1 if (i, j) in minus else 1,) * r for j in range(n)) for i in range(n))
+    cells = Torification(tuple(Cell(r, label, 0) for label in w.elements))
+    return GroupModel(ExtensionLaw(ThetaRep(w, r, mats), Cocycle(w, r, cocycle)), cells, mo_law)
+
+
+def _table(c, mult, identity, inverses):
+    return constant_group(FiniteGroupTable(c.elements, tuple(map(tuple, mult)), identity, inverses))
+
+
+I2, U = [[1, 0], [0, 1]], [[1, 1], [0, 1]]
+
+ORACLE_MODELS = {
+    **{f"gl:{n}": (lambda n=n: gl_model(n)) for n in (1, 2, 3)},
+    **{"parabolic:3:" + "+".join(map(str, parts)): (lambda parts=parts: parabolic_model(3, parts))
+       for parts in ((3,), (1, 2), (2, 1), (1, 1, 1))},
+    **{f"const:cyclic{k}": (lambda k=k: constant_group(_c(k))) for k in (2, 3, 4, 5)},
+    "torus:1": lambda: torus_group(1),
+    "torus:2": lambda: torus_group(2),
+    "sl2-weak": sl2_model,
+    "sl2-product": lambda: extension_model(sl2_model().law, {"e": 1, "s": 2}, PRODUCT),
+    # hand-built models; each one breaks a law
+    "theta-not-hom": lambda: _hand_built(_c(3), (1, -1, 1)),
+    "theta-not-hom-product": lambda: _hand_built(_c(3), (1, -1, 1), mo_law=PRODUCT),
+    "theta-not-hom-at-second-generator": lambda: _hand_built(V4, (I2, I2, U, U)),
+    "theta-not-unimodular": lambda: _hand_built(_c(2), (1, 2)),
+    "theta-e-not-identity": lambda: _hand_built(_c(2), (-1, 1)),
+    "cochain-left-unnormalized": lambda: _hand_built(_c(2), (1, 1), {(0, 1)}),
+    "cochain-right-unnormalized": lambda: _hand_built(_c(2), (1, -1), {(1, 0)}),
+    # -1 everywhere satisfies the cocycle identity but not normalization
+    "cochain-constant-minus-one":
+        lambda: _hand_built(_c(2), (1, 1), {(0, 0), (0, 1), (1, 0), (1, 1)}),
+    "cochain-not-cocycle": lambda: _hand_built(_c(3), (1, 1, 1), {(1, 1)}),
+    "cochain-not-cocycle-at-second-generator":
+        lambda: _hand_built(V4, (1, 1, 1, 1), {(2, 3), (3, 2)}),
+    "table-not-associative": lambda: _table(
+        _c(4), [[0, 1, 2, 3], [1, 3, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]], 0, (0, 3, 2, 1)),
+    "table-not-associative-at-second-generator": lambda: _table(
+        _c(4), [[0, 1, 2, 3], [1, 0, 2, 3], [2, 2, 0, 0], [3, 3, 0, 0]], 0, (0, 1, 2, 3)),
+    "table-bad-inverses": lambda: _table(_c(3), _c(3).mult, 0, (0, 1, 2)),
+    "table-bad-identity": lambda: _table(_c(3), _c(3).mult, 1, (2, 1, 0)),
+}
+BROKEN = ("theta-", "cochain-", "table-")
+
+
+@pytest.mark.parametrize("name", list(ORACLE_MODELS))
+def test_group_axioms_agree_with_literal_diagrams(name):
+    g = ORACLE_MODELS[name]()
+    assert g.w.order() <= 6
+    instances, failures = literal_diagram_failures(g)
+    rep = check_group_axioms(g)
+    assert rep.ok == (not failures), failures
+    assert rep.ok != name.startswith(BROKEN)
+    if rep.ok:
+        assert rep.checks == instances
+    else:
+        wit = rep.witness
+        key = (wit["side"], wit["diagram"], tuple(wit["at"]), wit["part"])
+        assert failures.get(key) == rep.checks, (key, rep.checks, failures)
