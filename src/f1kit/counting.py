@@ -8,7 +8,9 @@ the leading value.
 
 The brute-force counters at the bottom recount small instances by raw
 enumeration over an actual prime field, with no shared formulas, so they
-can serve as oracles for the polynomial calculus.
+can serve as oracles for the polynomial calculus.  The one shared piece
+is the face set of a cone, which the monoid-hom counter uses as its
+support condition; it is checked against a 2^k subset loop in the tests.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .errors import NonDivisible, NotPrime, OutOfScale, ZeroPolynomial, scale_cap
-from .linalg import Mat, det, feasible, kernel_basis
+from .linalg import Mat, det, kernel_basis
 from .monoids import AFFINE, GROUP_WITH_ZERO, PointedMonoid
 
 
@@ -289,27 +291,6 @@ def brute_count_gl(n: int, q: int) -> int:
     return total
 
 
-def _face_condition_holds(gens, subset: frozenset, kernel: list[tuple[int, ...]]) -> bool:
-    """No kernel vector is nonnegative off the subset and positive somewhere.
-
-    Violation means a relation equates a product of off-subset generators
-    (which must map to 0) with a product of subset generators (which maps
-    to a unit), so no assignment supported on the subset can be a hom.
-    """
-    k = len(gens)
-    off = [j for j in range(k) if j not in subset]
-    if not off or not kernel:
-        return True
-    m = len(kernel)
-    cons = []
-    for j in off:
-        coeffs = tuple(Fraction(v[j]) for v in kernel)
-        cons.append((coeffs, Fraction(0), "ge"))
-    total = tuple(Fraction(sum(v[j] for j in off)) for v in kernel)
-    cons.append((total, Fraction(-1), "ge"))
-    return not feasible(cons, m)
-
-
 def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     """Count monoid homs M -> (F_q, *) by enumerating generator images.
 
@@ -317,6 +298,9 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     It extends to a hom iff every additive relation among generators maps
     to an equality in F_q; relations come from the integer kernel of the
     generator matrix, with zero values handled by the support condition.
+    That condition (no relation equates a product of generators sent to 0
+    with one of generators sent to units) holds, by Farkas' lemma, exactly
+    when the support spans a face, so it is read off the face set.
     """
     _require_prime(q)
     if m.kind == GROUP_WITH_ZERO:
@@ -332,27 +316,20 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     k = len(gens)
     d = m.ambient_dim
     _require_work(q ** k)
-    matrix = Mat.from_rows(d, k, list(zip(*gens))) if k else Mat.zeros(d, 0)
-    full_kernel = kernel_basis(matrix)
-
-    face_ok: dict[frozenset, bool] = {}
-    support_kernel: dict[frozenset, list[tuple[int, ...]]] = {}
-
-    def data_for(subset: frozenset):
-        if subset not in face_ok:
-            face_ok[subset] = _face_condition_holds(gens, subset, full_kernel)
-            cols = sorted(subset)
-            sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
-            support_kernel[subset] = kernel_basis(sub)
-        return face_ok[subset], support_kernel[subset]
+    from .spectrum import face_masks     # spectrum imports this module
+    faces = face_masks(gens, d)
+    support_kernel: dict[int, list[tuple[int, ...]]] = {}
 
     total = 0
     for assignment in product(range(q), repeat=k):
-        support = frozenset(j for j, x in enumerate(assignment) if x != 0)
-        ok, relations = data_for(support)
-        if not ok:
+        support = sum(1 << j for j, x in enumerate(assignment) if x != 0)
+        if support not in faces:
             continue
-        cols = sorted(support)
+        cols = [j for j in range(k) if support >> j & 1]
+        if support not in support_kernel:
+            sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
+            support_kernel[support] = kernel_basis(sub)
+        relations = support_kernel[support]
         values = [assignment[j] for j in cols]
         good = True
         for rel in relations:

@@ -1,15 +1,18 @@
 """Exact linear algebra on small dense matrices.
 
 Everything here is loop-based and exact: integer matrices as immutable
-row tuples, Fraction arithmetic where division is needed, no floats ever.
-The three nontrivial kernels are Bareiss determinants, integer kernel
-bases via unimodular column reduction, and Fourier-Motzkin feasibility
-for linear systems over the rationals.  Sizes are desk scale (tens of
-rows, not thousands); clarity beats asymptotics throughout.
+row tuples, Fraction arithmetic only in `rank`, no floats ever.  The
+three nontrivial kernels are Bareiss determinants, integer kernel bases
+via unimodular column reduction, and Fourier-Motzkin feasibility for
+linear systems over the rationals, run on gcd-normalised integer rows
+(rational inputs are cleared of denominators once, on entry).  Sizes are
+desk scale (tens of rows, not thousands); clarity beats asymptotics
+throughout.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ShapeMismatch
 
@@ -191,38 +194,34 @@ def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
 
 # Linear constraints for the feasibility kernel: (coeffs, const, rel)
 # encodes  coeffs . x + const  REL  0  with rel one of "eq", "ge", "gt".
-
-Constraint = tuple[tuple[Fraction, ...], Fraction, str]
-
-
-def _norm(coeffs, const, rel) -> Constraint:
-    lcm = 1
-    for c in list(coeffs) + [const]:
-        d = c.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(c * lcm) for c in coeffs] + [int(const * lcm)]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
-    g = max(g, 1)
-    vals = [Fraction(x, g) for x in ints]
-    return (tuple(vals[:-1]), vals[-1], rel)
+# Internally a constraint is the integer row coeffs + (const,), divided by
+# the gcd of its entries; scaling by a positive number keeps its meaning.
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _primitive(row) -> tuple[int, ...]:
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def _int_row(values) -> tuple[int, ...]:
+    """The values times the lcm of their denominators, gcd-normalised."""
+    if not all(type(x) is int for x in values):
+        fracs = [Fraction(x) for x in values]
+        scale = lcm(*(x.denominator for x in fracs))
+        values = [int(x * scale) for x in fracs]
+    return _primitive(values)
 
 
 def feasible(constraints: list[tuple], nvars: int) -> bool:
     """Decide whether a rational solution of the constraint system exists.
 
-    Each constraint is (coeffs, const, rel): coeffs . x + const REL 0.
-    Equalities are removed by exact substitution, the rest by
-    Fourier-Motzkin elimination; strictness propagates through combined
-    constraints, so mixed strict/weak systems are decided correctly.
+    Each constraint is (coeffs, const, rel): coeffs . x + const REL 0, with
+    int or Fraction entries.  Each is scaled once to a primitive integer
+    row, and every later row is an integer combination with positive
+    multipliers, so no Fraction is built after the input.  Equalities are
+    removed by exact substitution, the rest by Fourier-Motzkin elimination;
+    strictness propagates through combined constraints, so mixed
+    strict/weak systems are decided correctly.
 
     >>> one = Fraction(1)
     >>> feasible([((one,), Fraction(-1), "ge"), ((-one,), Fraction(2), "gt")], 1)
@@ -230,54 +229,52 @@ def feasible(constraints: list[tuple], nvars: int) -> bool:
     >>> feasible([((one,), Fraction(0), "gt"), ((-one,), Fraction(0), "ge")], 1)
     False
     """
-    eqs: list[Constraint] = []
-    ineqs: list[Constraint] = []
+    eqs: list[tuple[int, ...]] = []
+    ineqs: list[tuple[tuple[int, ...], bool]] = []      # (row, strict)
     for coeffs, const, rel in constraints:
-        c = (tuple(Fraction(x) for x in coeffs), Fraction(const), rel)
-        if len(c[0]) != nvars:
+        if len(coeffs) != nvars:
             raise ShapeMismatch("constraint width does not match variable count")
-        (eqs if rel == "eq" else ineqs).append(c)
+        row = _int_row((*coeffs, const))
+        if rel == "eq":
+            eqs.append(row)
+        else:
+            ineqs.append((row, rel == "gt"))
 
-    # substitute equalities away
+    # substitute equalities away: |c_j| row - sign(c_j) row_j eq clears
+    # column j and keeps the direction of an inequality
     while eqs:
-        coeffs, const, _ = eqs.pop()
-        j = next((i for i, c in enumerate(coeffs) if c != 0), None)
+        eq = eqs.pop()
+        j = next((i for i in range(nvars) if eq[i]), None)
         if j is None:
-            if const != 0:
+            if eq[-1]:
                 return False
             continue
-        cj = coeffs[j]
+        scale, sign = abs(eq[j]), (1 if eq[j] > 0 else -1)
 
-        def subst(con: Constraint) -> Constraint:
-            a, b, rel = con
-            if a[j] == 0:
-                return con
-            f = a[j] / cj
-            new = tuple(x - f * c for x, c in zip(a, coeffs))
-            return (new[:j] + (Fraction(0),) + new[j + 1:], b - f * const, rel)
+        def subst(row):
+            f = sign * row[j]
+            return _primitive([scale * x - f * y for x, y in zip(row, eq)]) if f else row
 
-        eqs = [subst(c) for c in eqs]
-        ineqs = [subst(c) for c in ineqs]
+        eqs = [subst(r) for r in eqs]
+        ineqs = [(subst(r), strict) for r, strict in ineqs]
 
     live = list(range(nvars))
     while True:
-        # constants drop out as soon as they appear
-        remaining = []
-        for a, b, rel in ineqs:
-            if all(a[j] == 0 for j in live):
-                if rel == "ge" and b < 0:
-                    return False
-                if rel == "gt" and b <= 0:
-                    return False
-            else:
-                remaining.append((a, b, rel))
-        ineqs = list({_norm(a, b, rel) for a, b, rel in remaining})
+        # constants drop out as soon as they appear; eliminated columns
+        # are zero in every row, so a row without live terms is all zero
+        remaining = set()
+        for row, strict in ineqs:
+            if any(row[:nvars]):
+                remaining.add((row, strict))
+            elif row[-1] < 0 or (strict and row[-1] == 0):
+                return False
+        ineqs = list(remaining)
         if not live or not ineqs:
             return True
         # eliminate the variable with the cheapest pos x neg product
         def cost(j):
-            pos = sum(1 for a, _, _ in ineqs if a[j] > 0)
-            neg = sum(1 for a, _, _ in ineqs if a[j] < 0)
+            pos = sum(1 for r, _ in ineqs if r[j] > 0)
+            neg = sum(1 for r, _ in ineqs if r[j] < 0)
             return pos * neg
 
         j = min(live, key=cost)
@@ -285,12 +282,10 @@ def feasible(constraints: list[tuple], nvars: int) -> bool:
         neg = [c for c in ineqs if c[0][j] < 0]
         rest = [c for c in ineqs if c[0][j] == 0]
         combined = []
-        for pa, pb, prel in pos:
-            for na, nb, nrel in neg:
-                s, t = -na[j], pa[j]
-                a = tuple(s * x + t * y for x, y in zip(pa, na))
-                b = s * pb + t * nb
-                rel = "gt" if (prel == "gt" or nrel == "gt") else "ge"
-                combined.append((a, b, rel))
+        for p, pstrict in pos:
+            for n, nstrict in neg:
+                s, t = -n[j], p[j]
+                row = _primitive([s * x + t * y for x, y in zip(p, n)])
+                combined.append((row, pstrict or nstrict))
         ineqs = rest + combined
         live.remove(j)

@@ -15,7 +15,6 @@ homomorphisms given on generators.
 
 from dataclasses import dataclass
 from math import gcd
-from fractions import Fraction
 
 from .errors import (
     InfiniteHomSet,
@@ -355,14 +354,14 @@ def _member(m: PointedMonoid, target: tuple[int, ...], *, bound: int | None = No
         nvars = k - start
         cons = []
         for coord in range(d):
-            coeffs = tuple(Fraction(gens[j][coord]) for j in range(start, k))
-            cons.append((coeffs, Fraction(-residual[coord]), "eq"))
+            coeffs = tuple(gens[j][coord] for j in range(start, k))
+            cons.append((coeffs, -residual[coord], "eq"))
         for j in range(nvars):
-            unit = tuple(Fraction(1 if i == j else 0) for i in range(nvars))
-            cons.append((unit, Fraction(0), "ge"))
+            unit = tuple(1 if i == j else 0 for i in range(nvars))
+            cons.append((unit, 0, "ge"))
         if floor_first:
-            unit = tuple(Fraction(1 if i == 0 else 0) for i in range(nvars))
-            cons.append((unit, Fraction(-(bound + 1)), "ge"))
+            unit = tuple(1 if i == 0 else 0 for i in range(nvars))
+            cons.append((unit, -(bound + 1), "ge"))
         return feasible(cons, nvars)
 
     if not relax(0, target):

@@ -6,14 +6,21 @@ on S and is strictly positive on the rest.  The spectrum of an affine
 monoid is therefore a finite poset of faces; a group with zero has the
 single empty face.  Each point carries the unit group of its stalk (the
 sublattice spanned by the face), whose rank is the local torus dimension.
+
+The faces are found by walking up the face lattice from the minimal face
+(Bruns-Gubeladze, Polytopes, Rings and K-Theory, ch. 1-2): the covers of
+a face F are rays of the pointed cone C/span(F), so each is F plus one
+class of generators whose images there are positive multiples of each
+other.  That costs about #faces * k feasibility calls, not one for each
+of the 2^k generator subsets.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from .counting import IntPolynomial
 from .errors import ShapeMismatch, TooManyGenerators, scale_cap
-from .linalg import Mat, feasible, rank
+from .linalg import Mat, feasible, kernel_basis, rank
 from .monoids import AFFINE, GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
@@ -48,14 +55,72 @@ class MoSpace:
 
 def _is_face(gens, subset_mask: int, d: int) -> bool:
     """Feasibility of: functional zero on the subset, >= 1 off it."""
-    cons = []
-    for j, g in enumerate(gens):
-        coeffs = tuple(Fraction(x) for x in g)
-        if subset_mask >> j & 1:
-            cons.append((coeffs, Fraction(0), "eq"))
-        else:
-            cons.append((coeffs, Fraction(-1), "ge"))
+    cons = [(g, 0, "eq") if subset_mask >> j & 1 else (g, -1, "ge")
+            for j, g in enumerate(gens)]
     return feasible(cons, d)
+
+
+def _negative_in_cone(gens, j: int, d: int) -> bool:
+    """Feasibility of: lambda >= 0 with sum lambda_i g_i = -g_j."""
+    k = len(gens)
+    cons = [(tuple(g[c] for g in gens), gens[j][c], "eq") for c in range(d)]
+    cons += [(tuple(int(i == t) for i in range(k)), 0, "ge") for t in range(k)]
+    return feasible(cons, k)
+
+
+def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], bool]:
+    """Generators off the face grouped by ray in C/span(F), as masks, and
+    whether those rays are linearly independent.
+
+    Integer functionals vanishing on the face give coordinates on
+    Q^d/span(F); two generators share a class when their images have the
+    same primitive vector.  The rays span the image of span(C), of
+    dimension rank C - rank F, and rank F = d - #functionals.
+    """
+    rows = [g for j, g in enumerate(gens) if face >> j & 1]
+    funcs = kernel_basis(Mat.from_rows(len(rows), d, rows))
+    classes: dict[tuple[int, ...], int] = {}
+    for j, g in enumerate(gens):
+        if not face >> j & 1:
+            image = [sum(a * b for a, b in zip(u, g)) for u in funcs]
+            step = gcd(*image)
+            key = tuple(x // step for x in image)
+            classes[key] = classes.get(key, 0) | 1 << j
+    return list(classes.values()), len(classes) == cone_rank - (d - len(funcs))
+
+
+def face_masks(gens, d: int) -> set[int]:
+    """Generator subsets (as bitmasks) that span faces of the cone.
+
+    Starts at the minimal face: the empty set when the cone is pointed
+    and no generator is zero, otherwise the generators whose negatives
+    lie in the cone.  F is a face, so F = C cap span(F): every generator
+    off F has a nonzero image in C/span(F), and that cone is pointed.
+    Each class of F is tested once with one feasibility call, unless the
+    class rays are linearly independent: then C/span(F) is simplicial,
+    every class is a ray, and no call is needed.
+    """
+    if _is_face(gens, 0, d):
+        bottom = 0
+    else:
+        bottom = sum(1 << j for j in range(len(gens)) if _negative_in_cone(gens, j, d))
+    cone_rank = rank(Mat.from_rows(len(gens), d, gens))
+    faces = {bottom}
+    rejected = set()
+    todo = [bottom]
+    while todo:
+        face = todo.pop()
+        classes, simplicial = _cover_classes(gens, face, d, cone_rank)
+        for mask in classes:
+            up = face | mask
+            if up in faces or up in rejected:
+                continue
+            if simplicial or _is_face(gens, up, d):
+                faces.add(up)
+                todo.append(up)
+            else:
+                rejected.add(up)
+    return faces
 
 
 def spec(m: PointedMonoid) -> MoSpace:
@@ -78,11 +143,8 @@ def spec(m: PointedMonoid) -> MoSpace:
         raise TooManyGenerators(f"{k} generators exceed the face enumeration cap {cap}")
     d = m.ambient_dim
 
-    faces = []
-    for mask in range(1 << k):
-        if _is_face(gens, mask, d):
-            faces.append(mask)
-    subsets = sorted(tuple(j for j in range(k) if mask >> j & 1) for mask in faces)
+    subsets = sorted(tuple(j for j in range(k) if mask >> j & 1)
+                     for mask in face_masks(gens, d))
 
     points = []
     mask_to_id = {}

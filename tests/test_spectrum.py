@@ -1,14 +1,18 @@
 """Prime spectra of pointed monoids: faces, ranks, specialization."""
 
+import random
 from itertools import combinations
 
 import pytest
 
-from f1kit.counting import IntPolynomial
+from f1kit import spectrum
+from f1kit.counting import IntPolynomial, brute_count_monoid_homs
 from f1kit.errors import TooManyGenerators
+from f1kit.linalg import Mat, feasible, kernel_basis, rank
 from f1kit.monoids import FgAbelianGroup, PointedMonoid, smash_product
 from f1kit.spectrum import (
     disjoint_union,
+    face_masks,
     point_count_poly,
     rank_of_point,
     rank_subspace,
@@ -119,3 +123,122 @@ def test_space_report_shape():
     assert set(rep) == {"points", "specialization", "min_rank"}
     assert rep["min_rank"] == 0
     assert {p["rank"] for p in rep["points"]} == {0, 1}
+
+
+def _faces_by_subsets(gens, d):
+    """Every one of the 2^k generator subsets tested on its own: the
+    enumeration the face walk replaced, kept as its oracle."""
+    return {mask for mask in range(1 << len(gens)) if spectrum._is_face(gens, mask, d)}
+
+
+def _report_from_faces(gens, d, masks):
+    """space_report of a spectrum with the given faces, built directly."""
+    faces = sorted(tuple(j for j in range(len(gens)) if mask >> j & 1) for mask in masks)
+    ranks = [rank(Mat.from_rows(len(f), d, [gens[j] for j in f])) if f else 0 for f in faces]
+    return {
+        "points": [{"patch": 0, "face": list(f), "rank": r} for f, r in zip(faces, ranks)],
+        "specialization": [[i, j] for i, fi in enumerate(faces) for j, fj in enumerate(faces)
+                           if set(fj) <= set(fi)],
+        "min_rank": min(ranks),
+    }
+
+
+def _face_condition_reference(gens, subset: frozenset) -> bool:
+    """The brute counter's former support condition: no rational relation
+    among the generators is >= 0 off the subset and positive somewhere."""
+    d = len(gens[0]) if gens else 0
+    kernel = kernel_basis(Mat.from_rows(d, len(gens), list(zip(*gens)))) if gens else []
+    off = [j for j in range(len(gens)) if j not in subset]
+    if not off or not kernel:
+        return True
+    cons = [(tuple(v[j] for v in kernel), 0, "ge") for j in off]
+    cons.append((tuple(sum(v[j] for j in off) for v in kernel), -1, "ge"))
+    return not feasible(cons, len(kernel))
+
+
+def _oracle_corpus():
+    """(d, gens) pairs from a fixed seed: orthants 1..8, pointed cones and
+    cones with a line in d = 1..4 with k <= 10, among them repeated,
+    parallel and opposite generators and a zero generator, and <2, -2, 4>."""
+    corpus = [(d, [tuple(int(i == j) for i in range(d)) for j in range(d)]) for d in range(1, 9)]
+    corpus.append((1, [(2,), (-2,), (4,)]))
+    rng = random.Random(3)
+    for d in range(1, 5):
+        for shape in ("pointed", "line", "any") * 4:
+            draws = []
+            for _ in range(rng.randint(1, 8)):
+                g = [rng.randint(-4, 4) for _ in range(d)]
+                if shape != "any":
+                    g[0] = rng.randint(1, 4)   # e1* > 0: pointed, before the extras
+                draws.append(tuple(g))
+            gens = [g for g in dict.fromkeys(draws) if any(g)]
+            if shape == "line":
+                gens.append(tuple(-x for x in rng.choice(gens)))
+            extra = rng.choice(["repeat", "parallel", "opposite", "zero", None])
+            g = rng.choice(gens)
+            if extra == "repeat":
+                gens.append(g)
+            elif extra == "parallel":
+                gens.append(tuple(2 * x for x in g))
+            elif extra == "opposite":
+                gens.append(tuple(-x for x in g))
+            elif extra == "zero":
+                gens.append((0,) * d)
+            rng.shuffle(gens)
+            corpus.append((d, gens))
+    return corpus
+
+
+def _is_monoid(gens):
+    return len(set(gens)) == len(gens) and all(any(g) for g in gens)
+
+
+def test_face_walk_matches_subset_enumeration():
+    monoids = 0
+    for d, gens in _oracle_corpus():
+        want = _faces_by_subsets(gens, d)
+        assert face_masks(gens, d) == want, gens
+        if _is_monoid(gens):
+            monoids += 1
+            got = space_report(spec(PointedMonoid.affine(d, gens)))
+            assert got == _report_from_faces(gens, d, want), gens
+    assert monoids >= 30
+
+
+def test_face_set_is_the_farkas_support_condition():
+    for d, gens in _oracle_corpus():
+        faces = face_masks(gens, d)
+        for mask in range(1 << len(gens)):
+            subset = frozenset(j for j in range(len(gens)) if mask >> j & 1)
+            assert (mask in faces) == _face_condition_reference(gens, subset), (gens, mask)
+
+
+def _feasible_calls(monkeypatch, run) -> int:
+    calls = []
+
+    def counted(constraints, nvars):
+        calls.append(nvars)
+        return feasible(constraints, nvars)
+
+    monkeypatch.setattr(spectrum, "feasible", counted)
+    run()
+    return len(calls)
+
+
+def test_face_walk_work_counts(monkeypatch):
+    # pointed, 12 rays of a polygon-like cone in Z^2 (two are extreme)
+    fan = PointedMonoid.affine(2, [(1, i) for i in range(12)])
+    # a line through +-e3 under a pointed cone in the (x, y) plane
+    line = PointedMonoid.affine(3, [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1),
+                                    (1, 2, 0), (1, 3, 5), (2, 1, 1), (3, 1, -4)])
+    wedge = PointedMonoid.affine(2, [(1, 0), (1, 1), (1, 2), (2, 1), (3, 1), (0, 1)])
+    cases = [
+        (4, lambda: spec(PointedMonoid.orthant(4)), 1),
+        (12, lambda: spec(fan), 13),
+        (8, lambda: spec(line), 15),
+        (6, lambda: brute_count_monoid_homs(wedge, 2), 7),
+    ]
+    for k, run, pinned in cases:
+        count = _feasible_calls(monkeypatch, run)
+        assert count == pinned
+        assert 4 * count <= 2 ** k
