@@ -14,7 +14,10 @@ laws) on both sides hold exactly when three law facts hold: W's table
 is a group, theta is a homomorphism, and the cochain is a normalized
 2-cocycle.  Each fact has one verification kernel, run over the table's
 generating set, that returns its first violation or None; the raising
-validators and check_group_axioms all call these kernels.
+validators and check_group_axioms all call these kernels.  The action
+law rests on the same argument: once the group law is verified,
+check_action needs act(x x', y) = act(x, act(x', y)) only for x' in the
+identity component and at the generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
 morphism data only when a check asks for it.
@@ -254,23 +257,22 @@ class Cocycle:
         n = self.w.order()
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ShapeMismatch("cocycle table must be |W| x |W|")
-        for row in self.table:
-            for v in row:
-                if len(v) != self.r or any(s not in (1, -1) for s in v):
-                    raise ShapeMismatch("cocycle values must be +-1 vectors of length r")
+        # a table usually holds |W|^2 references to a few vectors; test each once
+        for v in {v for row in self.table for v in row}:
+            if len(v) != self.r or any(s not in (1, -1) for s in v):
+                raise ShapeMismatch("cocycle values must be +-1 vectors of length r")
 
     def value(self, i: int, j: int) -> tuple[int, ...]:
         return self.table[i][j]
 
     def is_trivial(self) -> bool:
-        one = (1,) * self.r
-        return all(v == one for row in self.table for v in row)
+        ones = ((1,) * self.r,) * self.w.order()
+        return all(row == ones for row in self.table)
 
     @staticmethod
     def trivial(w: FiniteGroupTable, r: int) -> "Cocycle":
-        one = (1,) * r
-        return Cocycle(w, r, tuple(tuple(one for _ in range(w.order()))
-                                   for _ in range(w.order())))
+        row = ((1,) * r,) * w.order()
+        return Cocycle(w, r, (row,) * w.order())
 
     def validate(self, theta: ThetaRep) -> None:
         """Raise CocycleInvalid at the first cocycle_violation; theta must
@@ -382,12 +384,18 @@ class GroupModel:
 
     # law accessors: exponent blocks [A | B] and signs for component pair (i, j)
 
+    @cached_property
+    def _unit_blocks(self) -> tuple[Mat, tuple[int, ...]]:
+        """The r x r identity block and the +1 sign vector, built once."""
+        return Mat.identity(self.r), (1,) * self.r
+
     def law_blocks(self, side: str, i: int, j: int):
+        ident, one = self._unit_blocks
         if side == "z":
-            return Mat.identity(self.r), self.law.theta.matrix(i), self.law.cocycle.value(i, j)
+            return ident, self.law.theta.matrix(i), self.law.cocycle.value(i, j)
         if self.mo_law == TWISTED:
-            return Mat.identity(self.r), self.law.theta.matrix(i), (1,) * self.r
-        return Mat.identity(self.r), Mat.identity(self.r), (1,) * self.r
+            return ident, self.law.theta.matrix(i), one
+        return ident, ident, one
 
 
 def constant_group(table: FiniteGroupTable) -> GroupModel:
@@ -500,10 +508,15 @@ def require_group(g: GroupModel) -> None:
 def law_weak_morphism(g: GroupModel) -> WeakMorphism:
     """The multiplication as an explicit morphism G x G -> G.
 
-    Materializes |W|^2 components; intended for small models (checks,
-    corpus tests).  The monoid side uses the model's comultiplication,
-    the scheme side adds the cocycle signs.
+    Materializes |W|^2 components, so the count is guarded; intended
+    for small models (checks, corpus tests).  The monoid side uses the
+    model's comultiplication, the scheme side adds the cocycle signs.
     """
+    n = g.w.order()
+    cap = scale_cap(100_000)
+    if n * n > cap:
+        raise OutOfScale(f"law morphism guard: {n}^2 = {n * n} components exceeds cap {cap} "
+                         f"(override with F1KIT_MAX_SCALE)")
     rk = g.rank_scheme
     src = product_scheme(rk, rk)
     targets, comaps, exps, signs = [], [], [], []
@@ -642,54 +655,80 @@ def split_action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: s
 
 
 def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
-    """Action diagrams for act: G x Y -> Y, both sides, exhaustively.
+    """Action diagrams for act: G x Y -> Y, both sides.
 
     Verifies act(e, -) = id and act(mu(g1,g2), -) = act(g1, act(g2, -))
-    with exact component, exponent-block and sign comparisons.
+    with exact component, exponent-block and sign comparisons, reading
+    act's blocks from a table built once per side.  Associativity is
+    checked at every (i, y) but only for j in {e} u S, S = w.generators,
+    which suffices once g's law is a group law (require_group, first):
+
+    * Fix the scheme side or the monoid side.  The points x' with
+      act(x x', y) = act(x, act(x', y)) for all x, y are closed under
+      products, because the law is associative.
+    * The instances at j = e put the whole identity-component torus in
+      that set; those at j = s in S put the points (1, s) there.
+    * These generate G: (1, s1) ... (1, sk) = (sigma, w) for some sign
+      vector sigma, and normalization gives (t, w) = (t sigma^-1, e)
+      (sigma, w).
+    * Two monomial maps with +-1 signs are equal exactly when they agree
+      at the generic point, i.e. in components, exponents and signs; so
+      the instance at every (i, j, y) holds.
+
+    Each side has |Y| unit and |W|^2 |Y| associativity instances,
+    enumerated side (mo, z) > unit, then (i, j, y); checks counts them
+    all on a pass, and is the failing instance's position among them on
+    a failure.  The scan costs 2 |W| (1 + |S|) |Y| instances, guarded.
     """
     w = g.w
     n = w.order()
     m = len(y.components)
+    js = sorted({w.identity, *w.generators})
+    work = 2 * n * len(js) * m
+    cap = scale_cap(1_000_000)
+    if work > cap:
+        raise OutOfScale(f"action law guard: 2 x {n} x (1 + {len(js) - 1} generators) x {m} = "
+                         f"{work} instances exceeds cap {cap} (override with F1KIT_MAX_SCALE)")
     expected_src = product_scheme(g.rank_scheme, y)
     if act.z_side.source != expected_src or act.z_side.target != y:
         return Report.failed(1, {"reason": "action must map G x Y to Y"})
-    checks = 0
-    for side in ("mo", "z"):
-        e = w.identity
+    require_group(g)
+    per_side = m + n * n * m
+    for pos, side in ((0, "mo"), (per_side, "z")):
+        blk = [[split_action_blocks(g, y, act, side, i, yc) for yc in range(m)]
+               for i in range(n)]
         for yc in range(m):
-            checks += 1
             # composing with the unit kills the group block A, so only the
             # Y block and the signs are constrained
-            a, b, signs, out = split_action_blocks(g, y, act, side, e, yc)
+            _, b, signs, out = blk[w.identity][yc]
             ylabel = y.components[yc][0]
-            if out != yc:
-                return Report.failed(checks, _diagram_witness(side, "action-unit", [ylabel], "component"))
-            if not b.is_identity():
-                return Report.failed(checks, _diagram_witness(side, "action-unit", [ylabel], "exponent"))
-            if any(s != 1 for s in signs):
-                return Report.failed(checks, _diagram_witness(side, "action-unit", [ylabel], "signs"))
+            part = ("component" if out != yc else "exponent" if not b.is_identity()
+                    else "signs" if any(s != 1 for s in signs) else None)
+            if part:
+                return Report.failed(pos + yc + 1, _diagram_witness(side, "action-unit", [ylabel], part))
+        pos += m
         for i in range(n):
-            for j in range(n):
+            for j in js:
                 ij = w.mul(i, j)
                 la, lb, ls = g.law_blocks(side, i, j)
                 for yc in range(m):
-                    checks += 1
-                    labels = [w.elements[i], w.elements[j], y.components[yc][0]]
-                    aj, bj, sj, yj = split_action_blocks(g, y, act, side, j, yc)
-                    ai, bi, si, yi = split_action_blocks(g, y, act, side, i, yj)
-                    am, bm, sm, ym = split_action_blocks(g, y, act, side, ij, yc)
-                    if ym != yi:
-                        return Report.failed(checks, _diagram_witness(side, "action-associativity", labels, "component"))
+                    aj, bj, sj, yj = blk[j][yc]
+                    ai, bi, si, yi = blk[i][yj]
+                    am, bm, sm, ym = blk[ij][yc]
                     # LHS: act after (mu x id); RHS: act after (id x act)
-                    lhs = (am * la, am * lb, bm)
-                    rhs = (ai, bi * aj, bi * bj)
-                    if lhs != rhs:
-                        return Report.failed(checks, _diagram_witness(side, "action-associativity", labels, "exponent"))
-                    lhs_s = mul_signs(sm, apply_exponent_to_signs(am, ls))
-                    rhs_s = mul_signs(si, apply_exponent_to_signs(bi, sj))
-                    if lhs_s != rhs_s:
-                        return Report.failed(checks, _diagram_witness(side, "action-associativity", labels, "signs"))
-    return Report.passed(checks)
+                    if ym != yi:
+                        part = "component"
+                    elif (am * la, am * lb, bm) != (ai, bi * aj, bi * bj):
+                        part = "exponent"
+                    elif (mul_signs(sm, apply_exponent_to_signs(am, ls))
+                          != mul_signs(si, apply_exponent_to_signs(bi, sj))):
+                        part = "signs"
+                    else:
+                        continue
+                    labels = [w.elements[i], w.elements[j], y.components[yc][0]]
+                    return Report.failed(pos + (i * n + j) * m + yc + 1,
+                                         _diagram_witness(side, "action-associativity", labels, part))
+    return Report.passed(2 * per_side)
 
 
 def self_action(g: GroupModel) -> WeakMorphism:

@@ -8,6 +8,8 @@ count.  Parabolic models restrict the components to a block subgroup and
 pad every cell by the dimension of the unipotent radical.  Grassmannian
 cells are indexed by k-subsets of {1..n}; the projection from GL(n)
 collapses each component w to the subset of positions sent into {1..k}.
+universality_check gets coinvariance of its test maps from the
+coequalizing square and their factorizations (see its docstring).
 """
 
 from itertools import combinations, permutations
@@ -349,12 +351,6 @@ def quotient_square_check(p: GroupModel, g: GroupModel) -> Report:
     return Report.failed(pairs, {"reason": "coordinate data differs"})
 
 
-def _coinvariant(f: WeakMorphism, p: GroupModel, g: GroupModel) -> bool:
-    lam = lambda_action(p, g)
-    pr2 = _pr2_weak(p, g)
-    return compose_weak(f, lam) == compose_weak(f, pr2)
-
-
 def _test_targets(n: int, k: int):
     """Deterministic family of factorization targets: stalk ranks 0..n."""
     from math import comb
@@ -365,72 +361,91 @@ def _test_targets(n: int, k: int):
             ))
 
 
-def universality_check(p: GroupModel, g: GroupModel) -> Report:
-    """The projection coequalizes: every coinvariant map factors once.
+def _test_family(g: GroupModel, k: int, subsets):
+    """Coinvariant test morphisms out of g's rank part, two per target.
 
-    Runs a programmatic family of targets (constant schemes and free
-    stalks of rank up to n, one or C(n,k) components) and per target a
-    family of coinvariant test morphisms with coset-constant components
-    and signs; each must factor through the quotient uniquely.  A
-    deliberately non-coinvariant control must be rejected.
+    Components are coset-constant (the coset's subset position in
+    subsets, modulo the number of target components); the second
+    variant puts sign -1 on the odd target components.
     """
-    k = _recognize_two_block(p, g)
     n = g.r
-    _, proj = quotient_model(p, g)
-    qrk = proj.z_side.target
-    subsets = qrk.labels()
-    coset_of = {w: coset_subset(w, k) for w in g.w.elements}
-    checks = 0
+    free_n = FgAbelianGroup.free(n)
     for target in _test_targets(n, k):
         m = target.components[0][1].rank
         ncomp = len(target.components)
+        free_m = FgAbelianGroup.free(m)
         for variant in range(2):
-            # coset-constant component assignment, sign alternating by variant
             targets, comaps, exps, signs = [], [], [], []
-            free_m = FgAbelianGroup.free(m)
-            free_n = FgAbelianGroup.free(n)
             for w in g.w.elements:
-                ci = subsets.index(coset_of[w]) % ncomp
+                ci = subsets.index(coset_subset(w, k)) % ncomp
                 targets.append(f"t{ci}")
                 comaps.append(GroupHom.on_free(free_m, free_n, Mat.zeros(n, m)))
                 exps.append(Mat.zeros(m, n))
                 sign = -1 if (variant and ci % 2) else 1
                 signs.append((sign,) * m)
-            f = WeakMorphism(
+            yield WeakMorphism(
                 StrongMorphismRk(g.rank_scheme, target, tuple(targets), tuple(comaps)),
                 MonomialMap(g.rank_scheme, target, tuple(targets), tuple(exps), tuple(signs)),
             )
-            checks += 1
-            if not _coinvariant(f, p, g):
-                return Report.failed(checks, {"target_rank": m, "reason": "family member not coinvariant"})
-            # factor through the quotient: forced on each fiber
-            h_targets, h_comaps, h_exps, h_signs = [], [], [], []
-            for subset in subsets:
-                ws = [w for w in g.w.elements if coset_of[w] == subset]
-                idxs = [g.w.index(w) for w in ws]
-                vals = {(targets[i], signs[i]) for i in idxs}
-                if len(vals) != 1:
-                    return Report.failed(checks, {"subset": list(subset), "reason": "fiber not constant"})
-                tlabel, sign = next(iter(vals))
-                h_targets.append(tlabel)
-                h_comaps.append(GroupHom.on_free(free_m, FgAbelianGroup.trivial(), Mat.zeros(0, m)))
-                h_exps.append(Mat.zeros(m, 0))
-                h_signs.append(sign)
-            h = WeakMorphism(
-                StrongMorphismRk(qrk, target, tuple(h_targets), tuple(h_comaps)),
-                MonomialMap(qrk, target, tuple(h_targets), tuple(h_exps), tuple(h_signs)),
-            )
-            checks += 1
-            if compose_weak(h, proj) != f:
-                return Report.failed(checks, {"target_rank": m, "reason": "factorization does not recover the map"})
-            # uniqueness: component and sign data on each quotient component
-            # are pinned by any single fiber element, and exponents out of a
-            # rank-0 source admit exactly one matrix shape
-            checks += 1
+
+
+def universality_check(p: GroupModel, g: GroupModel) -> Report:
+    """The projection coequalizes: every coinvariant map factors once.
+
+    First the coequalizing square proj . lambda = proj . pr2 must hold
+    (quotient_square_check; its failure is returned as is).  Then runs a
+    programmatic family of targets (constant schemes and free stalks of
+    rank up to n, one or C(n,k) components) and per target a family of
+    test morphisms f with coset-constant components and signs; each must
+    factor through the quotient, f = h . proj, uniquely.  Each member
+    counts one check for coinvariance, which the square and the
+    factorization discharge together: f . lambda = h . (proj . lambda)
+    = h . (proj . pr2) = f . pr2, since composition is componentwise
+    function composition and so associative.  A deliberately
+    non-coinvariant control must be rejected by explicit composition.
+    """
+    square = quotient_square_check(p, g)
+    if not square.ok:
+        return square
+    k = _recognize_two_block(p, g)
+    _, proj = quotient_model(p, g)
+    qrk = proj.z_side.target
+    subsets = qrk.labels()
+    coset_of = {w: coset_subset(w, k) for w in g.w.elements}
+    fibers = [[i for i, w in enumerate(g.w.elements) if coset_of[w] == s] for s in subsets]
+    checks = 0
+    for f in _test_family(g, k, subsets):
+        target, targets, signs = f.z_side.target, f.z_side.targets, f.z_side.signs
+        m = target.components[0][1].rank
+        free_m = FgAbelianGroup.free(m)
+        checks += 1     # coinvariance, from the square once f factors below
+        # factor through the quotient: forced on each fiber
+        h_targets, h_comaps, h_exps, h_signs = [], [], [], []
+        for subset, fiber in zip(subsets, fibers):
+            vals = {(targets[i], signs[i]) for i in fiber}
+            if len(vals) != 1:
+                return Report.failed(checks, {"subset": list(subset), "reason": "fiber not constant"})
+            tlabel, sign = next(iter(vals))
+            h_targets.append(tlabel)
+            h_comaps.append(GroupHom.on_free(free_m, FgAbelianGroup.trivial(), Mat.zeros(0, m)))
+            h_exps.append(Mat.zeros(m, 0))
+            h_signs.append(sign)
+        h = WeakMorphism(
+            StrongMorphismRk(qrk, target, tuple(h_targets), tuple(h_comaps)),
+            MonomialMap(qrk, target, tuple(h_targets), tuple(h_exps), tuple(h_signs)),
+        )
+        checks += 1
+        if compose_weak(h, proj) != f:
+            return Report.failed(checks, {"target_rank": m, "reason": "factorization does not recover the map"})
+        # uniqueness: component and sign data on each quotient component
+        # are pinned by any single fiber element, and exponents out of a
+        # rank-0 source admit exactly one matrix shape
+        checks += 1
     # negative control: a map separating two elements of one coset must be
     # caught as non-coinvariant; only meaningful when some fiber has > 1
     # element, i.e. when the parabolic has nontrivial components
     if p.w.order() > 1:
+        n = g.r
         big = next(s for s in subsets
                    if sum(1 for w in g.w.elements if coset_of[w] == s) > 1)
         marked = next(w for w in g.w.elements if coset_of[w] == big)
@@ -444,7 +459,7 @@ def universality_check(p: GroupModel, g: GroupModel) -> Report:
             MonomialMap(g.rank_scheme, target, targets, exps, ((),) * g.w.order()),
         )
         checks += 1
-        if _coinvariant(f_bad, p, g):
+        if compose_weak(f_bad, lambda_action(p, g)) == compose_weak(f_bad, _pr2_weak(p, g)):
             return Report.failed(checks, {"reason": "non-coinvariant control passed"})
     return Report.passed(checks)
 

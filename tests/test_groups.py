@@ -1,5 +1,7 @@
 """Group models: tables, representations, cocycles, axiom checking."""
 
+from dataclasses import replace
+
 import pytest
 
 from f1kit.errors import (
@@ -27,14 +29,28 @@ from f1kit.groups import (
     require_group,
     self_action,
     sigma_check,
+    split_action_blocks,
     tables_isomorphic_by,
     torus_group,
     unit_weak_morphism,
     z_rank_group,
     z_rank_projection_is_hom,
 )
-from f1kit.reductive import gl_model, parabolic_model
-from f1kit.schemes import Cell, Torification, apply_exponent_to_signs, check_weak, mul_signs
+from f1kit.cli import main
+from f1kit.monoids import FgAbelianGroup, GroupHom
+from f1kit.reductive import gl_model, lambda_action, parabolic_model, tau_morphism
+from f1kit.schemes import (
+    Cell,
+    MonomialMap,
+    RankScheme,
+    StrongMorphismRk,
+    Torification,
+    WeakMorphism,
+    apply_exponent_to_signs,
+    check_weak,
+    mul_signs,
+    product_scheme,
+)
 
 
 def sl2_model() -> GroupModel:
@@ -383,3 +399,193 @@ def test_group_axioms_agree_with_literal_diagrams(name):
         wit = rep.witness
         key = (wit["side"], wit["diagram"], tuple(wit["at"]), wit["part"])
         assert failures.get(key) == rep.checks, (key, rep.checks, failures)
+
+
+# -- exhaustive action oracle -------------------------------------------------
+
+def exhaustive_action_failures(g: GroupModel, y: RankScheme, act: WeakMorphism):
+    """Every action diagram instance of act, evaluated one by one.
+
+    This is check_action's original exhaustive loop: instances run side
+    (mo, z) > unit, then (i, j, y) over all of W x W x Y, and each reads
+    its three blocks with split_action_blocks.  An instance records its
+    first failing part (component, exponent, signs).  Returns the number
+    of instances and a dict from each failing (side, diagram, labels,
+    part) to its position.
+    """
+    w = g.w
+    n, m = w.order(), len(y.components)
+    failures, pos = {}, 0
+    for side in ("mo", "z"):
+        for yc in range(m):
+            pos += 1
+            a, b, signs, out = split_action_blocks(g, y, act, side, w.identity, yc)
+            key = (side, "action-unit", (y.components[yc][0],))
+            if out != yc:
+                failures[key + ("component",)] = pos
+            elif not b.is_identity():
+                failures[key + ("exponent",)] = pos
+            elif any(s != 1 for s in signs):
+                failures[key + ("signs",)] = pos
+        for i in range(n):
+            for j in range(n):
+                ij = w.mul(i, j)
+                la, lb, ls = g.law_blocks(side, i, j)
+                for yc in range(m):
+                    pos += 1
+                    key = (side, "action-associativity",
+                           (w.elements[i], w.elements[j], y.components[yc][0]))
+                    aj, bj, sj, yj = split_action_blocks(g, y, act, side, j, yc)
+                    ai, bi, si, yi = split_action_blocks(g, y, act, side, i, yj)
+                    am, bm, sm, ym = split_action_blocks(g, y, act, side, ij, yc)
+                    if ym != yi:
+                        failures[key + ("component",)] = pos
+                    elif (am * la, am * lb, bm) != (ai, bi * aj, bi * bj):
+                        failures[key + ("exponent",)] = pos
+                    elif (mul_signs(sm, apply_exponent_to_signs(am, ls))
+                          != mul_signs(si, apply_exponent_to_signs(bi, sj))):
+                        failures[key + ("signs",)] = pos
+    return pos, failures
+
+
+def _self(g):
+    return g, g.rank_scheme, self_action(g)
+
+
+def _lam(n, parts):
+    p, g = parabolic_model(n, parts), gl_model(n)
+    return p, g.rank_scheme, lambda_action(p, g)
+
+
+def _tau(n, k):
+    g = gl_model(n)
+    return (g,) + tau_morphism(g, k)
+
+
+def _flipped(side, part, at_unit=False):
+    """gl:3's self-action with one datum changed at a component (j, y),
+    j outside {e} u generators, or j = e: a target, an exponent entry (in
+    the group block A, or at j = e in the Y block B) or a sign."""
+    g, y, act = _self(gl_model(3))
+    w = g.w
+    j = w.identity if at_unit else next(
+        x for x in range(w.order()) if x != w.identity and x not in w.generators)
+    col = -1 if at_unit else 1
+    k = act.z_side.source.index((w.elements[j], y.components[1][0]))
+    half = act.z_side if side == "z" else act.mo_side
+    targets = list(half.targets)
+    if part == "target":
+        targets[k] = y.components[(y.index(targets[k]) + 1) % len(y.components)][0]
+        half = replace(half, targets=tuple(targets))
+    elif part == "sign":
+        signs = list(half.signs)
+        signs[k] = (-signs[k][0],) + signs[k][1:]
+        half = replace(half, signs=tuple(signs))
+    else:
+        def flip(e):
+            rows = [list(r) for r in e.data]
+            rows[0][col] = 1 - rows[0][col]
+            return Mat.from_rows(e.rows, e.cols, rows)
+        if side == "z":
+            exps = list(half.exponents)
+            exps[k] = flip(exps[k])
+            half = replace(half, exponents=tuple(exps))
+        else:
+            comaps = list(half.comaps)
+            # the comap's free matrix is the transposed exponent [A | B]
+            flipped = flip(comaps[k].free_matrix.transpose()).transpose()
+            comaps[k] = replace(comaps[k], free_matrix=flipped)
+            half = replace(half, comaps=tuple(comaps))
+    act = WeakMorphism(act.mo_side, half) if side == "z" else WeakMorphism(half, act.z_side)
+    return g, y, act
+
+
+def _partial(s_pos):
+    """A component-only map act: gl:3 x {p0, p1} -> {p0, p1} that satisfies
+    the action law at j = e and j = s, the generator at s_pos, but is not
+    an action: w swaps the points exactly on the coset r<s> of the first
+    r outside <s> = {e, s}.  Only the instances at the other generator (and
+    at j outside {e} u generators) fail."""
+    g = gl_model(3)
+    w = g.w
+    s = w.generators[s_pos]
+    r = next(x for x in range(w.order()) if x not in (w.identity, s))
+    swap = {r, w.mul(r, s)}
+    pt = FgAbelianGroup.trivial()
+    y = RankScheme((("p0", pt), ("p1", pt)))
+    src = product_scheme(g.rank_scheme, y)
+    targets = tuple(f"p{yc ^ (x in swap)}" for x in range(w.order()) for yc in range(2))
+    comaps = tuple(GroupHom.on_free(pt, FgAbelianGroup.free(3), Mat.zeros(3, 0)) for _ in targets)
+    exps = tuple(Mat.zeros(0, 3) for _ in targets)
+    act = WeakMorphism(StrongMorphismRk(src, y, targets, comaps),
+                       MonomialMap(src, y, targets, exps, ((),) * len(targets)))
+    return g, y, act
+
+
+PARABOLIC_PARTS = {3: ((3,), (1, 2), (2, 1), (1, 1, 1)),
+                   # the proper parabolics; (4,) is gl:4, whose exhaustive scan takes seconds
+                   4: ((1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1))}
+
+ACTIONS = {
+    **{f"self:gl:{n}": (lambda n=n: _self(gl_model(n))) for n in (1, 2, 3)},
+    **{f"self:parabolic:{n}:" + "+".join(map(str, parts)):
+       (lambda n=n, parts=parts: _self(parabolic_model(n, parts)))
+       for n, all_parts in PARABOLIC_PARTS.items() for parts in all_parts},
+    **{f"self:const:cyclic{k}": (lambda k=k: _self(constant_group(_c(k)))) for k in (2, 3, 4, 5)},
+    "self:torus:1": lambda: _self(torus_group(1)),
+    "self:torus:2": lambda: _self(torus_group(2)),
+    "self:sl2-weak": lambda: _self(sl2_model()),
+    "self:sl2-product": lambda: _self(extension_model(sl2_model().law, {"e": 1, "s": 2}, PRODUCT)),
+    **{f"lambda:parabolic:{n}:" + "+".join(map(str, parts)):
+       (lambda n=n, parts=parts: _lam(n, parts))
+       for n, all_parts in PARABOLIC_PARTS.items() for parts in all_parts},
+    **{f"tau:gl:{n}:{k}": (lambda n=n, k=k: _tau(n, k)) for n in (3, 4) for k in range(1, n)},
+    # broken actions
+    **{f"broken:{side}-{part}": (lambda side=side, part=part: _flipped(side, part))
+       for side in ("mo", "z") for part in ("target", "exponent")},
+    "broken:z-sign": lambda: _flipped("z", "sign"),
+    **{f"broken:unit-{side}-{part}": (lambda side=side, part=part: _flipped(side, part, True))
+       for side in ("mo", "z") for part in ("target", "exponent")},
+    "broken:unit-z-sign": lambda: _flipped("z", "sign", True),
+    "broken:only-at-second-generator": lambda: _partial(0),
+    "broken:only-at-first-generator": lambda: _partial(1),
+}
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_action_check_agrees_with_exhaustive_scan(name):
+    g, y, act = ACTIONS[name]()
+    instances, failures = exhaustive_action_failures(g, y, act)
+    rep = check_action(g, y, act)
+    assert rep.ok == (not failures), failures
+    assert rep.ok != name.startswith("broken:")
+    if rep.ok:
+        assert rep.checks == instances
+    else:
+        wit = rep.witness
+        key = (wit["side"], wit["diagram"], tuple(wit["at"]), wit["part"])
+        assert failures.get(key) == rep.checks, (key, rep.checks, failures)
+
+
+def test_action_check_requires_a_group_law():
+    g = ORACLE_MODELS["cochain-not-cocycle"]()
+    with pytest.raises(AxiomsFailed, match="group axioms fail"):
+        check_action(g, g.rank_scheme, self_action(g))
+
+
+def test_action_and_law_morphism_guards_refuse_before_work(monkeypatch, capsys):
+    import f1kit.groups as groups
+    lookups = []
+    monkeypatch.setattr(groups, "split_action_blocks", lambda *a: lookups.append(a))
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "100")
+    # 2 x 6 x (1 + 2 generators) x 6 = 216 instances
+    assert main(["check", "gl:3", "--suite", "action"]) == 2
+    err = capsys.readouterr().err
+    assert "action law guard: 2 x 6 x (1 + 2 generators) x 6 = 216 instances" in err
+    assert "exceeds cap 100" in err and "F1KIT_MAX_SCALE" in err
+    assert lookups == []
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "30")
+    assert main(["check", "gl:3", "--suite", "strongweak"]) == 2
+    err = capsys.readouterr().err
+    assert "law morphism guard: 6^2 = 36 components exceeds cap 30" in err
+    assert "F1KIT_MAX_SCALE" in err

@@ -1,14 +1,27 @@
 """GL(n), parabolic and Grassmannian models with their quotient checks."""
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
+import f1kit.groups as groups
+import f1kit.reductive as reductive
 from f1kit.counting import IntPolynomial, gauss_binomial, torification_poly, vanishing_order_and_limit
 from f1kit.errors import InvalidComposition, NotASubgroup, OutOfScale, TypeNotMaximal
-from f1kit.groups import check_action, check_group_axioms, f1_points_group, sigma_check, tables_isomorphic_by
+from f1kit.groups import (
+    check_action,
+    check_group_axioms,
+    f1_points_group,
+    self_action,
+    sigma_check,
+    tables_isomorphic_by,
+)
+from f1kit.linalg import Mat
 from f1kit.reductive import (
+    _pr2_weak,
+    _test_family,
     block_perms,
     coset_subset,
     coset_subset_bijection,
@@ -29,7 +42,7 @@ from f1kit.reductive import (
     tau_check,
     universality_check,
 )
-from f1kit.schemes import check_strong, check_weak, f1_points
+from f1kit.schemes import WeakMorphism, check_strong, check_weak, compose_weak, f1_points
 
 
 def all_compositions(n):
@@ -236,3 +249,75 @@ def test_tau_transport_and_action():
         transported = coset_subset(perm_compose(w, perm_inverse(sigma)), k)
         image = tuple(sorted(sigma[a - 1] for a in coset_subset(w, k)))
         assert transported == image
+
+
+# universality_check's checks before coinvariance came from the square:
+# three per family member, plus the control when the parabolic is nontrivial
+UNIVERSALITY_CHECKS = {(2, 1): 36, (3, 1): 49, (3, 2): 49, (4, 1): 61, (4, 2): 61, (4, 3): 61}
+
+
+def test_universality_family_is_coinvariant_by_explicit_composition():
+    for (n, k), checks in UNIVERSALITY_CHECKS.items():
+        g, p = gl_model(n), parabolic_model(n, (k, n - k))
+        lam, pr2 = lambda_action(p, g), _pr2_weak(p, g)
+        subsets = quotient_model(p, g)[1].z_side.target.labels()
+        family = list(_test_family(g, k, subsets))
+        assert len(family) == 4 * (n + 1)
+        for f in family:
+            assert compose_weak(f, lam) == compose_weak(f, pr2), (n, k, f.z_side.target)
+        rep = universality_check(p, g)
+        assert rep.ok and rep.checks == checks, (n, k, rep)
+
+
+def test_universality_fails_when_the_projection_is_not_coset_constant(monkeypatch):
+    real = reductive.projection_to_quotient
+
+    def skewed(g, k):
+        # move the last component of G to another subset; its coset mates stay
+        q, proj = real(g, k)
+        targets = list(proj.z_side.targets)
+        subsets = proj.z_side.target.labels()
+        targets[-1] = next(s for s in subsets if s != targets[-1])
+        return q, WeakMorphism(replace(proj.mo_side, targets=tuple(targets)),
+                               replace(proj.z_side, targets=tuple(targets)))
+
+    monkeypatch.setattr(reductive, "projection_to_quotient", skewed)
+    for (k, n) in ((1, 3), (2, 4)):
+        p, g = parabolic_model(n, (k, n - k)), gl_model(n)
+        square = quotient_square_check(p, g)
+        assert not square.ok
+        assert universality_check(p, g) == square
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_universality_composition_count(monkeypatch):
+    # the square's two compositions, one factorization per family member
+    # (20 on gl:4), and the control's two; explicit coinvariance took 62
+    calls = _counting(monkeypatch, reductive, "compose_weak")
+    assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
+    assert len(calls) == 2 + 20 + 2
+
+
+def test_self_action_work_counts(monkeypatch):
+    g = gl_model(3)
+    y, act = g.rank_scheme, self_action(g)
+    lookups = _counting(monkeypatch, groups, "split_action_blocks")
+    products = _counting(monkeypatch, Mat, "__mul__")
+    rep = check_action(g, y, act)
+    assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
+    # one block lookup per (side, i, y)
+    assert len(lookups) == 2 * 6 * 6
+    # theta over the generators (6 x 2), then four products per instance at
+    # j in {e} u generators: 2 sides x 6 x 3 x 6 instances
+    assert len(products) == 6 * 2 + 4 * 2 * 6 * 3 * 6
