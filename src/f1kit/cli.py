@@ -117,8 +117,16 @@ class Selection:
         self.kind = kind
         self.text = text
         self.params = params
+        self._monoid = None
 
     def monoid(self) -> PointedMonoid:
+        """The monoid presentation, built once per selection so that the
+        counting polynomial and every brute q share one face walk."""
+        if self._monoid is None:
+            self._monoid = self._build_monoid()
+        return self._monoid
+
+    def _build_monoid(self) -> PointedMonoid:
         if self.kind == "monoid":
             return monoid_from_json(_load_json(self.params["path"]))
         if self.kind == "torus":

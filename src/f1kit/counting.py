@@ -9,8 +9,9 @@ the leading value.
 The brute-force counters at the bottom recount small instances by raw
 enumeration over an actual prime field, with no shared formulas, so they
 can serve as oracles for the polynomial calculus.  The one shared piece
-is the face set of a cone, which the monoid-hom counter uses as its
-support condition; it is checked against a 2^k subset loop in the tests.
+is the face set of a cone, which the monoid-hom counter enumerates as
+its supports; the tests check it against a 2^k subset loop, and the
+counter against the q^k enumeration it replaced.
 """
 
 from dataclasses import dataclass
@@ -240,13 +241,16 @@ def _require_prime(q: int) -> None:
         raise NotPrime(f"brute counting needs a prime field size, got {q}")
     cap = scale_cap(5)
     if q > cap:
-        raise OutOfScale(f"brute counting capped at q <= {cap}, got {q}")
+        raise OutOfScale(f"brute field guard: q = {q} exceeds cap {cap} "
+                         f"(override with F1KIT_MAX_SCALE)")
 
 
-def _require_work(amount: int) -> None:
+def _require_work(amount: int, what: str) -> None:
+    """Refuse an enumeration of `amount` cases, spelled out by `what`."""
     cap = scale_cap(4_000_000)
     if amount > cap:
-        raise OutOfScale(f"enumeration of size {amount} exceeds cap {cap}")
+        raise OutOfScale(f"brute enumeration guard: {what} = {amount} exceeds cap {cap} "
+                         f"(override with F1KIT_MAX_SCALE)")
 
 
 def brute_count_subspaces(k: int, n: int, q: int) -> int:
@@ -267,7 +271,7 @@ def brute_count_subspaces(k: int, n: int, q: int) -> int:
             for j in range(pivots[i] + 1, n)
             if j not in pivots
         ]
-        _require_work(q ** len(free_positions))
+        _require_work(q ** len(free_positions), f"{q}^{len(free_positions)} echelon fillings")
         for values in product(range(q), repeat=len(free_positions)):
             # materialize the matrix to keep the count honest
             m = [[0] * n for _ in range(k)]
@@ -282,7 +286,7 @@ def brute_count_subspaces(k: int, n: int, q: int) -> int:
 def brute_count_gl(n: int, q: int) -> int:
     """Count invertible n x n matrices over F_q by full enumeration."""
     _require_prime(q)
-    _require_work(q ** (n * n))
+    _require_work(q ** (n * n), f"{q}^{n * n} matrices")
     total = 0
     for entries in product(range(q), repeat=n * n):
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]
@@ -294,13 +298,16 @@ def brute_count_gl(n: int, q: int) -> int:
 def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     """Count monoid homs M -> (F_q, *) by enumerating generator images.
 
-    An assignment sends each generator to a field element, zero allowed.
-    It extends to a hom iff every additive relation among generators maps
-    to an equality in F_q; relations come from the integer kernel of the
-    generator matrix, with zero values handled by the support condition.
-    That condition (no relation equates a product of generators sent to 0
-    with one of generators sent to units) holds, by Farkas' lemma, exactly
-    when the support spans a face, so it is read off the face set.
+    A hom sends each generator to a field element, zero allowed.  The
+    generators it sends to units span a face F of the cone: the rest
+    generate a prime ideal, whose complement is a face (for a support S
+    that is not a face, some relation equates a product of generators in
+    S with one that meets the complement, by Farkas' lemma).  So the
+    count runs face by face: every generator off F goes to 0, and every
+    assignment of units in (F_q^*)^F is checked against a basis of the
+    integer relations among F's generators (the kernel of F's columns),
+    each of which must map to 1.  That is sum_F (q-1)^|F| assignments,
+    not the q^k of all generator images; the work guard still counts q^k.
     """
     _require_prime(q)
     if m.kind == GROUP_WITH_ZERO:
@@ -315,33 +322,26 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     gens = m.generators
     k = len(gens)
     d = m.ambient_dim
-    _require_work(q ** k)
-    from .spectrum import face_masks     # spectrum imports this module
-    faces = face_masks(gens, d)
-    support_kernel: dict[int, list[tuple[int, ...]]] = {}
+    _require_work(q ** k, f"{q}^{k} generator images")
+    from .spectrum import face_ranks     # spectrum imports this module
 
     total = 0
-    for assignment in product(range(q), repeat=k):
-        support = sum(1 << j for j, x in enumerate(assignment) if x != 0)
-        if support not in faces:
-            continue
-        cols = [j for j in range(k) if support >> j & 1]
-        if support not in support_kernel:
-            sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
-            support_kernel[support] = kernel_basis(sub)
-        relations = support_kernel[support]
-        values = [assignment[j] for j in cols]
-        good = True
-        for rel in relations:
-            acc = 1
-            for x, e in zip(values, rel):
-                if e:
-                    acc = (acc * pow(x, e, q)) % q
-            if acc != 1:
-                good = False
-                break
-        if good:
-            total += 1
+    for face, _ in face_ranks(m):
+        cols = [j for j in range(k) if face >> j & 1]
+        sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
+        relations = kernel_basis(sub)
+        for values in product(range(1, q), repeat=len(cols)):
+            good = True
+            for rel in relations:
+                acc = 1
+                for x, e in zip(values, rel):
+                    if e:
+                        acc = (acc * pow(x, e, q)) % q
+                if acc != 1:
+                    good = False
+                    break
+            if good:
+                total += 1
     return total
 
 

@@ -12,15 +12,20 @@ The faces are found by walking up the face lattice from the minimal face
 a face F are rays of the pointed cone C/span(F), so each is F plus one
 class of generators whose images there are positive multiples of each
 other.  That costs about #faces * k feasibility calls, not one for each
-of the 2^k generator subsets.
+of the 2^k generator subsets.  The walk reads each face's rank off the
+same kernel computation (rank F = d - #functionals vanishing on F), and
+its {face: rank} map is kept on the monoid instance, so spec,
+point_count_poly, affine_toric and the brute hom counter walk once per
+instance between them.
 """
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .counting import IntPolynomial
 from .errors import ShapeMismatch, TooManyGenerators, scale_cap
-from .linalg import Mat, feasible, kernel_basis, rank
+from .linalg import Mat, feasible, kernel_basis
 from .monoids import AFFINE, GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
@@ -68,29 +73,30 @@ def _negative_in_cone(gens, j: int, d: int) -> bool:
     return feasible(cons, k)
 
 
-def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], bool]:
-    """Generators off the face grouped by ray in C/span(F), as masks, and
-    whether those rays are linearly independent.
+def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], int, bool]:
+    """Generators off the face grouped by ray in C/span(F), as masks, the
+    rank of F, and whether those rays are linearly independent.
 
     Integer functionals vanishing on the face give coordinates on
     Q^d/span(F); two generators share a class when their images have the
-    same primitive vector.  The rays span the image of span(C), of
-    dimension rank C - rank F, and rank F = d - #functionals.
+    same primitive vector.  rank F = d - #functionals, and the rays span
+    the image of span(C), of dimension rank C - rank F.
     """
     rows = [g for j, g in enumerate(gens) if face >> j & 1]
     funcs = kernel_basis(Mat.from_rows(len(rows), d, rows))
+    face_rank = d - len(funcs)
     classes: dict[tuple[int, ...], int] = {}
     for j, g in enumerate(gens):
         if not face >> j & 1:
-            image = [sum(a * b for a, b in zip(u, g)) for u in funcs]
+            image = [sum(map(mul, u, g)) for u in funcs]
             step = gcd(*image)
             key = tuple(x // step for x in image)
             classes[key] = classes.get(key, 0) | 1 << j
-    return list(classes.values()), len(classes) == cone_rank - (d - len(funcs))
+    return list(classes.values()), face_rank, len(classes) == cone_rank - face_rank
 
 
-def face_masks(gens, d: int) -> set[int]:
-    """Generator subsets (as bitmasks) that span faces of the cone.
+def _walk(gens, d: int) -> dict[int, int]:
+    """{face mask: rank} for the generator subsets that span faces.
 
     Starts at the minimal face: the empty set when the cone is pointed
     and no generator is zero, otherwise the generators whose negatives
@@ -98,29 +104,69 @@ def face_masks(gens, d: int) -> set[int]:
     off F has a nonzero image in C/span(F), and that cone is pointed.
     Each class of F is tested once with one feasibility call, unless the
     class rays are linearly independent: then C/span(F) is simplicial,
-    every class is a ray, and no call is needed.
+    every class is a ray, and no call is needed.  Every face found is
+    expanded once, which is where its rank is read.
     """
     if _is_face(gens, 0, d):
         bottom = 0
     else:
         bottom = sum(1 << j for j in range(len(gens)) if _negative_in_cone(gens, j, d))
-    cone_rank = rank(Mat.from_rows(len(gens), d, gens))
-    faces = {bottom}
+    cone_rank = d - len(kernel_basis(Mat.from_rows(len(gens), d, gens)))
+    ranks: dict[int, int] = {}
+    found = {bottom}
     rejected = set()
     todo = [bottom]
     while todo:
         face = todo.pop()
-        classes, simplicial = _cover_classes(gens, face, d, cone_rank)
+        classes, ranks[face], simplicial = _cover_classes(gens, face, d, cone_rank)
         for mask in classes:
             up = face | mask
-            if up in faces or up in rejected:
+            if up in found or up in rejected:
                 continue
             if simplicial or _is_face(gens, up, d):
-                faces.add(up)
+                found.add(up)
                 todo.append(up)
             else:
                 rejected.add(up)
+    return ranks
+
+
+def face_masks(gens, d: int) -> set[int]:
+    """Generator subsets (as bitmasks) that span faces of the cone.
+
+    A pure function of the generator list, which need not be a valid
+    monoid (zero or repeated generators are fine).
+    """
+    return set(_walk(gens, d))
+
+
+def _subset(mask: int, k: int) -> tuple[int, ...]:
+    return tuple(j for j in range(k) if mask >> j & 1)
+
+
+def face_ranks(m: PointedMonoid) -> tuple[tuple[int, int], ...]:
+    """(face mask, rank) pairs of an affine monoid, lex by face subset.
+
+    The walk runs once per instance: its result is kept on the instance,
+    outside the dataclass fields, so ==, hash and repr do not see it and
+    a value-equal instance walks again.
+    """
+    faces = m.__dict__.get("_face_ranks")
+    if faces is None:
+        k = len(m.generators)
+        faces = tuple(sorted(_walk(m.generators, m.ambient_dim).items(),
+                             key=lambda item: _subset(item[0], k)))
+        object.__setattr__(m, "_face_ranks", faces)
     return faces
+
+
+def _require_generators(m: PointedMonoid) -> None:
+    k = len(m.generators)
+    cap = scale_cap(14)
+    if k > cap:
+        raise TooManyGenerators(
+            f"face enumeration guard: {k} generators (up to 2^{k} = {1 << k} faces) "
+            f"exceeds cap {cap} generators (override with F1KIT_MAX_SCALE)")
 
 
 def spec(m: PointedMonoid) -> MoSpace:
@@ -136,25 +182,13 @@ def spec(m: PointedMonoid) -> MoSpace:
         point = MoPoint(0, 0, (), m.group)
         return MoSpace((m,), (point,), ((0, 0),))
 
-    gens = m.generators
-    k = len(gens)
-    cap = scale_cap(14)
-    if k > cap:
-        raise TooManyGenerators(f"{k} generators exceed the face enumeration cap {cap}")
-    d = m.ambient_dim
-
-    subsets = sorted(tuple(j for j in range(k) if mask >> j & 1)
-                     for mask in face_masks(gens, d))
-
+    _require_generators(m)
+    k = len(m.generators)
+    free = [FgAbelianGroup.free(r) for r in range(m.ambient_dim + 1)]
     points = []
     mask_to_id = {}
-    for i, subset in enumerate(subsets):
-        rows = [gens[j] for j in subset]
-        r = rank(Mat.from_rows(len(rows), d, rows)) if rows else 0
-        points.append(MoPoint(i, 0, subset, FgAbelianGroup.free(r)))
-        mask = 0
-        for j in subset:
-            mask |= 1 << j
+    for i, (mask, r) in enumerate(face_ranks(m)):
+        points.append(MoPoint(i, 0, _subset(mask, k), free[r]))
         mask_to_id[mask] = i
 
     pairs = []
@@ -216,11 +250,13 @@ def point_count_poly(m: PointedMonoid) -> IntPolynomial:
     formula reads the free rank only; torsion units would contribute
     gcd factors that are not polynomial in q.
     """
-    s = spec(m)
-    out = IntPolynomial.zero()
-    for p in s.points:
-        out = out + IntPolynomial.qminus1_power(p.unit_group.rank)
-    return out
+    if m.kind == GROUP_WITH_ZERO:
+        return IntPolynomial.qminus1_power(m.group.rank)
+    _require_generators(m)
+    per_rank = [0] * (m.ambient_dim + 1)
+    for _, r in face_ranks(m):
+        per_rank[r] += 1
+    return IntPolynomial.from_qminus1_basis(per_rank)
 
 
 def space_report(s: MoSpace) -> dict:

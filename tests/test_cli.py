@@ -8,6 +8,8 @@ import pytest
 
 from f1kit.cli import main, parse_selector
 from f1kit.errors import SelectorError
+from f1kit.spectrum import face_masks
+from test_spectrum import _feasible_calls
 
 
 def run_cli(*args):
@@ -111,6 +113,18 @@ def test_oracle_command():
     # no oracle for parabolic models
     r = run_cli("oracle", "parabolic:3:1+2", "--q", "2")
     assert r.returncode == 2
+
+
+def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
+    gens = [(1, 0), (1, 1), (1, 2), (2, 1), (3, 1), (0, 1)]
+    mfile = tmp_path / "wedge.json"
+    mfile.write_text(json.dumps({"kind": "affine", "ambient_dim": 2, "generators": gens}))
+    walk = _feasible_calls(monkeypatch, lambda: face_masks(gens, 2))
+    sel = parse_selector(f"monoid:{mfile}")
+    assert sel.monoid() is sel.monoid()
+    oracle = ["oracle", f"monoid:{mfile}", "--q", "2,3,5"]
+    assert _feasible_calls(monkeypatch, lambda: main(oracle)) == walk > 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
 
 
 def test_oracle_rejects_non_prime():

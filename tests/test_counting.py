@@ -1,6 +1,7 @@
 """Integer polynomial calculus, q-analogs, and brute-force oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,8 +19,11 @@ from f1kit.counting import (
     vanishing_order_and_limit,
 )
 from f1kit.errors import NonDivisible, NotPrime, OutOfScale, ZeroPolynomial
+from f1kit.linalg import Mat, kernel_basis
 from f1kit.monoids import FgAbelianGroup, PointedMonoid
 from f1kit.schemes import Cell, Torification
+from f1kit.spectrum import face_masks
+from test_spectrum import _is_monoid, _oracle_corpus
 
 
 def test_polynomial_ring_operations():
@@ -146,3 +150,54 @@ def test_oracle_scale_guards():
         brute_count_gl(2, 6)
     with pytest.raises(OutOfScale):
         brute_count_gl(4, 7)
+
+
+def test_guard_messages_name_estimate_cap_and_override():
+    with pytest.raises(OutOfScale, match=r"^brute field guard: q = 7 exceeds cap 5 "
+                       r"\(override with F1KIT_MAX_SCALE\)$"):
+        brute_count_gl(1, 7)
+    with pytest.raises(OutOfScale, match=r"^brute enumeration guard: 5\^16 matrices = "
+                       r"152587890625 exceeds cap 4000000 \(override with F1KIT_MAX_SCALE\)$"):
+        brute_count_gl(4, 5)
+    with pytest.raises(OutOfScale, match=r"^brute enumeration guard: 5\^10 generator images = "
+                       r"9765625 exceeds cap 4000000 \(override with F1KIT_MAX_SCALE\)$"):
+        brute_count_monoid_homs(PointedMonoid.orthant(10), 5)
+
+
+def _brute_by_assignments(m: PointedMonoid, q: int) -> int:
+    """The q^k enumeration the face-by-face count replaced: every
+    assignment of field elements to the generators, kept when its support
+    is a face and every relation among the support maps to 1."""
+    gens, d = m.generators, m.ambient_dim
+    faces = face_masks(gens, d)
+    total = 0
+    for assignment in product(range(q), repeat=len(gens)):
+        support = sum(1 << j for j, x in enumerate(assignment) if x)
+        if support not in faces:
+            continue
+        cols = [j for j in range(len(gens)) if support >> j & 1]
+        sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
+        values = [assignment[j] for j in cols]
+        total += all(_character(values, rel, q) == 1 for rel in kernel_basis(sub))
+    return total
+
+
+def _character(values, rel, q: int) -> int:
+    acc = 1
+    for x, e in zip(values, rel):
+        acc = acc * pow(x, e, q) % q
+    return acc
+
+
+def test_face_by_face_brute_matches_full_enumeration():
+    # q^k kept to 3^8 so the reference enumeration stays quick
+    cases = 0
+    for d, gens in _oracle_corpus():
+        if not _is_monoid(gens):
+            continue
+        m = PointedMonoid.affine(d, gens)
+        for q in (2, 3, 5):
+            if q ** len(gens) <= 3 ** 8:
+                assert brute_count_monoid_homs(m, q) == _brute_by_assignments(m, q), (gens, q)
+                cases += 1
+    assert cases >= 90

@@ -8,6 +8,7 @@ import pytest
 from f1kit import spectrum
 from f1kit.counting import IntPolynomial, brute_count_monoid_homs
 from f1kit.errors import TooManyGenerators
+from f1kit.schemes import affine_toric
 from f1kit.linalg import Mat, feasible, kernel_basis, rank
 from f1kit.monoids import FgAbelianGroup, PointedMonoid, smash_product
 from f1kit.spectrum import (
@@ -242,3 +243,45 @@ def test_face_walk_work_counts(monkeypatch):
         count = _feasible_calls(monkeypatch, run)
         assert count == pinned
         assert 4 * count <= 2 ** k
+
+
+def test_walk_ranks_are_the_rank_of_each_face():
+    for d, gens in _oracle_corpus():
+        ranks = spectrum._walk(gens, d)
+        assert set(ranks) == face_masks(gens, d)
+        for mask, r in ranks.items():
+            rows = [g for j, g in enumerate(gens) if mask >> j & 1]
+            assert r == rank(Mat.from_rows(len(rows), d, rows)), (gens, mask)
+
+
+def test_one_walk_per_instance(monkeypatch):
+    gens = [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1),
+            (1, 2, 0), (1, 3, 5), (2, 1, 1), (3, 1, -4)]
+    walk = _feasible_calls(monkeypatch, lambda: face_masks(gens, 3))
+    m = PointedMonoid.affine(3, gens)
+    fresh = PointedMonoid.affine(3, gens)
+    before = (hash(m), repr(m))
+
+    def consumers():
+        spec(m)
+        point_count_poly(m)
+        affine_toric(m)
+        brute_count_monoid_homs(m, 2)
+        brute_count_monoid_homs(m, 3)
+
+    assert _feasible_calls(monkeypatch, consumers) == walk > 0
+    assert _feasible_calls(monkeypatch, consumers) == 0
+    # the memo is not part of the value: equality, hash and repr ignore it,
+    # and a value-equal instance walks on its own
+    assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
+    assert _feasible_calls(monkeypatch, lambda: spec(fresh)) == walk
+
+
+def test_generator_guard_names_estimate_cap_and_override(monkeypatch):
+    with pytest.raises(TooManyGenerators, match=r"^face enumeration guard: 15 generators "
+                       r"\(up to 2\^15 = 32768 faces\) exceeds cap 14 generators "
+                       r"\(override with F1KIT_MAX_SCALE\)$"):
+        spec(PointedMonoid.orthant(15))
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
+    with pytest.raises(TooManyGenerators, match="exceeds cap 3 generators"):
+        point_count_poly(PointedMonoid.orthant(4))
