@@ -47,6 +47,7 @@ from .reductive import (
     gl_model,
     grassmannian_model,
     parabolic_model,
+    quotient_maps,
     quotient_square_check,
     tau_check,
     universality_check,
@@ -317,9 +318,11 @@ def _run_check(name: str, sel: Selection) -> Report:
         if not 0 < k < n:
             raise SelectorError(f"quotient:k needs 0 < k < {n}")
         p = parabolic_model(n, (k, n - k))
+        maps = quotient_maps(p, g)
+        square = quotient_square_check(p, g, maps)
         return Report.merge([
-            quotient_square_check(p, g),
-            universality_check(p, g),
+            square,
+            universality_check(p, g, square, maps),
             tau_check(g, k),
         ])
     raise SelectorError(f"unknown check {name!r}")

@@ -1,4 +1,4 @@
-"""Exact linear algebra on small dense matrices.
+"""Exact linear algebra on small integer matrices.
 
 Everything here is loop-based and exact: integer matrices as immutable
 row tuples, Fraction arithmetic only in `rank`, no floats ever.  The
@@ -8,6 +8,14 @@ linear systems over the rationals, run on gcd-normalised integer rows
 (rational inputs are cleared of denominators once, on entry).  Sizes are
 desk scale (tens of rows, not thousands); clarity beats asymptotics
 throughout.
+
+Matrices are stored dense but multiplied sparsely: a product row sums
+the rows of the right factor picked out by the left row's nonzero
+entries, and a lone coefficient 1 reuses that row as it is.  The
+exponent blocks of the type-A catalog are identities, zero blocks and
+permutation matrices, so most product rows cost one lookup.  Mat is
+frozen, so Mat.identity(n) and Mat.zeros(r, c) return one shared
+instance per shape.
 """
 
 from dataclasses import dataclass
@@ -23,6 +31,8 @@ class Mat:
 
     The shape is stored so that empty matrices (0 x c or r x 0) compose
     correctly; those show up constantly as comaps of rank-0 stalks.
+    Products skip zero entries, and identity and zero blocks are shared
+    per shape (see the module docstring).
 
     >>> Mat.identity(2) * Mat.from_rows(2, 1, [[3], [4]])
     Mat(rows=2, cols=1, data=((3,), (4,)))
@@ -45,21 +55,42 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        m = _IDENTITIES.get(n)
+        if m is None:
+            m = _IDENTITIES[n] = Mat(n, n, tuple(
+                tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        m = _ZEROS.get((rows, cols))
+        if m is None:
+            m = _ZEROS[rows, cols] = Mat(rows, cols, ((0,) * cols,) * rows)
+        return m
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        bt = tuple(zip(*other.data)) if other.data else ((),) * other.cols
-        out = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.data
-        )
-        return Mat(self.rows, other.cols, out)
+        if not (self.rows and self.cols and other.cols):
+            return Mat.zeros(self.rows, other.cols)
+        b = other.data
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            terms = [(a, b[k]) for k, a in enumerate(row) if a]
+            if not terms:
+                out.append(zero)
+            elif len(terms) == 1:
+                a, brow = terms[0]
+                out.append(brow if a == 1 else tuple(a * x for x in brow))
+            else:
+                acc = [0] * other.cols
+                for a, brow in terms:
+                    for j, x in enumerate(brow):
+                        if x:
+                            acc[j] += a * x
+                out.append(tuple(acc))
+        return Mat(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
@@ -105,6 +136,11 @@ class Mat:
         return self.rows == self.cols and all(
             x == (1 if i == j else 0) for i, row in enumerate(self.data) for j, x in enumerate(row)
         )
+
+
+# one shared instance per shape; safe because Mat is frozen
+_IDENTITIES: dict[int, Mat] = {}
+_ZEROS: dict[tuple[int, int], Mat] = {}
 
 
 def det(m: Mat) -> int:

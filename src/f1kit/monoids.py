@@ -105,6 +105,8 @@ class FgAbelianGroup:
         return self.rank + len(self.torsion)
 
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
+        if not (self.torsion or other.torsion):
+            return FgAbelianGroup(self.rank + other.rank)
         merged = FgAbelianGroup.from_orders(list(self.torsion) + list(other.torsion))
         return FgAbelianGroup(self.rank + other.rank, merged.torsion)
 
@@ -163,6 +165,8 @@ class GroupHom:
                 f"torsion_block must be {len(self.target.torsion)}x{n}, "
                 f"got {self.torsion_block.rows}x{self.torsion_block.cols}"
             )
+        if not self.target.torsion:
+            return
         reduced = tuple(
             tuple(x % t for x in row)
             for row, t in zip(self.torsion_block.data, self.target.torsion)

@@ -9,7 +9,10 @@ pad every cell by the dimension of the unipotent radical.  Grassmannian
 cells are indexed by k-subsets of {1..n}; the projection from GL(n)
 collapses each component w to the subset of positions sent into {1..k}.
 universality_check gets coinvariance of its test maps from the
-coequalizing square and their factorizations (see its docstring).
+coequalizing square and their factorizations (see its docstring); a
+quotient suite builds the projection, lambda and pr2 once
+(quotient_maps) and shares them and the square's report between the
+two checks.
 """
 
 from itertools import combinations, permutations
@@ -222,16 +225,17 @@ def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
     r = g.r
     free1 = FgAbelianGroup.free(r)
     free2 = FgAbelianGroup.free(2 * r)
+    one = (1,) * r
     targets, comaps, exps, signs = [], [], [], []
     for u in p.w.elements:
         gi = g.w.index(u)
-        m_u = g.law.theta.matrix(gi)
+        e = Mat.identity(r).hstack(g.law.theta.matrix(gi))
+        comap = GroupHom.on_free(free1, free2, e.transpose())
         for wj in range(g.w.order()):
             targets.append(g.w.elements[g.w.mul(gi, wj)])
-            e = Mat.identity(r).hstack(m_u)
             exps.append(e)
-            signs.append((1,) * r)
-            comaps.append(GroupHom.on_free(free1, free2, e.transpose()))
+            signs.append(one)
+            comaps.append(comap)
     mo = StrongMorphismRk(src, rk, tuple(targets), tuple(comaps))
     z = MonomialMap(src, rk, tuple(targets), tuple(exps), tuple(signs))
     return WeakMorphism(mo, z)
@@ -284,16 +288,11 @@ def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphis
     n = g.r
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
-    free_n = FgAbelianGroup.free(n)
-    targets, comaps, exps, signs = [], [], [], []
-    for w in g.w.elements:
-        subset = coset_subset(w, k)
-        targets.append(subset)
-        comaps.append(GroupHom.on_free(FgAbelianGroup.trivial(), free_n, Mat.zeros(n, 0)))
-        exps.append(Mat.zeros(0, n))
-        signs.append(())
-    mo = StrongMorphismRk(g.rank_scheme, qrk, tuple(targets), tuple(comaps))
-    z = MonomialMap(g.rank_scheme, qrk, tuple(targets), tuple(exps), tuple(signs))
+    targets = tuple(coset_subset(w, k) for w in g.w.elements)
+    size = len(targets)
+    comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
+    mo = StrongMorphismRk(g.rank_scheme, qrk, targets, (comap,) * size)
+    z = MonomialMap(g.rank_scheme, qrk, targets, (Mat.zeros(0, n),) * size, ((),) * size)
     return q, WeakMorphism(mo, z)
 
 
@@ -313,30 +312,33 @@ def _pr2_weak(p: GroupModel, g: GroupModel) -> WeakMorphism:
     src = product_scheme(p.rank_scheme, g.rank_scheme)
     rk = g.rank_scheme
     r = g.r
-    free1 = FgAbelianGroup.free(r)
-    free2 = FgAbelianGroup.free(2 * r)
-    targets, comaps, exps, signs = [], [], [], []
-    for u in p.w.elements:
-        for wlabel in g.w.elements:
-            targets.append(wlabel)
-            e = Mat.zeros(r, r).hstack(Mat.identity(r))
-            exps.append(e)
-            signs.append((1,) * r)
-            comaps.append(GroupHom.on_free(free1, free2, e.transpose()))
-    mo = StrongMorphismRk(src, rk, tuple(targets), tuple(comaps))
-    z = MonomialMap(src, rk, tuple(targets), tuple(exps), tuple(signs))
+    e = Mat.zeros(r, r).hstack(Mat.identity(r))
+    comap = GroupHom.on_free(FgAbelianGroup.free(r), FgAbelianGroup.free(2 * r), e.transpose())
+    targets = g.w.elements * p.w.order()
+    size = len(targets)
+    mo = StrongMorphismRk(src, rk, targets, (comap,) * size)
+    z = MonomialMap(src, rk, targets, (e,) * size, ((1,) * r,) * size)
     return WeakMorphism(mo, z)
 
 
-def quotient_square_check(p: GroupModel, g: GroupModel) -> Report:
+def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
+    """The projection to the quotient, lambda and pr2, built once.
+
+    The quotient checks take these as an argument so that one quotient
+    suite builds each morphism once.
+    """
+    _, proj = quotient_model(p, g)
+    return proj, lambda_action(p, g), _pr2_weak(p, g)
+
+
+def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
     """proj after lambda equals proj after pr2, as entire morphisms.
 
     This is the exhaustive coequalizer square over all |W_P| x |W|
-    component pairs, compared with exact matrices and signs.
+    component pairs, compared with exact matrices and signs.  maps is
+    quotient_maps(p, g), built here when not given.
     """
-    q, proj = quotient_model(p, g)
-    lam = lambda_action(p, g)
-    pr2 = _pr2_weak(p, g)
+    proj, lam, pr2 = maps or quotient_maps(p, g)
     left = compose_weak(proj, lam)
     right = compose_weak(proj, pr2)
     pairs = len(left.z_side.targets)
@@ -369,27 +371,26 @@ def _test_family(g: GroupModel, k: int, subsets):
     variant puts sign -1 on the odd target components.
     """
     n = g.r
-    free_n = FgAbelianGroup.free(n)
+    size = g.w.order()
+    position = {s: i for i, s in enumerate(subsets)}
+    cosets = [position[coset_subset(w, k)] for w in g.w.elements]
     for target in _test_targets(n, k):
         m = target.components[0][1].rank
         ncomp = len(target.components)
-        free_m = FgAbelianGroup.free(m)
+        comaps = (GroupHom.on_free(FgAbelianGroup.free(m), FgAbelianGroup.free(n), Mat.zeros(n, m)),) * size
+        exps = (Mat.zeros(m, n),) * size
+        cis = [c % ncomp for c in cosets]
+        targets = tuple(f"t{ci}" for ci in cis)
         for variant in range(2):
-            targets, comaps, exps, signs = [], [], [], []
-            for w in g.w.elements:
-                ci = subsets.index(coset_subset(w, k)) % ncomp
-                targets.append(f"t{ci}")
-                comaps.append(GroupHom.on_free(free_m, free_n, Mat.zeros(n, m)))
-                exps.append(Mat.zeros(m, n))
-                sign = -1 if (variant and ci % 2) else 1
-                signs.append((sign,) * m)
+            signs = tuple((-1 if (variant and ci % 2) else 1,) * m for ci in cis)
             yield WeakMorphism(
-                StrongMorphismRk(g.rank_scheme, target, tuple(targets), tuple(comaps)),
-                MonomialMap(g.rank_scheme, target, tuple(targets), tuple(exps), tuple(signs)),
+                StrongMorphismRk(g.rank_scheme, target, targets, comaps),
+                MonomialMap(g.rank_scheme, target, targets, exps, signs),
             )
 
 
-def universality_check(p: GroupModel, g: GroupModel) -> Report:
+def universality_check(p: GroupModel, g: GroupModel, square: Report | None = None,
+                        maps=None) -> Report:
     """The projection coequalizes: every coinvariant map factors once.
 
     First the coequalizing square proj . lambda = proj . pr2 must hold
@@ -403,12 +404,16 @@ def universality_check(p: GroupModel, g: GroupModel) -> Report:
     = h . (proj . pr2) = f . pr2, since composition is componentwise
     function composition and so associative.  A deliberately
     non-coinvariant control must be rejected by explicit composition.
+    A quotient suite passes in maps = quotient_maps(p, g) and the square's
+    report, so that neither is built twice; both are built when not given.
     """
-    square = quotient_square_check(p, g)
+    maps = maps or quotient_maps(p, g)
+    if square is None:
+        square = quotient_square_check(p, g, maps)
     if not square.ok:
         return square
     k = _recognize_two_block(p, g)
-    _, proj = quotient_model(p, g)
+    proj, lam, pr2 = maps
     qrk = proj.z_side.target
     subsets = qrk.labels()
     coset_of = {w: coset_subset(w, k) for w in g.w.elements}
@@ -417,22 +422,21 @@ def universality_check(p: GroupModel, g: GroupModel) -> Report:
     for f in _test_family(g, k, subsets):
         target, targets, signs = f.z_side.target, f.z_side.targets, f.z_side.signs
         m = target.components[0][1].rank
-        free_m = FgAbelianGroup.free(m)
         checks += 1     # coinvariance, from the square once f factors below
         # factor through the quotient: forced on each fiber
-        h_targets, h_comaps, h_exps, h_signs = [], [], [], []
+        h_targets, h_signs = [], []
         for subset, fiber in zip(subsets, fibers):
             vals = {(targets[i], signs[i]) for i in fiber}
             if len(vals) != 1:
                 return Report.failed(checks, {"subset": list(subset), "reason": "fiber not constant"})
             tlabel, sign = next(iter(vals))
             h_targets.append(tlabel)
-            h_comaps.append(GroupHom.on_free(free_m, FgAbelianGroup.trivial(), Mat.zeros(0, m)))
-            h_exps.append(Mat.zeros(m, 0))
             h_signs.append(sign)
+        size = len(subsets)
+        comap = GroupHom.on_free(FgAbelianGroup.free(m), FgAbelianGroup.trivial(), Mat.zeros(0, m))
         h = WeakMorphism(
-            StrongMorphismRk(qrk, target, tuple(h_targets), tuple(h_comaps)),
-            MonomialMap(qrk, target, tuple(h_targets), tuple(h_exps), tuple(h_signs)),
+            StrongMorphismRk(qrk, target, tuple(h_targets), (comap,) * size),
+            MonomialMap(qrk, target, tuple(h_targets), (Mat.zeros(m, 0),) * size, tuple(h_signs)),
         )
         checks += 1
         if compose_weak(h, proj) != f:
@@ -451,15 +455,14 @@ def universality_check(p: GroupModel, g: GroupModel) -> Report:
         marked = next(w for w in g.w.elements if coset_of[w] == big)
         target = RankScheme((("t0", FgAbelianGroup.trivial()), ("t1", FgAbelianGroup.trivial())))
         targets = tuple("t1" if w == marked else "t0" for w in g.w.elements)
-        comaps = tuple(GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
-                       for _ in g.w.elements)
-        exps = tuple(Mat.zeros(0, n) for _ in g.w.elements)
+        size = len(targets)
+        comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
         f_bad = WeakMorphism(
-            StrongMorphismRk(g.rank_scheme, target, targets, comaps),
-            MonomialMap(g.rank_scheme, target, targets, exps, ((),) * g.w.order()),
+            StrongMorphismRk(g.rank_scheme, target, targets, (comap,) * size),
+            MonomialMap(g.rank_scheme, target, targets, (Mat.zeros(0, n),) * size, ((),) * size),
         )
         checks += 1
-        if compose_weak(f_bad, lambda_action(p, g)) == compose_weak(f_bad, _pr2_weak(p, g)):
+        if compose_weak(f_bad, lam) == compose_weak(f_bad, pr2):
             return Report.failed(checks, {"reason": "non-coinvariant control passed"})
     return Report.passed(checks)
 
@@ -474,17 +477,12 @@ def tau_morphism(g: GroupModel, k: int) -> tuple[RankScheme, WeakMorphism]:
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
     src = product_scheme(g.rank_scheme, qrk)
-    free_n = FgAbelianGroup.free(n)
-    targets, comaps, exps, signs = [], [], [], []
-    for sigma in g.w.elements:
-        for subset, _ in qrk.components:
-            image = tuple(sorted(sigma[a - 1] for a in subset))
-            targets.append(image)
-            comaps.append(GroupHom.on_free(FgAbelianGroup.trivial(), free_n, Mat.zeros(n, 0)))
-            exps.append(Mat.zeros(0, n))
-            signs.append(())
-    mo = StrongMorphismRk(src, qrk, tuple(targets), tuple(comaps))
-    z = MonomialMap(src, qrk, tuple(targets), tuple(exps), tuple(signs))
+    targets = tuple(tuple(sorted(sigma[a - 1] for a in subset))
+                    for sigma in g.w.elements for subset, _ in qrk.components)
+    size = len(targets)
+    comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
+    mo = StrongMorphismRk(src, qrk, targets, (comap,) * size)
+    z = MonomialMap(src, qrk, targets, (Mat.zeros(0, n),) * size, ((),) * size)
     return qrk, WeakMorphism(mo, z)
 
 
@@ -493,17 +491,21 @@ def tau_check(g: GroupModel, k: int) -> Report:
 
     For every sigma and every w the coset of w sigma^(-1) must carry the
     subset sigma(subset(w)); on top of that the transported morphism
-    satisfies the action diagrams on both sides.
+    satisfies the action diagrams on both sides.  w sigma^(-1) is read
+    from g's verified component table, and sigma(A) is computed once per
+    sigma and k-subset A.
     """
-    n = g.r
     qrk, tau = tau_morphism(g, k)
+    wt = g.w
+    subsets = [coset_subset(w, k) for w in wt.elements]
     checks = 0
-    for sigma in g.w.elements:
-        inv = perm_inverse(sigma)
-        for w in g.w.elements:
+    for s, sigma in enumerate(wt.elements):
+        s_inv = wt.inv(s)
+        acted = {subset: tuple(sorted(sigma[a - 1] for a in subset)) for subset in qrk.labels()}
+        for i, w in enumerate(wt.elements):
             checks += 1
-            transported = coset_subset(perm_compose(w, inv), k)
-            image = tuple(sorted(sigma[a - 1] for a in coset_subset(w, k)))
+            transported = subsets[wt.mul(i, s_inv)]
+            image = acted[subsets[i]]
             if transported != image:
                 return Report.failed(checks, {
                     "sigma": list(sigma), "w": list(w),

@@ -149,9 +149,8 @@ class F1Scheme:
         budget = scale_cap(1 << 15)
         total = self.cells.torus_count()
         if total > budget:
-            raise OutOfScale(
-                f"monoid side would have {total} points, budget is {budget}"
-            )
+            raise OutOfScale(f"monoid side guard: {total} torus points exceeds cap {budget} "
+                             f"(override with F1KIT_MAX_SCALE)")
         spaces = []
         pairs = []
         i = 0
@@ -253,6 +252,8 @@ def apply_exponent_to_signs(e: Mat, signs: SignVec) -> SignVec:
     """Push a +-1 vector through a monomial map: out_i = prod s_j^(e_ij)."""
     if len(signs) != e.cols:
         raise ShapeMismatch("sign vector length does not match exponent columns")
+    if -1 not in signs:
+        return (1,) * e.rows
     out = []
     for row in e.data:
         v = 1

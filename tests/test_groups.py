@@ -85,6 +85,17 @@ def test_table_product():
     assert not tables_isomorphic_by(bad, t, t)
 
 
+def test_table_index_is_a_lookup_that_rejects_unknown_labels():
+    t = FiniteGroupTable.cyclic(4)
+    assert [t.index(x) for x in t.elements] == [0, 1, 2, 3]
+    for label in ("g9", ["g"]):
+        with pytest.raises(ValueError):
+            t.index(label)
+    # tables_isomorphic_by reads an unknown image label as "not an isomorphism"
+    assert not tables_isomorphic_by({x: "h" if x == "g" else x for x in t.elements}, t, t)
+    assert not tables_isomorphic_by({x: [x] for x in t.elements}, t, t)
+
+
 def test_theta_validation():
     w = FiniteGroupTable.cyclic(2, ("e", "s"))
     with pytest.raises(ThetaNotHomomorphism):
@@ -180,6 +191,17 @@ def test_z_rank_projection():
 def test_z_rank_scale_guard():
     with pytest.raises(OutOfScale):
         z_rank_group(torus_group(13))
+
+
+def test_z_rank_guard_names_guard_estimate_cap_and_override(monkeypatch):
+    with pytest.raises(OutOfScale, match=r"^integral points guard: 2\^13 x 1 components = 8192 "
+                                         r"elements exceeds cap 4096 \(override with F1KIT_MAX_SCALE\)$"):
+        z_rank_group(torus_group(13))
+    g = sl2_model()
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
+    with pytest.raises(OutOfScale, match=r"^integral points guard: 2\^1 x 2 components = 4 "
+                                         r"elements exceeds cap 3 "):
+        z_rank_group(g)
 
 
 def test_law_morphisms_check_weak():
@@ -522,6 +544,22 @@ def _partial(s_pos):
     return g, y, act
 
 
+def _conjugated_group_block():
+    """gl:3's self-action with the scheme side's group block A at (x, y)
+    replaced by theta_x D theta_x^-1, D unipotent.  The B-block and sign
+    comparisons all hold (theta_i A(j, y) = A(ij, y) theta_i), so only
+    comparing A(ij, y) with A(i, act(j, y)) catches it."""
+    g, y, act = _self(gl_model(3))
+    w, theta, r = g.w, g.law.theta, g.r
+    d = Mat.from_rows(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    exps = []
+    for ((x, _), _), e in zip(act.z_side.source.components, act.z_side.exponents):
+        i = w.index(x)
+        a = theta.matrix(i) * d * theta.matrix(w.inv(i))
+        exps.append(a.hstack(e.col_slice(r, e.cols)))
+    return g, y, WeakMorphism(act.mo_side, replace(act.z_side, exponents=tuple(exps)))
+
+
 PARABOLIC_PARTS = {3: ((3,), (1, 2), (2, 1), (1, 1, 1)),
                    # the proper parabolics; (4,) is gl:4, whose exhaustive scan takes seconds
                    4: ((1, 3), (3, 1), (2, 2), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1, 1))}
@@ -547,6 +585,7 @@ ACTIONS = {
     **{f"broken:unit-{side}-{part}": (lambda side=side, part=part: _flipped(side, part, True))
        for side in ("mo", "z") for part in ("target", "exponent")},
     "broken:unit-z-sign": lambda: _flipped("z", "sign", True),
+    "broken:conjugated-group-block": _conjugated_group_block,
     "broken:only-at-second-generator": lambda: _partial(0),
     "broken:only-at-first-generator": lambda: _partial(1),
 }

@@ -232,3 +232,74 @@ def _systems(draw):
 def test_integer_kernel_matches_fraction_reference_property(system):
     cons, nvars = system
     assert feasible(cons, nvars) == _feasible_reference(cons, nvars)
+
+
+def _dense_mul(a: Mat, b: Mat) -> Mat:
+    """The seed's dense product: every entry a full row-by-column sum."""
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    bt = tuple(zip(*b.data)) if b.data else ((),) * b.cols
+    return Mat(a.rows, b.cols, tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.data
+    ))
+
+
+@st.composite
+def _sparse_mats(draw, rows, cols):
+    """Integers with many zeros: half the entries are 0, the rest small."""
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    return Mat.from_rows(rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _signed_perms(draw, n):
+    """A signed permutation matrix of size n."""
+    perm = draw(st.permutations(range(n)))
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+    return Mat.from_rows(n, n, [[signs[i] if j == perm[i] else 0 for j in range(n)]
+                                for i in range(n)])
+
+
+@st.composite
+def _factor_pairs(draw):
+    """Two composable matrices: sparse integers, empty shapes (0 rows,
+    0 cols or 0 inner) and signed permutations on either side."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    kind = draw(st.sampled_from(["sparse", "perm-left", "perm-right", "perms"]))
+    left = draw(_signed_perms(k)) if kind in ("perm-left", "perms") else None
+    right = draw(_signed_perms(k)) if kind in ("perm-right", "perms") else None
+    if left is None:
+        left = draw(_sparse_mats(r, k))
+    if right is None:
+        right = draw(_sparse_mats(k, c))
+    return left, right
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_factor_pairs())
+def test_sparse_product_matches_dense_reference(pair):
+    a, b = pair
+    assert a * b == _dense_mul(a, b)
+
+
+def test_sparse_product_edge_cases():
+    for r, k, c in ((0, 3, 2), (2, 3, 0), (2, 0, 3), (0, 0, 0)):
+        a, b = Mat.zeros(r, k), Mat.zeros(k, c)
+        assert a * b == _dense_mul(a, b) == Mat.zeros(r, c)
+    a = Mat.from_rows(2, 3, [[0, 1, 0], [2, 0, -1]])
+    b = Mat.from_rows(3, 2, [[1, 2], [3, 4], [5, 6]])
+    assert a * b == _dense_mul(a, b) == Mat.from_rows(2, 2, [[3, 4], [-3, -2]])
+    # a coefficient-1 row takes the other factor's row as it is
+    assert (a * b).data[0] is b.data[1]
+    with pytest.raises(ShapeMismatch):
+        Mat.zeros(2, 3) * Mat.zeros(2, 3)
+
+
+def test_unit_blocks_are_shared():
+    assert Mat.identity(3) is Mat.identity(3)
+    assert Mat.zeros(2, 5) is Mat.zeros(2, 5)
+    assert Mat.zeros(0, 4) is Mat.zeros(0, 4)
+    assert Mat.identity(3) == Mat.from_rows(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert Mat.zeros(2, 3) == Mat.from_rows(2, 3, [[0, 0, 0], [0, 0, 0]])
+    assert Mat.identity(2) is not Mat.identity(3)
+    assert Mat.zeros(2, 3) is not Mat.zeros(3, 2)

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+import f1kit.cli as cli
 import f1kit.groups as groups
 import f1kit.reductive as reductive
 from f1kit.counting import IntPolynomial, gauss_binomial, torification_poly, vanishing_order_and_limit
@@ -318,6 +319,31 @@ def test_self_action_work_counts(monkeypatch):
     assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
     # one block lookup per (side, i, y)
     assert len(lookups) == 2 * 6 * 6
-    # theta over the generators (6 x 2), then four products per instance at
-    # j in {e} u generators: 2 sides x 6 x 3 x 6 instances
-    assert len(products) == 6 * 2 + 4 * 2 * 6 * 3 * 6
+    # theta over the generators (6 x 2), then three products per instance at
+    # j in {e} u generators (the law's identity block A is not multiplied):
+    # 2 sides x 6 x 3 x 6 instances
+    assert len(products) == 6 * 2 + 3 * 2 * 6 * 3 * 6
+
+
+def test_quotient_suite_builds_each_morphism_once(monkeypatch):
+    sel = cli.parse_selector("gl:4")
+    # cli calls the square itself; universality_check would call it through reductive
+    squares = [_counting(monkeypatch, cli, "quotient_square_check"),
+               _counting(monkeypatch, reductive, "quotient_square_check")]
+    lambdas = _counting(monkeypatch, reductive, "lambda_action")
+    pr2s = _counting(monkeypatch, reductive, "_pr2_weak")
+    compositions = _counting(monkeypatch, reductive, "compose_weak")
+    rep = cli._run_check("quotient:2", sel)
+    assert rep.ok
+    assert (sum(map(len, squares)), len(lambdas), len(pr2s)) == (1, 1, 1)
+    # the square's two, one factorization per family member, the control's two
+    assert len(compositions) == 2 + 20 + 2
+
+
+def test_tau_check_reads_the_component_table(monkeypatch):
+    g = gl_model(4)
+    composed = _counting(monkeypatch, reductive, "perm_compose")
+    subsets = _counting(monkeypatch, reductive, "coset_subset")
+    assert tau_check(g, 2).ok
+    assert composed == []
+    assert len(subsets) == g.w.order()

@@ -92,6 +92,15 @@ def test_lazy_monoid_side_budget():
         big.mo  # 2^40 patches would be needed
 
 
+def test_monoid_side_guard_names_guard_estimate_cap_and_override(monkeypatch):
+    with pytest.raises(OutOfScale, match=r"^monoid side guard: 65536 torus points exceeds cap 32768 "
+                                         r"\(override with F1KIT_MAX_SCALE\)$"):
+        additive_chain(16).mo
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "7")
+    with pytest.raises(OutOfScale, match=r"^monoid side guard: 8 torus points exceeds cap 7 "):
+        additive_chain(3).eval_pairs
+
+
 def test_materialized_monoid_side_small():
     x = from_torification(Torification((Cell(1, "t", 1),)))
     assert x.mo.point_count() == 2
