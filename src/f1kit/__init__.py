@@ -114,7 +114,6 @@ from .groups import (
     torus_group,
     unit_weak_morphism,
     z_rank_group,
-    z_rank_projection_is_hom,
 )
 from .reductive import (
     block_perms,

@@ -20,6 +20,7 @@ from .errors import (
     InfiniteHomSet,
     MembershipUndecidedWithinBound,
     MixedTorsionSmash,
+    SelectorError,
     ShapeMismatch,
 )
 from .linalg import Mat, feasible, rank
@@ -86,9 +87,6 @@ class FgAbelianGroup:
             for i, e in enumerate(exps):
                 factors[i] *= p ** e
         return FgAbelianGroup(0, tuple(f for f in factors if f > 1))
-
-    def is_finite(self) -> bool:
-        return self.rank == 0
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -329,30 +327,40 @@ def smash_product(a: PointedMonoid, b: PointedMonoid) -> PointedMonoid:
     return PointedMonoid.affine(da + db, gens)
 
 
-def _member(m: PointedMonoid, target: tuple[int, ...], *, bound: int | None = None) -> bool:
-    """Decide target in the affine monoid by LP screen plus bounded search.
+def member(m: PointedMonoid, target) -> bool:
+    """Is the lattice vector an element of the affine monoid?
 
     An infeasible rational relaxation certifies False.  Otherwise a
     depth-first search over coefficient vectors looks for an integer
-    witness, trying 0..bound for each coefficient.  At every node an
-    exact feasibility query asks whether the leading coefficient could
-    rationally exceed the bound; if no visited node allows that, the
-    truncation loses nothing and exhaustion certifies False.  If some
-    node does allow it (as for generator sets spanning a line, where
-    coefficients can grow without limit), exhaustion raises
+    witness, trying 0..bound for each coefficient, with bound 10 k times
+    the largest absolute entry of the generators and the target.  At
+    every node an exact feasibility query asks whether the leading
+    coefficient could rationally exceed the bound; if no visited node
+    allows that, the truncation loses nothing and exhaustion certifies
+    False.  If some node does allow it (as for generator sets spanning a
+    line, where coefficients can grow without limit), exhaustion raises
     MembershipUndecidedWithinBound rather than guessing.
+
+    >>> member(PointedMonoid.orthant(2), (3, 1))
+    True
+    >>> member(PointedMonoid.orthant(2), (-1, 0))
+    False
     """
+    if m.kind != AFFINE:
+        raise ShapeMismatch("membership is a lattice question; needs an affine monoid")
+    target = tuple(int(x) for x in target)
+    d = m.ambient_dim
+    if len(target) != d:
+        raise ShapeMismatch(f"vector of length {len(target)} in ambient dimension {d}")
     gens = m.generators
     k = len(gens)
-    d = m.ambient_dim
     if all(x == 0 for x in target):
         return True
     if k == 0:
         return False
-    if bound is None:
-        maxabs = max(abs(x) for g in gens for x in g)
-        maxabs = max(maxabs, max(abs(x) for x in target))
-        bound = 10 * maxabs * k
+    maxabs = max(abs(x) for g in gens for x in g)
+    maxabs = max(maxabs, max(abs(x) for x in target))
+    bound = 10 * maxabs * k
 
     def relax(start: int, residual: tuple[int, ...], floor_first: bool = False) -> bool:
         nvars = k - start
@@ -407,50 +415,28 @@ def _member(m: PointedMonoid, target: tuple[int, ...], *, bound: int | None = No
     return False
 
 
-def member(m: PointedMonoid, target) -> bool:
-    """Is the lattice vector an element of the affine monoid?
-
-    >>> member(PointedMonoid.orthant(2), (3, 1))
-    True
-    >>> member(PointedMonoid.orthant(2), (-1, 0))
-    False
-    """
-    if m.kind != AFFINE:
-        raise ShapeMismatch("membership is a lattice question; needs an affine monoid")
-    target = tuple(int(x) for x in target)
-    if len(target) != m.ambient_dim:
-        raise ShapeMismatch(f"vector of length {len(target)} in ambient dimension {m.ambient_dim}")
-    return _member(m, target)
-
-
-def invertible_generators(m: PointedMonoid) -> tuple[int, ...]:
-    """Indices of generators whose inverse lies in the monoid."""
-    if m.kind != AFFINE:
-        return tuple(range(m.generator_count()))
-    out = []
-    for i, g in enumerate(m.generators):
-        neg = tuple(-x for x in g)
-        if _member(m, neg):
-            out.append(i)
-    return tuple(out)
-
-
 def units_of(m: PointedMonoid) -> FgAbelianGroup:
     """Unit group of the monoid.
 
     For a group with zero this is the group itself.  For an affine monoid
-    the units form the sublattice spanned by the generators that are
-    invertible; the result records its rank (the lattice is free).
+    the units form the lattice spanned by the minimal face of the cone
+    (spectrum.minimal_face): the generators whose negatives lie in the
+    rational cone.  The result records its rank (the lattice is free).
+    Each such g is a unit: if -g = sum lambda_h h with rational
+    lambda >= 0, then -Ng is in the monoid for a common denominator N,
+    so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and -u are in the
+    monoid, their representations add up to 0, so every generator that
+    u uses is on the minimal face.  The answer is always decided, with
+    one feasibility call on a pointed cone and 1 + k otherwise.
 
     >>> units_of(PointedMonoid.affine(2, [(1, 0), (-1, 0), (0, 1)]))
     FgAbelianGroup(rank=1, torsion=())
     """
     if m.kind == GROUP_WITH_ZERO:
         return m.group
-    idx = invertible_generators(m)
-    if not idx:
-        return FgAbelianGroup.trivial()
-    rows = [m.generators[i] for i in idx]
+    from .spectrum import minimal_face     # spectrum imports this module
+    face = minimal_face(m.generators, m.ambient_dim)
+    rows = [g for j, g in enumerate(m.generators) if face >> j & 1]
     return FgAbelianGroup.free(rank(Mat.from_rows(len(rows), m.ambient_dim, rows)))
 
 
@@ -469,11 +455,17 @@ def monoid_to_json(m: PointedMonoid) -> dict:
 
 
 def monoid_from_json(data: dict) -> PointedMonoid:
+    """The monoid a JSON object describes; SelectorError if it is malformed."""
+    if not isinstance(data, dict):
+        raise SelectorError(f"a monoid file holds a JSON object, not a {type(data).__name__}")
     kind = data.get("kind")
-    if kind == AFFINE:
-        return PointedMonoid.affine(int(data["ambient_dim"]), data["generators"])
-    if kind == GROUP_WITH_ZERO:
-        group = FgAbelianGroup(int(data.get("rank", 0)),
-                               tuple(int(t) for t in data.get("torsion", [])))
-        return PointedMonoid.group_with_zero(group)
+    try:
+        if kind == AFFINE:
+            return PointedMonoid.affine(int(data["ambient_dim"]), data["generators"])
+        if kind == GROUP_WITH_ZERO:
+            group = FgAbelianGroup(int(data.get("rank", 0)),
+                                   tuple(int(t) for t in data.get("torsion", [])))
+            return PointedMonoid.group_with_zero(group)
+    except (KeyError, TypeError, ValueError) as e:
+        raise SelectorError(f"malformed {kind} monoid: {type(e).__name__}: {e}") from e
     raise ShapeMismatch(f"unknown monoid kind {kind!r}")

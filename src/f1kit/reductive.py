@@ -412,10 +412,10 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
         square = quotient_square_check(p, g, maps)
     if not square.ok:
         return square
-    k = _recognize_two_block(p, g)
     proj, lam, pr2 = maps
     qrk = proj.z_side.target
     subsets = qrk.labels()
+    k = len(subsets[0])     # quotient_maps recognized the parabolic
     coset_of = {w: coset_subset(w, k) for w in g.w.elements}
     fibers = [[i for i, w in enumerate(g.w.elements) if coset_of[w] == s] for s in subsets]
     checks = 0

@@ -16,7 +16,8 @@ of the 2^k generator subsets.  The walk reads each face's rank off the
 same kernel computation (rank F = d - #functionals vanishing on F), and
 its {face: rank} map is kept on the monoid instance, so spec,
 point_count_poly, affine_toric and the brute hom counter walk once per
-instance between them.
+instance between them.  monoids.units_of reads the unit group off the
+same minimal_face that the walk starts from.
 """
 
 from dataclasses import dataclass
@@ -65,14 +66,6 @@ def _is_face(gens, subset_mask: int, d: int) -> bool:
     return feasible(cons, d)
 
 
-def _negative_in_cone(gens, j: int, d: int) -> bool:
-    """Feasibility of: lambda >= 0 with sum lambda_i g_i = -g_j."""
-    k = len(gens)
-    cons = [(tuple(g[c] for g in gens), gens[j][c], "eq") for c in range(d)]
-    cons += [(tuple(int(i == t) for i in range(k)), 0, "ge") for t in range(k)]
-    return feasible(cons, k)
-
-
 def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], int, bool]:
     """Generators off the face grouped by ray in C/span(F), as masks, the
     rank of F, and whether those rays are linearly independent.
@@ -95,22 +88,34 @@ def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], 
     return list(classes.values()), face_rank, len(classes) == cone_rank - face_rank
 
 
+def minimal_face(gens, d: int) -> int:
+    """The minimal face of the cone, as a generator mask.
+
+    It is the empty set when the cone is pointed and no generator is
+    zero (one feasibility call), otherwise the generators g_j whose
+    negatives lie in the cone: lambda >= 0 with sum lambda_i g_i = -g_j
+    (one more call per generator).
+    """
+    if _is_face(gens, 0, d):
+        return 0
+    k = len(gens)
+    cols = [tuple(g[c] for g in gens) for c in range(d)]
+    nonneg = [(tuple(int(i == t) for i in range(k)), 0, "ge") for t in range(k)]
+    return sum(1 << j for j in range(k)
+               if feasible([(col, gens[j][c], "eq") for c, col in enumerate(cols)] + nonneg, k))
+
+
 def _walk(gens, d: int) -> dict[int, int]:
     """{face mask: rank} for the generator subsets that span faces.
 
-    Starts at the minimal face: the empty set when the cone is pointed
-    and no generator is zero, otherwise the generators whose negatives
-    lie in the cone.  F is a face, so F = C cap span(F): every generator
-    off F has a nonzero image in C/span(F), and that cone is pointed.
-    Each class of F is tested once with one feasibility call, unless the
-    class rays are linearly independent: then C/span(F) is simplicial,
-    every class is a ray, and no call is needed.  Every face found is
-    expanded once, which is where its rank is read.
+    Starts at the minimal face.  F is a face, so F = C cap span(F): every
+    generator off F has a nonzero image in C/span(F), and that cone is
+    pointed.  Each class of F is tested once with one feasibility call,
+    unless the class rays are linearly independent: then C/span(F) is
+    simplicial, every class is a ray, and no call is needed.  Every face
+    found is expanded once, which is where its rank is read.
     """
-    if _is_face(gens, 0, d):
-        bottom = 0
-    else:
-        bottom = sum(1 << j for j in range(len(gens)) if _negative_in_cone(gens, j, d))
+    bottom = minimal_face(gens, d)
     cone_rank = d - len(kernel_basis(Mat.from_rows(len(gens), d, gens)))
     ranks: dict[int, int] = {}
     found = {bottom}

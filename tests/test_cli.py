@@ -159,6 +159,20 @@ def test_bad_usage_exits_2():
     assert run_cli("nosuchcommand").returncode == 2
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "affine", "ambient_dim": 1, "generators": "ab"},
+    {"kind": "affine", "ambient_dim": "x", "generators": [[1]]},
+    [{"kind": "affine", "ambient_dim": 1, "generators": [[1]]}],
+], ids=["generators-string", "ambient-dim-string", "top-level-list"])
+def test_malformed_monoid_file_exits_2(tmp_path, data):
+    mfile = tmp_path / "m.json"
+    mfile.write_text(json.dumps(data))
+    r = run_cli("spec", f"monoid:{mfile}")
+    assert r.returncode == 2
+    assert r.stderr.startswith(b"error: ")
+    assert b"Traceback" not in r.stderr
+
+
 def test_pretty_flag_changes_formatting_only():
     flat = run_cli("count", "torus:2")
     pretty = run_cli("count", "torus:2", "--pretty")

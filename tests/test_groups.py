@@ -30,11 +30,11 @@ from f1kit.groups import (
     self_action,
     sigma_check,
     split_action_blocks,
+    table_violation,
     tables_isomorphic_by,
     torus_group,
     unit_weak_morphism,
     z_rank_group,
-    z_rank_projection_is_hom,
 )
 from f1kit.cli import main
 from f1kit.monoids import FgAbelianGroup, GroupHom
@@ -183,9 +183,46 @@ def test_strong_model_sigma_splits():
     assert rep.ok and "section-splits" in rep.notes
 
 
-def test_z_rank_projection():
-    assert z_rank_projection_is_hom(sl2_model()).ok
-    assert z_rank_projection_is_hom(torus_group(1)).ok
+def _z_rank_models():
+    # the sl2 model once more, with its identity listed second
+    w = FiniteGroupTable.build(("s", "e"), lambda a, b: "e" if a == b else "s")
+    theta = ThetaRep(w, 1, (Mat.from_rows(1, 1, [[-1]]), Mat.identity(1)))
+    cocycle = Cocycle(w, 1, (((-1,), (1,)), ((1,), (1,))))
+    late_e = extension_model(ExtensionLaw(theta, cocycle), {"s": 2, "e": 1})
+    return [sl2_model(), torus_group(1), torus_group(2), gl_model(2), late_e]
+
+
+def test_z_rank_projection(monkeypatch):
+    models = _z_rank_models()
+    builds = []
+    monkeypatch.setattr(FiniteGroupTable, "build", lambda *a: builds.append(a))
+    for g in models:
+        table = z_rank_group(g)
+        assert table_violation(table) is None
+        # (s, w) -> w is a hom onto W with kernel the 2^r sign vectors
+        proj = [g.w.index(label) for _, label in table.elements]
+        n = table.order()
+        assert all(proj[table.mul(x, y)] == g.w.mul(proj[x], proj[y])
+                   for x in range(n) for y in range(n))
+        assert proj.count(g.w.identity) == 1 << g.r
+    assert builds == []
+
+
+def test_z_rank_group_matches_the_extension_law_on_labels():
+    # the table a label-level product gives through FiniteGroupTable.build
+    for g in _z_rank_models():
+        sign_vecs = [tuple(1 - 2 * (bits >> k & 1) for k in range(g.r))
+                     for bits in range(1 << g.r)]
+
+        def mul(x, y, g=g):
+            (s, la), (t, lb) = x, y
+            i, j = g.w.index(la), g.w.index(lb)
+            theta_t = apply_exponent_to_signs(g.law.theta.matrix(i), t)
+            return (mul_signs(mul_signs(s, theta_t), g.law.cocycle.value(i, j)),
+                    g.w.elements[g.w.mul(i, j)])
+
+        labels = [(s, label) for s in sign_vecs for label in g.w.elements]
+        assert z_rank_group(g) == FiniteGroupTable.build(labels, mul)
 
 
 def test_z_rank_scale_guard():
@@ -617,10 +654,10 @@ def test_action_and_law_morphism_guards_refuse_before_work(monkeypatch, capsys):
     lookups = []
     monkeypatch.setattr(groups, "split_action_blocks", lambda *a: lookups.append(a))
     monkeypatch.setenv("F1KIT_MAX_SCALE", "100")
-    # 2 x 6 x (1 + 2 generators) x 6 = 216 instances
+    # 2 x 6 x 2 generators x 6 = 144 instances
     assert main(["check", "gl:3", "--suite", "action"]) == 2
     err = capsys.readouterr().err
-    assert "action law guard: 2 x 6 x (1 + 2 generators) x 6 = 216 instances" in err
+    assert "action law guard: 2 x 6 x 2 generators x 6 = 144 instances" in err
     assert "exceeds cap 100" in err and "F1KIT_MAX_SCALE" in err
     assert lookups == []
     monkeypatch.setenv("F1KIT_MAX_SCALE", "30")

@@ -8,7 +8,7 @@ from f1kit.errors import (
     MixedTorsionSmash,
     ShapeMismatch,
 )
-from f1kit.linalg import Mat
+from f1kit.linalg import Mat, feasible, rank
 from f1kit.monoids import (
     AFFINE,
     GROUP_WITH_ZERO,
@@ -24,6 +24,7 @@ from f1kit.monoids import (
     units_of,
     validate_hom,
 )
+from test_spectrum import _feasible_calls
 
 
 def test_group_invariant_factors():
@@ -102,6 +103,93 @@ def test_units_of_affine_monoids():
     # mixed: x invertible, y not
     mixed = PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 1]])
     assert units_of(mixed).rank == 1
+
+
+def _bounded_member(m, target):
+    """The bounded membership search that units_of used to run: an LP
+    screen, then a depth-first search over coefficients 0..10 k max|x|,
+    raising MembershipUndecidedWithinBound where truncation may lose a
+    witness."""
+    gens, k, d = m.generators, len(m.generators), m.ambient_dim
+    if all(x == 0 for x in target):
+        return True
+    bound = 10 * k * max(abs(x) for v in (*gens, target) for x in v)
+
+    def relax(start, residual, floor_first=False):
+        nvars = k - start
+        cons = [(tuple(gens[j][c] for j in range(start, k)), -residual[c], "eq") for c in range(d)]
+        cons += [(tuple(int(i == j) for i in range(nvars)), 0, "ge") for j in range(nvars)]
+        if floor_first:
+            cons.append((tuple(int(i == 0) for i in range(nvars)), -(bound + 1), "ge"))
+        return feasible(cons, nvars)
+
+    truncated = False
+
+    def dfs(start, residual):
+        nonlocal truncated
+        if all(x == 0 for x in residual):
+            return True
+        if start == k or not relax(start, residual):
+            return False
+        truncated = truncated or relax(start, residual, floor_first=True)
+        for c in range(bound + 1):
+            if dfs(start + 1, residual):
+                return True
+            residual = tuple(x - y for x, y in zip(residual, gens[start]))
+        return False
+
+    if not relax(0, target):
+        return False
+    if dfs(0, target):
+        return True
+    if truncated:
+        raise MembershipUndecidedWithinBound(str(target))
+    return False
+
+
+def _reference_unit_rank(m):
+    """Rank of the lattice spanned by the generators whose inverse the
+    bounded search finds in the monoid."""
+    rows = [g for g in m.generators if _bounded_member(m, tuple(-x for x in g))]
+    return rank(Mat.from_rows(len(rows), m.ambient_dim, rows)) if rows else 0
+
+
+UNIT_CORPUS = [
+    # orthants
+    *(PointedMonoid.orthant(d) for d in (1, 2, 3)),
+    # pointed cones
+    PointedMonoid.affine(1, [[2], [3]]),
+    PointedMonoid.affine(2, [[1, 0], [1, 1], [1, 2], [0, 1]]),
+    PointedMonoid.affine(3, [[1, 0, 0], [0, 1, 0], [1, 1, 2], [0, 0, 1]]),
+    # cones with a line, generators in +- pairs
+    PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 1]]),
+    PointedMonoid.affine(3, [[0, 0, 1], [0, 0, -1], [1, 0, 2], [1, 1, -1], [2, 1, 1]]),
+    PointedMonoid.affine(1, [[2], [-2]]),
+    # lines and planes whose generators are not +- pairs
+    PointedMonoid.affine(1, [[3], [-2]]),
+    PointedMonoid.affine(2, [[1, 0], [0, 1], [-1, -1]]),
+    PointedMonoid.affine(2, [[1, 1], [-2, -2], [0, 1]]),
+    PointedMonoid.affine(2, [[3, 0], [-2, 0], [0, 1], [1, 1]]),
+    PointedMonoid.affine(3, [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 1, 1]]),
+    PointedMonoid.affine(2, [[2, 1], [-1, 0], [-1, -1], [1, 5]]),
+]
+
+
+def test_units_of_agrees_with_the_bounded_search():
+    for m in UNIT_CORPUS:
+        assert units_of(m).rank == _reference_unit_rank(m), m
+
+
+def test_units_of_feasibility_calls(monkeypatch):
+    # one call decides that a pointed cone has trivial units
+    for m in (PointedMonoid.orthant(3), PointedMonoid.affine(1, [[2], [3]])):
+        assert _feasible_calls(monkeypatch, lambda: units_of(m)) == 1
+    # with a line, one more call per generator finds the minimal face
+    for m in (PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 1]]),
+              PointedMonoid.affine(1, [[3], [-2]]),
+              PointedMonoid.affine(2, [[2, 1], [-1, 0], [-1, -1], [1, 5]])):
+        calls = _feasible_calls(monkeypatch, lambda: units_of(m))
+        assert calls == 1 + len(m.generators)
 
 
 def test_membership_decisions_and_bound():

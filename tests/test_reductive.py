@@ -320,9 +320,9 @@ def test_self_action_work_counts(monkeypatch):
     # one block lookup per (side, i, y)
     assert len(lookups) == 2 * 6 * 6
     # theta over the generators (6 x 2), then three products per instance at
-    # j in {e} u generators (the law's identity block A is not multiplied):
-    # 2 sides x 6 x 3 x 6 instances
-    assert len(products) == 6 * 2 + 3 * 2 * 6 * 3 * 6
+    # j in the generators (the law's identity block A is not multiplied):
+    # 2 sides x 6 x 2 x 6 instances
+    assert len(products) == 6 * 2 + 3 * 2 * 6 * 2 * 6
 
 
 def test_quotient_suite_builds_each_morphism_once(monkeypatch):
@@ -333,9 +333,12 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     lambdas = _counting(monkeypatch, reductive, "lambda_action")
     pr2s = _counting(monkeypatch, reductive, "_pr2_weak")
     compositions = _counting(monkeypatch, reductive, "compose_weak")
+    recognitions = _counting(monkeypatch, reductive, "_recognize_two_block")
     rep = cli._run_check("quotient:2", sel)
     assert rep.ok
     assert (sum(map(len, squares)), len(lambdas), len(pr2s)) == (1, 1, 1)
+    # universality reads k off the quotient's labels
+    assert len(recognitions) == 1
     # the square's two, one factorization per family member, the control's two
     assert len(compositions) == 2 + 20 + 2
 
