@@ -42,7 +42,7 @@ from .groups import (
 )
 from .linalg import Mat
 from .monoids import FgAbelianGroup, PointedMonoid, monoid_from_json
-from .report import Report, jsonable
+from .report import Report, json_ints, jsonable
 from .reductive import (
     gl_model,
     grassmannian_model,
@@ -87,11 +87,11 @@ def _table_from_json(data: dict) -> FiniteGroupTable:
 def _extension_from_json(data: dict) -> GroupModel:
     w = _table_from_json(data)
     try:
-        r = int(data["r"])
-        theta_rows = data["theta"]
+        r = json_ints(data["r"], "r")
+        theta_rows = json_ints(data["theta"], "theta", 3)
         cells = data["cells"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise SelectorError(f"extension file needs 'r', 'theta', 'cells': {e}") from e
+    except KeyError as e:
+        raise SelectorError(f"extension file needs 'r', 'theta', 'cells': missing {e}") from e
     if len(theta_rows) != w.order():
         raise SelectorError("'theta' needs one matrix per label")
     theta = ThetaRep(w, r, tuple(Mat.from_rows(r, r, m) for m in theta_rows))
@@ -100,13 +100,15 @@ def _extension_from_json(data: dict) -> GroupModel:
         cocycle = Cocycle.trivial(w, r)
     else:
         cocycle = Cocycle(w, r, tuple(
-            tuple(tuple(int(s) for s in v) for v in row) for row in raw
+            tuple(tuple(v) for v in row) for row in json_ints(raw, "cocycle", 3)
         ))
+    if not isinstance(cells, dict):
+        raise SelectorError("'cells' must map each component label to a dimension")
     dims = {}
     for lab in w.elements:
         if lab not in cells:
             raise SelectorError(f"'cells' is missing component {lab!r}")
-        dims[lab] = int(cells[lab])
+        dims[lab] = json_ints(cells[lab], f"cells[{lab!r}]")
     mo_law = data.get("mo_law", "twisted")
     return extension_model(ExtensionLaw(theta, cocycle), dims, mo_law)
 

@@ -17,7 +17,11 @@ class TooManyGenerators(F1KitError):
 
 
 class MembershipUndecidedWithinBound(F1KitError):
-    """Monoid membership search exhausted its coefficient bound."""
+    """Monoid membership search exhausted its coefficient bound.
+
+    The package no longer raises it: membership is always decided.  The
+    class stays so that code which catches it keeps importing.
+    """
 
 
 class MixedTorsionSmash(F1KitError):

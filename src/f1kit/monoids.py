@@ -11,6 +11,10 @@ everything downstream:
 Abelian groups appear as unit groups and as stalks, so the module also
 carries a small invariant-factor representation for them together with
 homomorphisms given on generators.
+
+Membership in an affine monoid and its unit group are always decided.
+Both read one split of the generators at the minimal face of the cone:
+the face spans the unit lattice, and the cone is pointed modulo it.
 """
 
 from dataclasses import dataclass
@@ -18,13 +22,12 @@ from math import gcd
 
 from .errors import (
     InfiniteHomSet,
-    MembershipUndecidedWithinBound,
     MixedTorsionSmash,
     SelectorError,
     ShapeMismatch,
 )
-from .linalg import Mat, feasible, rank
-from .report import Report
+from .linalg import Mat, feasible, kernel_basis
+from .report import Report, json_ints
 
 
 @dataclass(frozen=True)
@@ -327,23 +330,43 @@ def smash_product(a: PointedMonoid, b: PointedMonoid) -> PointedMonoid:
     return PointedMonoid.affine(da + db, gens)
 
 
+def _unit_split(m: PointedMonoid):
+    """The generators on the minimal face of the cone, those off it, and
+    a lattice basis of the integer functionals vanishing on the face:
+    integer coordinates on Q^d / span(face)."""
+    from .spectrum import minimal_face     # spectrum imports this module
+    face = minimal_face(m.generators, m.ambient_dim)
+    units = [g for j, g in enumerate(m.generators) if face >> j & 1]
+    rest = [g for j, g in enumerate(m.generators) if not face >> j & 1]
+    return units, rest, kernel_basis(Mat.from_rows(len(units), m.ambient_dim, units))
+
+
 def member(m: PointedMonoid, target) -> bool:
     """Is the lattice vector an element of the affine monoid?
 
-    An infeasible rational relaxation certifies False.  Otherwise a
-    depth-first search over coefficient vectors looks for an integer
-    witness, trying 0..bound for each coefficient, with bound 10 k times
-    the largest absolute entry of the generators and the target.  At
-    every node an exact feasibility query asks whether the leading
-    coefficient could rationally exceed the bound; if no visited node
-    allows that, the truncation loses nothing and exhaustion certifies
-    False.  If some node does allow it (as for generator sets spanning a
-    line, where coefficients can grow without limit), exhaustion raises
-    MembershipUndecidedWithinBound rather than guessing.
+    Always decided.  Split the generators at the minimal face F of the
+    cone C: U on F, V off it.  For u in U, -u lies in C cap span(F) = F,
+    so -Nu is in the monoid of U for some N >= 1 and -u = (N - 1)u + (-Nu)
+    is too: U generates the group ZU.  Hence t is a member exactly when
+    t - sum c_j v_j lies in ZU for some c in N^V.
+
+    A depth-first search fixes c_j one generator of V at a time, raising
+    it from 0 for as long as the rational relaxation stays feasible:
+    c >= 0 on v_j and the later generators, whose images in Q^d / span(F)
+    sum to the image of the residual.  A witness keeps every relaxation
+    on its path feasible up to its own c_j, so the search cannot pass it.
+    Each loop ends: C / span(F) is pointed and every v_j has a nonzero
+    image there, so the relaxation is a bounded polytope.  At a leaf the
+    residual r lies in ZU exactly when some integer relation among the
+    columns [U | r] has coefficient -1 on r, that is, when the last
+    coordinates of a lattice basis of that kernel have gcd 1.  A failed
+    (level, residual) pair is remembered and not searched again.
 
     >>> member(PointedMonoid.orthant(2), (3, 1))
     True
     >>> member(PointedMonoid.orthant(2), (-1, 0))
+    False
+    >>> member(PointedMonoid.affine(1, [(2,), (-2,)]), (1,))
     False
     """
     if m.kind != AFFINE:
@@ -352,67 +375,45 @@ def member(m: PointedMonoid, target) -> bool:
     d = m.ambient_dim
     if len(target) != d:
         raise ShapeMismatch(f"vector of length {len(target)} in ambient dimension {d}")
-    gens = m.generators
-    k = len(gens)
     if all(x == 0 for x in target):
         return True
-    if k == 0:
-        return False
-    maxabs = max(abs(x) for g in gens for x in g)
-    maxabs = max(maxabs, max(abs(x) for x in target))
-    bound = 10 * maxabs * k
+    units, rest, funcs = _unit_split(m)
+    k = len(rest)
+    quotient = Mat.from_rows(len(funcs), d, funcs)
+    images = [quotient.apply(v) for v in rest]
 
-    def relax(start: int, residual: tuple[int, ...], floor_first: bool = False) -> bool:
+    def relax(start: int, residual: tuple[int, ...]) -> bool:
         nvars = k - start
-        cons = []
-        for coord in range(d):
-            coeffs = tuple(gens[j][coord] for j in range(start, k))
-            cons.append((coeffs, -residual[coord], "eq"))
+        cons = [(tuple(img[i] for img in images[start:]), -y, "eq")
+                for i, y in enumerate(quotient.apply(residual))]
         for j in range(nvars):
-            unit = tuple(1 if i == j else 0 for i in range(nvars))
-            cons.append((unit, 0, "ge"))
-        if floor_first:
-            unit = tuple(1 if i == 0 else 0 for i in range(nvars))
-            cons.append((unit, -(bound + 1), "ge"))
+            cons.append((tuple(1 if i == j else 0 for i in range(nvars)), 0, "ge"))
         return feasible(cons, nvars)
 
-    if not relax(0, target):
-        return False
+    def in_lattice(residual: tuple[int, ...]) -> bool:
+        cols = Mat.from_rows(d, len(units) + 1,
+                             [[u[c] for u in units] + [residual[c]] for c in range(d)])
+        return gcd(*(rel[-1] for rel in kernel_basis(cols))) == 1
 
     dead: set[tuple[int, tuple[int, ...]]] = set()
-    truncated = False
 
     def dfs(start: int, residual: tuple[int, ...]) -> bool:
-        nonlocal truncated
         if all(x == 0 for x in residual):
             return True
         if start == k:
-            return False
+            return in_lattice(residual)
         key = (start, residual)
         if key in dead:
             return False
-        if not relax(start, residual):
-            dead.add(key)
-            return False
-        if relax(start, residual, floor_first=True):
-            truncated = True
-        g = gens[start]
         current = residual
-        for c in range(bound + 1):
+        while relax(start, current):
             if dfs(start + 1, current):
                 return True
-            current = tuple(x - y for x, y in zip(current, g))
+            current = tuple(x - y for x, y in zip(current, rest[start]))
         dead.add(key)
         return False
 
-    if dfs(0, target):
-        return True
-    if truncated:
-        raise MembershipUndecidedWithinBound(
-            f"no representation of {target} with coefficients <= {bound}, "
-            "but the rational relaxation is feasible beyond the bound"
-        )
-    return False
+    return dfs(0, target)
 
 
 def units_of(m: PointedMonoid) -> FgAbelianGroup:
@@ -421,7 +422,8 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     For a group with zero this is the group itself.  For an affine monoid
     the units form the lattice spanned by the minimal face of the cone
     (spectrum.minimal_face): the generators whose negatives lie in the
-    rational cone.  The result records its rank (the lattice is free).
+    rational cone.  The result records its rank (the lattice is free),
+    d minus the number of functionals that vanish on the face.
     Each such g is a unit: if -g = sum lambda_h h with rational
     lambda >= 0, then -Ng is in the monoid for a common denominator N,
     so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and -u are in the
@@ -434,10 +436,7 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     """
     if m.kind == GROUP_WITH_ZERO:
         return m.group
-    from .spectrum import minimal_face     # spectrum imports this module
-    face = minimal_face(m.generators, m.ambient_dim)
-    rows = [g for j, g in enumerate(m.generators) if face >> j & 1]
-    return FgAbelianGroup.free(rank(Mat.from_rows(len(rows), m.ambient_dim, rows)))
+    return FgAbelianGroup.free(m.ambient_dim - len(_unit_split(m)[2]))
 
 
 def monoid_to_json(m: PointedMonoid) -> dict:
@@ -461,11 +460,12 @@ def monoid_from_json(data: dict) -> PointedMonoid:
     kind = data.get("kind")
     try:
         if kind == AFFINE:
-            return PointedMonoid.affine(int(data["ambient_dim"]), data["generators"])
+            return PointedMonoid.affine(json_ints(data["ambient_dim"], "ambient_dim"),
+                                        json_ints(data["generators"], "generators", 2))
         if kind == GROUP_WITH_ZERO:
-            group = FgAbelianGroup(int(data.get("rank", 0)),
-                                   tuple(int(t) for t in data.get("torsion", [])))
+            group = FgAbelianGroup(json_ints(data.get("rank", 0), "rank"),
+                                   tuple(json_ints(data.get("torsion", []), "torsion", 1)))
             return PointedMonoid.group_with_zero(group)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SelectorError(f"malformed {kind} monoid: {type(e).__name__}: {e}") from e
+    except KeyError as e:
+        raise SelectorError(f"malformed {kind} monoid: missing field {e}") from e
     raise ShapeMismatch(f"unknown monoid kind {kind!r}")

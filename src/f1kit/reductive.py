@@ -107,7 +107,8 @@ def gl_model(n: int) -> GroupModel:
     """
     cap = scale_cap(6)
     if not 1 <= n <= cap:
-        raise OutOfScale(f"gl_model needs 1 <= n <= {cap}, got {n}")
+        raise OutOfScale(f"gl_model guard: n = {n} is outside 1..{cap}, cap {cap} "
+                         f"(override with F1KIT_MAX_SCALE)")
     w = symmetric_table(n)
     theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
@@ -163,7 +164,8 @@ def parabolic_model(n: int, parts) -> GroupModel:
     """
     cap = scale_cap(6)
     if not 1 <= n <= cap:
-        raise OutOfScale(f"parabolic_model needs 1 <= n <= {cap}, got {n}")
+        raise OutOfScale(f"parabolic_model guard: n = {n} is outside 1..{cap}, cap {cap} "
+                         f"(override with F1KIT_MAX_SCALE)")
     parts = _check_composition(n, parts)
     elements = block_perms(n, parts)
     w = FiniteGroupTable.build(elements, perm_compose)
@@ -188,7 +190,8 @@ def grassmannian_model(k: int, n: int) -> F1Scheme:
     """
     cap = scale_cap(8)
     if not 0 <= k <= n <= cap:
-        raise OutOfScale(f"grassmannian_model needs 0 <= k <= n <= {cap}")
+        raise OutOfScale(f"grassmannian_model guard: k = {k}, n = {n} is outside "
+                         f"0 <= k <= n <= {cap}, cap {cap} (override with F1KIT_MAX_SCALE)")
     cells = tuple(
         Cell(0, subset, schubert_dim(subset))
         for subset in combinations(range(1, n + 1), k)

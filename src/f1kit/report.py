@@ -3,10 +3,14 @@
 A check runs a batch of exact comparisons and either all of them hold or
 there is a first failure worth naming.  Reports are plain values: ok flag,
 how many comparisons ran, and a JSON-able witness for the first failure.
+The module also holds the JSON conversions in both directions: jsonable
+for output, json_ints for integer fields of input files.
 """
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from .errors import SelectorError
 
 
 @dataclass(frozen=True)
@@ -51,3 +55,20 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k if isinstance(k, str) else repr(k): jsonable(v) for k, v in value.items()}
     return value
+
+
+def json_ints(value: Any, what: str, depth: int = 0) -> Any:
+    """value, checked to be a JSON integer (depth 0) or lists nested depth
+    deep with JSON integers at the bottom.
+
+    Floats, strings and booleans are refused, not converted, so a file
+    cannot silently describe a different object; SelectorError names the
+    field `what` and the offending value.
+    """
+    if depth == 0:
+        if type(value) is not int:
+            raise SelectorError(f"{what}: {value!r} is not a JSON integer")
+        return value
+    if not isinstance(value, list):
+        raise SelectorError(f"{what}: {value!r} is not a JSON list")
+    return [json_ints(x, what, depth - 1) for x in value]

@@ -163,11 +163,44 @@ def test_bad_usage_exits_2():
     {"kind": "affine", "ambient_dim": 1, "generators": "ab"},
     {"kind": "affine", "ambient_dim": "x", "generators": [[1]]},
     [{"kind": "affine", "ambient_dim": 1, "generators": [[1]]}],
-], ids=["generators-string", "ambient-dim-string", "top-level-list"])
+    {"kind": "affine", "ambient_dim": 1.7, "generators": [[1]]},
+    {"kind": "affine", "ambient_dim": 2, "generators": [[1.5, 0]]},
+    {"kind": "affine", "ambient_dim": 1, "generators": "12"},
+    {"kind": "affine", "ambient_dim": 2, "generators": [[True, 0]]},
+], ids=["generators-string", "ambient-dim-string", "top-level-list",
+        "ambient-dim-float", "generator-float", "generators-digits", "generator-bool"])
 def test_malformed_monoid_file_exits_2(tmp_path, data):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(data))
     r = run_cli("spec", f"monoid:{mfile}")
+    assert r.returncode == 2
+    assert r.stderr.startswith(b"error: ")
+    assert b"Traceback" not in r.stderr
+
+
+_SL2 = {
+    "labels": ["e", "s"],
+    "table": [["e", "s"], ["s", "e"]],
+    "r": 1,
+    "theta": [[[1]], [[-1]]],
+    "cocycle": [[[1], [1]], [[1], [-1]]],
+    "cells": {"e": 1, "s": 2},
+}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cells", {"e": "x", "s": 2}),
+    ("cells", {"e": 1.5, "s": 2}),
+    ("cells", "es"),
+    ("theta", [[["a"]], [[-1]]]),
+    ("cocycle", [[["x"], [1]], [[1], [-1]]]),
+    ("r", "1"),
+], ids=["cell-string", "cell-float", "cells-string", "theta-string", "cocycle-string",
+        "r-string"])
+def test_malformed_extension_file_exits_2(tmp_path, field, value):
+    efile = tmp_path / "ext.json"
+    efile.write_text(json.dumps({**_SL2, field: value}))
+    r = run_cli("check", f"ext:{efile}", "--suite", "group")
     assert r.returncode == 2
     assert r.stderr.startswith(b"error: ")
     assert b"Traceback" not in r.stderr

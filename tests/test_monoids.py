@@ -1,7 +1,11 @@
 """Pointed monoids, abelian group data, homs, smash products, membership."""
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from f1kit import monoids, spectrum
 from f1kit.errors import (
     InfiniteHomSet,
     MembershipUndecidedWithinBound,
@@ -199,11 +203,68 @@ def test_membership_decisions_and_bound():
     numeric = PointedMonoid.affine(1, [[2], [3]])
     assert member(numeric, (5,))
     assert not member(numeric, (1,))
-    # 2Z inside Z: the question "is 1 in <2, -2>" has a feasible rational
-    # relaxation but no bounded integer witness, and must say so
-    m = PointedMonoid.affine(1, [[2], [-2]])
-    with pytest.raises(MembershipUndecidedWithinBound):
-        member(m, (1,))
+    # targets off the lattice of a cone with a line: the rational
+    # relaxation is feasible with unbounded coefficients, and the answer
+    # is still decided
+    for d, gens, target in [
+        (1, [[2], [-2]], (1,)),
+        (2, [[1, 1], [-1, -1], [0, 2]], (0, 1)),
+        (2, [[3, 1], [1, 3], [-1, -1]], (1, 0)),
+        (2, [[1, 0], [-1, 0], [0, 2], [1, 3]], (0, 1)),
+    ]:
+        assert not member(PointedMonoid.affine(d, gens), target)
+
+
+@st.composite
+def _small_cones(draw, size=3):
+    """Up to size generators with entries in -2..2 in Z^1 or Z^2: a
+    pointed cone (first coordinates positive) or one with a line (the
+    negative of the first generator added)."""
+    d = draw(st.integers(1, 2))
+    line = draw(st.booleans())
+    first = st.integers(-2, 2) if line else st.integers(1, 2)
+    vector = st.tuples(first, *[st.integers(-2, 2)] * (d - 1)).filter(any)
+    gens = draw(st.lists(vector, min_size=1, max_size=size, unique=True))
+    if line and tuple(-x for x in gens[0]) not in gens:
+        gens.append(tuple(-x for x in gens[0]))
+    return PointedMonoid.affine(d, gens)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_cones())
+def test_member_contains_every_small_combination(m):
+    for coeffs in product(range(3), repeat=len(m.generators)):
+        target = tuple(sum(c * g[i] for c, g in zip(coeffs, m.generators))
+                       for i in range(m.ambient_dim))
+        assert member(m, target), (m.generators, coeffs)
+
+
+# the reference can take seconds to exhaust its bound on four generators
+# with a line, so the cones here have at most three
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_cones(size=2), st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_member_agrees_with_the_bounded_search(m, vector):
+    target = vector[:m.ambient_dim]
+    try:
+        expected = _bounded_member(m, target)
+    except MembershipUndecidedWithinBound:
+        return
+    assert member(m, target) == expected, (m.generators, target)
+
+
+def test_member_feasibility_calls(monkeypatch):
+    # member's own calls count together with the minimal face's
+    monkeypatch.setattr(monoids, "feasible", lambda cons, n: spectrum.feasible(cons, n))
+    pinned = [
+        # pointed: 1 for the minimal face, 4 relaxations
+        (PointedMonoid.affine(1, [[2], [3]]), (1,), 5),
+        # all generators on the minimal face: 1 + 2, then the lattice test
+        (PointedMonoid.affine(1, [[2], [-2]]), (1,), 3),
+        # 1 + 3 for the minimal face, 2 relaxations on (0, 2)
+        (PointedMonoid.affine(2, [[1, 1], [-1, -1], [0, 2]]), (0, 1), 6),
+    ]
+    for m, target, calls in pinned:
+        assert _feasible_calls(monkeypatch, lambda: member(m, target)) == calls
 
 
 def test_smash_product_affine():

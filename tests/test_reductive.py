@@ -124,6 +124,18 @@ def test_gl_scale_guard():
         gl_model(7)
 
 
+def test_catalog_guard_messages_name_request_cap_and_override():
+    with pytest.raises(OutOfScale, match=r"^gl_model guard: n = 7 is outside 1\.\.6, cap 6 "
+                       r"\(override with F1KIT_MAX_SCALE\)$"):
+        gl_model(7)
+    with pytest.raises(OutOfScale, match=r"^parabolic_model guard: n = 7 is outside 1\.\.6, "
+                       r"cap 6 \(override with F1KIT_MAX_SCALE\)$"):
+        parabolic_model(7, (3, 4))
+    with pytest.raises(OutOfScale, match=r"^grassmannian_model guard: k = 2, n = 9 is outside "
+                       r"0 <= k <= n <= 8, cap 8 \(override with F1KIT_MAX_SCALE\)$"):
+        grassmannian_model(2, 9)
+
+
 def test_block_perms_and_composition_guard():
     assert block_perms(3, (1, 2)) == ((1, 2, 3), (1, 3, 2))
     assert len(block_perms(4, (2, 2))) == 4
