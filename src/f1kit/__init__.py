@@ -89,6 +89,7 @@ from .schemes import (
     identity_map,
     induced_monomial,
     match_components,
+    monomial_morphism,
     point_scheme,
     product_scheme,
     rank_part,

@@ -66,20 +66,26 @@ def _load_json(path: str) -> dict:
         raise SelectorError(f"{path} is not valid JSON: {e}") from e
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def _table_from_json(data: dict) -> FiniteGroupTable:
     try:
-        labels = tuple(str(x) for x in data["labels"])
-        table = data["table"]
+        labels, table = data["labels"], data["table"]
     except (KeyError, TypeError) as e:
         raise SelectorError(f"group file needs 'labels' and 'table': {e}") from e
-    if len(table) != len(labels) or any(len(row) != len(labels) for row in table):
-        raise SelectorError("'table' must be a |labels| x |labels| grid of labels")
+    if not _is_str_list(labels):
+        raise SelectorError(f"'labels' must be a JSON list of strings, got {labels!r}")
+    if not (isinstance(table, list) and len(table) == len(labels)
+            and all(_is_str_list(row) and len(row) == len(labels) for row in table)):
+        raise SelectorError("'table' must be a |labels| x |labels| grid of label strings")
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise SelectorError("labels must be distinct")
 
     def mul(a, b):
-        return str(table[index[a]][index[b]])
+        return table[index[a]][index[b]]
 
     return FiniteGroupTable.build(labels, mul)
 

@@ -17,11 +17,10 @@ counter against the q^k enumeration it replaced.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
 
 from .errors import NonDivisible, NotPrime, OutOfScale, ZeroPolynomial, scale_cap
 from .linalg import Mat, det, kernel_basis
-from .monoids import AFFINE, GROUP_WITH_ZERO, PointedMonoid
+from .monoids import GROUP_WITH_ZERO, PointedMonoid
 
 
 @dataclass(frozen=True)

@@ -35,18 +35,17 @@ from .errors import (
     scale_cap,
 )
 from .linalg import Mat, det
-from .monoids import FgAbelianGroup, GroupHom
+from .monoids import FgAbelianGroup
 from .report import Report
 from .schemes import (
     Cell,
     F1Scheme,
-    MonomialMap,
     RankScheme,
-    StrongMorphismRk,
     Torification,
     WeakMorphism,
     apply_exponent_to_signs,
     from_torification,
+    monomial_morphism,
     mul_signs,
     point_scheme,
     product_scheme,
@@ -528,51 +527,37 @@ def law_weak_morphism(g: GroupModel) -> WeakMorphism:
     if n * n > cap:
         raise OutOfScale(f"law morphism guard: {n}^2 = {n * n} components exceeds cap {cap} "
                          f"(override with F1KIT_MAX_SCALE)")
+    w = g.w
     rk = g.rank_scheme
-    src = product_scheme(rk, rk)
-    targets, comaps, exps, signs = [], [], [], []
-    free2 = FgAbelianGroup.free(2 * g.r)
-    free1 = FgAbelianGroup.free(g.r)
-    for i, (la, _) in enumerate(rk.components):
-        for j, (lb, _) in enumerate(rk.components):
-            k = g.w.mul(i, j)
-            targets.append(g.w.elements[k])
-            a, b, _ = g.law_blocks("mo", i, j)
-            comaps.append(GroupHom.on_free(free1, free2, a.hstack(b).transpose()))
-            za, zb, zs = g.law_blocks("z", i, j)
-            exps.append(za.hstack(zb))
-            signs.append(zs)
-    mo = StrongMorphismRk(src, rk, tuple(targets), tuple(comaps))
-    z = MonomialMap(src, rk, tuple(targets), tuple(exps), tuple(signs))
-    return WeakMorphism(mo, z)
+    targets, exps, mo_exps, signs = [], [], [], []
+    for i in range(n):
+        # the blocks [A | B] depend on i only; the signs on (i, j)
+        za, zb, _ = g.law_blocks("z", i, w.identity)
+        ma, mb, _ = g.law_blocks("mo", i, w.identity)
+        z_e, mo_e = za.hstack(zb), ma.hstack(mb)
+        for j in range(n):
+            targets.append(w.elements[w.mul(i, j)])
+            exps.append(z_e)
+            mo_exps.append(mo_e)
+            signs.append(g.law_blocks("z", i, j)[2])
+    return monomial_morphism(product_scheme(rk, rk), rk, targets, exps, signs, mo_exps)
 
 
 def unit_weak_morphism(g: GroupModel) -> WeakMorphism:
-    rk = g.rank_scheme
-    pt = point_scheme()
     label = g.w.elements[g.w.identity]
-    mo = StrongMorphismRk(pt, rk, (label,), (
-        GroupHom.on_free(FgAbelianGroup.free(g.r), FgAbelianGroup.trivial(), Mat.zeros(0, g.r)),
-    ))
-    z = MonomialMap(pt, rk, (label,), (Mat.zeros(g.r, 0),), ((1,) * g.r,))
-    return WeakMorphism(mo, z)
+    return monomial_morphism(point_scheme(), g.rank_scheme, (label,), (Mat.zeros(g.r, 0),))
 
 
 def inversion_weak_morphism(g: GroupModel) -> WeakMorphism:
-    rk = g.rank_scheme
-    targets, comaps, exps, signs = [], [], [], []
-    free1 = FgAbelianGroup.free(g.r)
-    for i in range(g.w.order()):
-        k = g.w.inv(i)
-        targets.append(g.w.elements[k])
-        z_e = -g.law.theta.matrix(k)
-        mo_e = z_e if g.mo_law == TWISTED else -Mat.identity(g.r)
-        comaps.append(GroupHom.on_free(free1, free1, mo_e.transpose()))
-        exps.append(z_e)
+    w = g.w
+    targets, exps, signs = [], [], []
+    for i in range(w.order()):
+        k = w.inv(i)
+        targets.append(w.elements[k])
+        exps.append(-g.law.theta.matrix(k))
         signs.append(g.law.cocycle.value(k, i))
-    mo = StrongMorphismRk(rk, rk, tuple(targets), tuple(comaps))
-    z = MonomialMap(rk, rk, tuple(targets), tuple(exps), tuple(signs))
-    return WeakMorphism(mo, z)
+    mo_exps = None if g.mo_law == TWISTED else (-Mat.identity(g.r),) * w.order()
+    return monomial_morphism(g.rank_scheme, g.rank_scheme, targets, exps, signs, mo_exps)
 
 
 def z_rank_group(g: GroupModel) -> FiniteGroupTable:

@@ -244,6 +244,8 @@ class PointedMonoid:
     group: FgAbelianGroup | None = None
 
     def __post_init__(self):
+        if self.ambient_dim < 0:
+            raise ShapeMismatch(f"ambient_dim {self.ambient_dim} is negative")
         if self.kind == AFFINE:
             seen = set()
             for g in self.generators:

@@ -15,7 +15,7 @@ quotient suite builds the projection, lambda and pr2 once
 two checks.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .counting import IntPolynomial
 from .errors import (
@@ -27,18 +27,17 @@ from .errors import (
     scale_cap,
 )
 from .linalg import Mat
-from .monoids import FgAbelianGroup, GroupHom
+from .monoids import FgAbelianGroup
 from .report import Report
 from .schemes import (
     Cell,
     F1Scheme,
-    MonomialMap,
     RankScheme,
-    StrongMorphismRk,
     Torification,
     WeakMorphism,
     compose_weak,
     from_torification,
+    monomial_morphism,
     product_scheme,
     rank_part,
 )
@@ -104,17 +103,13 @@ def gl_model(n: int) -> GroupModel:
 
     Total cell dimension over component w is n + n(n-1)/2 + l(w): the
     rank-n torus times the refined affine cell of the Bruhat stratum.
+    It is the parabolic model of the one-block type (n).
     """
     cap = scale_cap(6)
     if not 1 <= n <= cap:
         raise OutOfScale(f"gl_model guard: n = {n} is outside 1..{cap}, cap {cap} "
                          f"(override with F1KIT_MAX_SCALE)")
-    w = symmetric_table(n)
-    theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
-    law = ExtensionLaw(theta, Cocycle.trivial(w, n))
-    base = n + n * (n - 1) // 2
-    dims = {p: base + perm_length(p) for p in w.elements}
-    return extension_model(law, dims)
+    return _block_model(n, (n,))
 
 
 def _check_composition(n: int, parts) -> tuple[int, ...]:
@@ -127,31 +122,11 @@ def _check_composition(n: int, parts) -> tuple[int, ...]:
 def block_perms(n: int, parts) -> tuple[Perm, ...]:
     """Embedded elements of S_{k_1} x ... x S_{k_r} inside S_n, sorted."""
     parts = _check_composition(n, parts)
-    offsets = []
-    off = 0
+    blocks, off = [], 0
     for k in parts:
-        offsets.append(off)
+        blocks.append(permutations(range(off + 1, off + k + 1)))
         off += k
-    blocks = [tuple(permutations(range(o + 1, o + k + 1)))
-              for o, k in zip(offsets, parts)]
-
-    def embed(choice) -> Perm:
-        out = []
-        for b in choice:
-            out.extend(b)
-        return tuple(out)
-
-    out = []
-
-    def rec(i, acc):
-        if i == len(blocks):
-            out.append(embed(acc))
-            return
-        for b in blocks[i]:
-            rec(i + 1, acc + [b])
-
-    rec(0, [])
-    return tuple(sorted(out))
+    return tuple(sorted(sum(choice, ()) for choice in product(*blocks)))
 
 
 def parabolic_model(n: int, parts) -> GroupModel:
@@ -166,14 +141,18 @@ def parabolic_model(n: int, parts) -> GroupModel:
     if not 1 <= n <= cap:
         raise OutOfScale(f"parabolic_model guard: n = {n} is outside 1..{cap}, cap {cap} "
                          f"(override with F1KIT_MAX_SCALE)")
+    return _block_model(n, parts)
+
+
+def _block_model(n: int, parts) -> GroupModel:
+    """The block-permutation model of type parts, n already guarded."""
     parts = _check_composition(n, parts)
-    elements = block_perms(n, parts)
-    w = FiniteGroupTable.build(elements, perm_compose)
+    w = FiniteGroupTable.build(block_perms(n, parts), perm_compose)
     theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
     dim_u = (n * n - sum(k * k for k in parts)) // 2
     dim_b = sum(k * (k - 1) // 2 for k in parts)
-    dims = {p: n + dim_b + perm_length(p) + dim_u for p in elements}
+    dims = {p: n + dim_b + perm_length(p) + dim_u for p in w.elements}
     return extension_model(law, dims)
 
 
@@ -223,25 +202,16 @@ def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
     permutation action of u, with no signs, so the morphism is strong.
     """
     _require_subgroup(p, g)
-    src = product_scheme(p.rank_scheme, g.rank_scheme)
-    rk = g.rank_scheme
     r = g.r
-    free1 = FgAbelianGroup.free(r)
-    free2 = FgAbelianGroup.free(2 * r)
-    one = (1,) * r
-    targets, comaps, exps, signs = [], [], [], []
+    targets, exps = [], []
     for u in p.w.elements:
         gi = g.w.index(u)
         e = Mat.identity(r).hstack(g.law.theta.matrix(gi))
-        comap = GroupHom.on_free(free1, free2, e.transpose())
         for wj in range(g.w.order()):
             targets.append(g.w.elements[g.w.mul(gi, wj)])
             exps.append(e)
-            signs.append(one)
-            comaps.append(comap)
-    mo = StrongMorphismRk(src, rk, tuple(targets), tuple(comaps))
-    z = MonomialMap(src, rk, tuple(targets), tuple(exps), tuple(signs))
-    return WeakMorphism(mo, z)
+    return monomial_morphism(product_scheme(p.rank_scheme, g.rank_scheme), g.rank_scheme,
+                             targets, exps)
 
 
 def coset_subset(w: Perm, k: int) -> tuple[int, ...]:
@@ -291,12 +261,8 @@ def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphis
     n = g.r
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
-    targets = tuple(coset_subset(w, k) for w in g.w.elements)
-    size = len(targets)
-    comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
-    mo = StrongMorphismRk(g.rank_scheme, qrk, targets, (comap,) * size)
-    z = MonomialMap(g.rank_scheme, qrk, targets, (Mat.zeros(0, n),) * size, ((),) * size)
-    return q, WeakMorphism(mo, z)
+    targets = [coset_subset(w, k) for w in g.w.elements]
+    return q, monomial_morphism(g.rank_scheme, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
 def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism]:
@@ -312,16 +278,11 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
 
 def _pr2_weak(p: GroupModel, g: GroupModel) -> WeakMorphism:
     """Second projection P x G -> G as a weak (indeed strong) morphism."""
-    src = product_scheme(p.rank_scheme, g.rank_scheme)
-    rk = g.rank_scheme
     r = g.r
     e = Mat.zeros(r, r).hstack(Mat.identity(r))
-    comap = GroupHom.on_free(FgAbelianGroup.free(r), FgAbelianGroup.free(2 * r), e.transpose())
     targets = g.w.elements * p.w.order()
-    size = len(targets)
-    mo = StrongMorphismRk(src, rk, targets, (comap,) * size)
-    z = MonomialMap(src, rk, targets, (e,) * size, ((1,) * r,) * size)
-    return WeakMorphism(mo, z)
+    return monomial_morphism(product_scheme(p.rank_scheme, g.rank_scheme), g.rank_scheme,
+                             targets, (e,) * len(targets))
 
 
 def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
@@ -380,16 +341,12 @@ def _test_family(g: GroupModel, k: int, subsets):
     for target in _test_targets(n, k):
         m = target.components[0][1].rank
         ncomp = len(target.components)
-        comaps = (GroupHom.on_free(FgAbelianGroup.free(m), FgAbelianGroup.free(n), Mat.zeros(n, m)),) * size
         exps = (Mat.zeros(m, n),) * size
         cis = [c % ncomp for c in cosets]
         targets = tuple(f"t{ci}" for ci in cis)
         for variant in range(2):
             signs = tuple((-1 if (variant and ci % 2) else 1,) * m for ci in cis)
-            yield WeakMorphism(
-                StrongMorphismRk(g.rank_scheme, target, targets, comaps),
-                MonomialMap(g.rank_scheme, target, targets, exps, signs),
-            )
+            yield monomial_morphism(g.rank_scheme, target, targets, exps, signs)
 
 
 def universality_check(p: GroupModel, g: GroupModel, square: Report | None = None,
@@ -435,12 +392,7 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
             tlabel, sign = next(iter(vals))
             h_targets.append(tlabel)
             h_signs.append(sign)
-        size = len(subsets)
-        comap = GroupHom.on_free(FgAbelianGroup.free(m), FgAbelianGroup.trivial(), Mat.zeros(0, m))
-        h = WeakMorphism(
-            StrongMorphismRk(qrk, target, tuple(h_targets), (comap,) * size),
-            MonomialMap(qrk, target, tuple(h_targets), (Mat.zeros(m, 0),) * size, tuple(h_signs)),
-        )
+        h = monomial_morphism(qrk, target, h_targets, (Mat.zeros(m, 0),) * len(subsets), h_signs)
         checks += 1
         if compose_weak(h, proj) != f:
             return Report.failed(checks, {"target_rank": m, "reason": "factorization does not recover the map"})
@@ -457,13 +409,8 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
                    if sum(1 for w in g.w.elements if coset_of[w] == s) > 1)
         marked = next(w for w in g.w.elements if coset_of[w] == big)
         target = RankScheme((("t0", FgAbelianGroup.trivial()), ("t1", FgAbelianGroup.trivial())))
-        targets = tuple("t1" if w == marked else "t0" for w in g.w.elements)
-        size = len(targets)
-        comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
-        f_bad = WeakMorphism(
-            StrongMorphismRk(g.rank_scheme, target, targets, (comap,) * size),
-            MonomialMap(g.rank_scheme, target, targets, (Mat.zeros(0, n),) * size, ((),) * size),
-        )
+        targets = ["t1" if w == marked else "t0" for w in g.w.elements]
+        f_bad = monomial_morphism(g.rank_scheme, target, targets, (Mat.zeros(0, n),) * len(targets))
         checks += 1
         if compose_weak(f_bad, lam) == compose_weak(f_bad, pr2):
             return Report.failed(checks, {"reason": "non-coinvariant control passed"})
@@ -480,13 +427,9 @@ def tau_morphism(g: GroupModel, k: int) -> tuple[RankScheme, WeakMorphism]:
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
     src = product_scheme(g.rank_scheme, qrk)
-    targets = tuple(tuple(sorted(sigma[a - 1] for a in subset))
-                    for sigma in g.w.elements for subset, _ in qrk.components)
-    size = len(targets)
-    comap = GroupHom.on_free(FgAbelianGroup.trivial(), FgAbelianGroup.free(n), Mat.zeros(n, 0))
-    mo = StrongMorphismRk(src, qrk, targets, (comap,) * size)
-    z = MonomialMap(src, qrk, targets, (Mat.zeros(0, n),) * size, ((),) * size)
-    return qrk, WeakMorphism(mo, z)
+    targets = [tuple(sorted(sigma[a - 1] for a in subset))
+               for sigma in g.w.elements for subset in qrk.labels()]
+    return qrk, monomial_morphism(src, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
 def tau_check(g: GroupModel, k: int) -> Report:

@@ -401,6 +401,31 @@ def strong_to_weak(f: StrongMorphismRk) -> WeakMorphism:
     return WeakMorphism(f, induced_monomial(f))
 
 
+def monomial_morphism(source: RankScheme, target: RankScheme, targets, exponents,
+                      signs=None, mo_exponents=None) -> WeakMorphism:
+    """The weak morphism t -> signs[i] t^exponents[i] on source component i.
+
+    Component i goes to targets[i]; signs default to +1.  The monoid
+    side's comaps are the transposed blocks of mo_exponents, for a monoid
+    law that differs from the scheme side's, else of exponents.
+    Components that share one block object share one comap.
+    """
+    targets, exponents = tuple(targets), tuple(exponents)
+    mo_exponents = exponents if mo_exponents is None else tuple(mo_exponents)
+    comaps = {}
+    for e in mo_exponents:
+        if id(e) not in comaps:
+            comaps[id(e)] = GroupHom.on_free(FgAbelianGroup.free(e.rows),
+                                             FgAbelianGroup.free(e.cols), e.transpose())
+    if signs is None:
+        ones = {}
+        signs = (ones.setdefault(e.rows, (1,) * e.rows) for e in exponents)
+    return WeakMorphism(
+        StrongMorphismRk(source, target, targets, tuple(comaps[id(e)] for e in mo_exponents)),
+        MonomialMap(source, target, targets, exponents, tuple(signs)),
+    )
+
+
 def check_weak(w: WeakMorphism) -> Report:
     """Consistency of the two halves, plus whether the map is strong.
 

@@ -27,7 +27,7 @@ from operator import mul
 from .counting import IntPolynomial
 from .errors import ShapeMismatch, TooManyGenerators, scale_cap
 from .linalg import Mat, feasible, kernel_basis
-from .monoids import AFFINE, GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
+from .monoids import GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
 @dataclass(frozen=True)

@@ -167,12 +167,29 @@ def test_bad_usage_exits_2():
     {"kind": "affine", "ambient_dim": 2, "generators": [[1.5, 0]]},
     {"kind": "affine", "ambient_dim": 1, "generators": "12"},
     {"kind": "affine", "ambient_dim": 2, "generators": [[True, 0]]},
+    {"kind": "affine", "ambient_dim": -1, "generators": []},
 ], ids=["generators-string", "ambient-dim-string", "top-level-list",
-        "ambient-dim-float", "generator-float", "generators-digits", "generator-bool"])
+        "ambient-dim-float", "generator-float", "generators-digits", "generator-bool",
+        "ambient-dim-negative"])
 def test_malformed_monoid_file_exits_2(tmp_path, data):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(data))
     r = run_cli("spec", f"monoid:{mfile}")
+    assert r.returncode == 2
+    assert r.stderr.startswith(b"error: ")
+    assert b"Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("table", 5),
+    ("labels", "es"),
+    ("table", [["e", "s"], "se"]),
+], ids=["table-int", "labels-string", "row-string"])
+def test_malformed_group_table_file_exits_2(tmp_path, field, value):
+    cfile = tmp_path / "const.json"
+    cfile.write_text(json.dumps({"labels": ["e", "s"], "table": [["e", "s"], ["s", "e"]],
+                                 field: value}))
+    r = run_cli("check", f"const:{cfile}", "--suite", "group")
     assert r.returncode == 2
     assert r.stderr.startswith(b"error: ")
     assert b"Traceback" not in r.stderr

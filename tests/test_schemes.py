@@ -6,8 +6,10 @@ import pytest
 
 from f1kit.counting import torification_poly
 from f1kit.errors import InfiniteHomSet, OutOfScale, ShapeMismatch
+from f1kit.groups import law_weak_morphism
 from f1kit.linalg import Mat
 from f1kit.monoids import FgAbelianGroup, GroupHom, PointedMonoid
+from f1kit.reductive import gl_model
 from f1kit.schemes import (
     Cell,
     F1Scheme,
@@ -29,6 +31,7 @@ from f1kit.schemes import (
     identity_map,
     induced_monomial,
     match_components,
+    monomial_morphism,
     point_scheme,
     product_scheme,
     rank_part,
@@ -175,6 +178,41 @@ def test_weak_morphism_sign_twist_is_weak_only():
     rep = check_weak(WeakMorphism(mo, z))
     assert rep.ok
     assert "not-strong" in rep.notes
+
+
+def test_monomial_morphism_defaults_and_transposed_comaps():
+    a = RankScheme((("p", free(2)), ("q", free(2))))
+    b = RankScheme((("r", free(1)), ("s", free(3))))
+    e, e2 = Mat.from_rows(1, 2, [[3, 5]]), Mat.from_rows(3, 2, [[1, 0], [0, 1], [1, 1]])
+    f = monomial_morphism(a, b, ("r", "s"), (e, e2))
+    # signs are +1 of each block's row count, and the monoid side is strong
+    assert f.z_side.signs == ((1,), (1, 1, 1))
+    assert f == strong_to_weak(f.mo_side)
+    assert "strong" in check_weak(f).notes
+    twisted = monomial_morphism(a, b, ("r", "s"), (e, e2), ((-1,), (1, -1, 1)))
+    assert twisted.mo_side == f.mo_side
+    assert "not-strong" in check_weak(twisted).notes
+    # mo_exponents replaces the blocks on the monoid side only
+    mo = Mat.from_rows(1, 2, [[1, 1]])
+    split = monomial_morphism(a, b, ("r", "s"), (e, e2), mo_exponents=(mo, e2))
+    assert split.z_side == f.z_side
+    assert split.mo_side.comaps[0].free_matrix == mo.transpose()
+    assert split.mo_side.comaps[1] == f.mo_side.comaps[1]
+    with pytest.raises(ShapeMismatch):
+        monomial_morphism(a, b, ("s", "r"), (e, e2))
+
+
+def test_monomial_morphism_shares_one_comap_per_block_object():
+    a = RankScheme(tuple((f"p{i}", free(2)) for i in range(4)))
+    b = RankScheme((("r", free(1)),))
+    e = Mat.from_rows(1, 2, [[3, 5]])
+    f = monomial_morphism(a, b, ("r",) * 4, (e, e, Mat.from_rows(1, 2, [[3, 5]]), e))
+    c = f.mo_side.comaps
+    assert c[0] is c[1] is c[3] and c[2] is not c[0] and c[2] == c[0]
+    # the law morphism reads its blocks once per left factor: |W| comaps, not |W|^2
+    law = law_weak_morphism(gl_model(3))
+    assert len(law.mo_side.comaps) == 36
+    assert len({id(h) for h in law.mo_side.comaps}) == 6
 
 
 def random_scheme(rng):
