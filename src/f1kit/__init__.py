@@ -28,7 +28,7 @@ from .errors import (
     TooManyGenerators,
     TypeNotMaximal,
     ZeroPolynomial,
-    scale_cap,
+    guard,
 )
 from .report import Report, jsonable
 from .linalg import Mat, det, feasible, kernel_basis, rank

@@ -60,10 +60,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
-        raise SelectorError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SelectorError(f"{path} is not valid JSON: {e}") from e
+    except (OSError, ValueError) as e:    # ValueError: a NUL in the path, or not UTF-8
+        raise SelectorError(f"cannot read {path!r}: {e}") from e
 
 
 def _is_str_list(value) -> bool:
@@ -127,6 +127,7 @@ class Selection:
         self.text = text
         self.params = params
         self._monoid = None
+        self._group = None
 
     def monoid(self) -> PointedMonoid:
         """The monoid presentation, built once per selection so that the
@@ -146,6 +147,13 @@ class Selection:
                             f"use monoid:FILE, torus:R or additive:N")
 
     def group(self) -> GroupModel:
+        """The group model, built once per selection so that the checks of
+        one suite share it."""
+        if self._group is None:
+            self._group = self._build_group()
+        return self._group
+
+    def _build_group(self) -> GroupModel:
         k = self.kind
         if k == "gl":
             return gl_model(self.params["n"])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import NonDivisible, NotPrime, OutOfScale, ZeroPolynomial, scale_cap
+from .errors import NonDivisible, NotPrime, ZeroPolynomial, guard
 from .linalg import Mat, det, kernel_basis
 from .monoids import GROUP_WITH_ZERO, PointedMonoid
 
@@ -235,21 +235,16 @@ def torification_poly(t) -> IntPolynomial:
     return out
 
 
+def cell_dimension_guard(dim: int) -> None:
+    """Refuse a cell of dimension dim = d + a: its count (q-1)^d q^a, its
+    points and its torus take about dim^2 coefficient steps."""
+    guard("cell dimension", f"{dim}^2 coefficient steps", dim * dim, 1_000_000)
+
+
 def _require_prime(q: int) -> None:
     if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
         raise NotPrime(f"brute counting needs a prime field size, got {q}")
-    cap = scale_cap(5)
-    if q > cap:
-        raise OutOfScale(f"brute field guard: q = {q} exceeds cap {cap} "
-                         f"(override with F1KIT_MAX_SCALE)")
-
-
-def _require_work(amount: int, what: str) -> None:
-    """Refuse an enumeration of `amount` cases, spelled out by `what`."""
-    cap = scale_cap(4_000_000)
-    if amount > cap:
-        raise OutOfScale(f"brute enumeration guard: {what} = {amount} exceeds cap {cap} "
-                         f"(override with F1KIT_MAX_SCALE)")
+    guard("brute field", "q", q, 5)
 
 
 def brute_count_subspaces(k: int, n: int, q: int) -> int:
@@ -270,7 +265,8 @@ def brute_count_subspaces(k: int, n: int, q: int) -> int:
             for j in range(pivots[i] + 1, n)
             if j not in pivots
         ]
-        _require_work(q ** len(free_positions), f"{q}^{len(free_positions)} echelon fillings")
+        guard("brute enumeration", f"{q}^{len(free_positions)} echelon fillings",
+              q ** len(free_positions), 4_000_000)
         for values in product(range(q), repeat=len(free_positions)):
             # materialize the matrix to keep the count honest
             m = [[0] * n for _ in range(k)]
@@ -285,7 +281,7 @@ def brute_count_subspaces(k: int, n: int, q: int) -> int:
 def brute_count_gl(n: int, q: int) -> int:
     """Count invertible n x n matrices over F_q by full enumeration."""
     _require_prime(q)
-    _require_work(q ** (n * n), f"{q}^{n * n} matrices")
+    guard("brute enumeration", f"{q}^{n * n} matrices", q ** (n * n), 4_000_000)
     total = 0
     for entries in product(range(q), repeat=n * n):
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]
@@ -321,7 +317,7 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     gens = m.generators
     k = len(gens)
     d = m.ambient_dim
-    _require_work(q ** k, f"{q}^{k} generator images")
+    guard("brute enumeration", f"{q}^{k} generator images", q ** k, 4_000_000)
     from .spectrum import face_ranks     # spectrum imports this module
 
     total = 0

@@ -1,4 +1,4 @@
-"""Exception hierarchy and the desk-scale guard.
+"""Exception hierarchy and the one desk-scale guard.
 
 Every failure mode that a caller can provoke with bad or oversized input
 has its own class so tests can assert on the exact condition.  All of them
@@ -6,6 +6,7 @@ derive from F1KitError.
 """
 
 import os
+from fractions import Fraction
 
 
 class F1KitError(Exception):
@@ -83,20 +84,26 @@ class SelectorError(F1KitError):
 _SCALE_ENV = "F1KIT_MAX_SCALE"
 
 
-def scale_cap(default: int) -> int:
-    """Return the desk-scale cap for an operation.
+def guard(name: str, what: str, estimate: int, cap: int, error: type = OutOfScale) -> None:
+    """Refuse work before it starts: raise error when estimate > cap x scale.
 
-    The default is the documented cap; the F1KIT_MAX_SCALE environment
-    variable, when set to a positive integer, overrides it (both ways:
-    raising it for bigger experiments, lowering it for stress tests).
+    Every scale guard in the package comes through here.  estimate counts
+    something that grows in proportion to the work, spelled out by what;
+    cap is the guard's default, its own unit of work.  F1KIT_MAX_SCALE,
+    a positive integer or fraction (2, 1/100, 0.5) read exactly, scales
+    every cap by the same factor; unset, it is 1.  Estimates are integers,
+    so comparing with the floor of cap x scale gives the same answer.
     """
     raw = os.environ.get(_SCALE_ENV)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise OutOfScale(f"{_SCALE_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise OutOfScale(f"{_SCALE_ENV} must be positive, got {value}")
-    return value
+    limit = cap
+    if raw is not None:
+        try:
+            scale = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            scale = 0
+        if scale <= 0:
+            raise OutOfScale(f"{_SCALE_ENV} must be a positive integer or fraction, got {raw!r}")
+        limit = int(cap * scale)
+    if estimate > limit:
+        raise error(f"{name} guard: {what} = {estimate} exceeds cap {limit} "
+                    f"(scale caps with {_SCALE_ENV})")

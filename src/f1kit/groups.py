@@ -26,14 +26,7 @@ morphism data only when a check asks for it.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    AxiomsFailed,
-    CocycleInvalid,
-    OutOfScale,
-    ShapeMismatch,
-    ThetaNotHomomorphism,
-    scale_cap,
-)
+from .errors import AxiomsFailed, CocycleInvalid, ShapeMismatch, ThetaNotHomomorphism, guard
 from .linalg import Mat, det
 from .monoids import FgAbelianGroup
 from .report import Report
@@ -240,9 +233,12 @@ def theta_violation(theta: ThetaRep):
     ("theta(e) = 1", (e,)), or ("homomorphism law", (g, s)) when
     theta(g) theta(s) != theta(gs).  s runs over W's generating set
     only: every h is e s1 ... sk, so theta(gh) = theta(g) theta(h)
-    follows by induction on k.  That costs |W| |S| matrix products.
+    follows by induction on k.  That costs |W| |S| matrix products, after
+    |W| determinants of r^3 steps each, which are guarded.
     """
     w, mats = theta.w, theta.matrices
+    guard("theta determinant", f"{len(mats)} x {theta.r}^3 elimination steps",
+          len(mats) * theta.r ** 3, 8_000_000)
     for g, m in enumerate(mats):
         if det(m) not in (1, -1):
             return "unimodularity", (g,)
@@ -317,11 +313,8 @@ def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
         if cocycle.value(a, e) != one:
             return "right normalization", (a,)
     gens = w.generators
-    work = n * n * len(gens)
-    cap = scale_cap(2_000_000)
-    if work > cap:
-        raise OutOfScale(f"cocycle identity guard: {n}^2 x {len(gens)} generators = {work} "
-                         f"triples exceeds cap {cap} (override with F1KIT_MAX_SCALE)")
+    guard("cocycle identity", f"{n}^2 x {len(gens)} generator triples",
+          n * n * len(gens), 2_000_000)
     for a in range(n):
         ma = theta.matrix(a)
         for s in gens:
@@ -417,10 +410,15 @@ def constant_group(table: FiniteGroupTable) -> GroupModel:
 
 
 def torus_group(r: int) -> GroupModel:
-    """The split torus of rank r as a one-component model."""
+    """The split torus of rank r as a one-component model.
+
+    The cells come first: their dimension guard refuses a huge r before
+    the r x r identity of theta is built.
+    """
+    cells = Torification((Cell(r, "e", 0),))
     w = FiniteGroupTable.trivial()
     law = ExtensionLaw(ThetaRep.trivial(w, r), Cocycle.trivial(w, r))
-    return GroupModel(law, Torification((Cell(r, "e", 0),)))
+    return GroupModel(law, cells)
 
 
 def extension_model(law: ExtensionLaw, cell_dims: dict, mo_law: str = TWISTED) -> GroupModel:
@@ -523,10 +521,7 @@ def law_weak_morphism(g: GroupModel) -> WeakMorphism:
     model's comultiplication, the scheme side adds the cocycle signs.
     """
     n = g.w.order()
-    cap = scale_cap(100_000)
-    if n * n > cap:
-        raise OutOfScale(f"law morphism guard: {n}^2 = {n * n} components exceeds cap {cap} "
-                         f"(override with F1KIT_MAX_SCALE)")
+    guard("law morphism", f"{n}^2 components", n * n, 100_000)
     w = g.w
     rk = g.rank_scheme
     targets, exps, mo_exps, signs = [], [], [], []
@@ -574,10 +569,7 @@ def z_rank_group(g: GroupModel) -> FiniteGroupTable:
     w = g.w
     n = w.order()
     order = (1 << g.r) * n
-    cap = scale_cap(4096)
-    if order > cap:
-        raise OutOfScale(f"integral points guard: 2^{g.r} x {n} components = {order} elements "
-                         f"exceeds cap {cap} (override with F1KIT_MAX_SCALE)")
+    guard("integral points", f"(2^{g.r} x {n} components)^2 table entries", order * order, 4096 ** 2)
     require_group(g)
     sign_vecs = [tuple(1 - 2 * (bits >> k & 1) for k in range(g.r))
                  for bits in range(1 << g.r)]
@@ -667,11 +659,8 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     n = w.order()
     m = len(y.components)
     js = w.generators
-    work = 2 * n * len(js) * m
-    cap = scale_cap(1_000_000)
-    if work > cap:
-        raise OutOfScale(f"action law guard: 2 x {n} x {len(js)} generators x {m} = "
-                         f"{work} instances exceeds cap {cap} (override with F1KIT_MAX_SCALE)")
+    guard("action law", f"2 x {n} x {len(js)} generators x {m} instances",
+          2 * n * len(js) * m, 1_000_000)
     expected_src = product_scheme(g.rank_scheme, y)
     if act.z_side.source != expected_src or act.z_side.target != y:
         return Report.failed(1, {"reason": "action must map G x Y to Y"})

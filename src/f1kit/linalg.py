@@ -1,10 +1,10 @@
 """Exact linear algebra on small integer matrices.
 
 Everything here is loop-based and exact: integer matrices as immutable
-row tuples, Fraction arithmetic only in `rank`, no floats ever.  The
-three nontrivial kernels are Bareiss determinants, integer kernel bases
-via unimodular column reduction, and Fourier-Motzkin feasibility for
-linear systems over the rationals, run on gcd-normalised integer rows
+row tuples, no floats ever.  The three nontrivial kernels are Bareiss
+determinants, integer kernel bases via unimodular column reduction (rank
+reads off the kernel), and Fourier-Motzkin feasibility for linear
+systems over the rationals, run on gcd-normalised integer rows
 (rational inputs are cleared of denominators once, on entry).  Sizes are
 desk scale (tens of rows, not thousands); clarity beats asymptotics
 throughout.
@@ -175,24 +175,12 @@ def det(m: Mat) -> int:
 
 
 def rank(m: Mat) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m.data]
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Rank over Q: the column count less the kernel's dimension.
+
+    >>> rank(Mat.from_rows(2, 3, [[1, 2, 3], [2, 4, 6]]))
+    1
+    """
+    return m.cols - len(kernel_basis(m))
 
 
 def kernel_basis(m: Mat) -> list[tuple[int, ...]]:

@@ -25,6 +25,7 @@ from .errors import (
     MixedTorsionSmash,
     SelectorError,
     ShapeMismatch,
+    guard,
 )
 from .linalg import Mat, feasible, kernel_basis
 from .report import Report, json_ints
@@ -48,11 +49,11 @@ class FgAbelianGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ShapeMismatch("negative rank")
+        if any(t < 2 for t in self.torsion):
+            raise ShapeMismatch("torsion orders must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ShapeMismatch(f"torsion {self.torsion} is not a divisibility chain")
-        if any(t < 2 for t in self.torsion):
-            raise ShapeMismatch("torsion orders must be >= 2")
 
     @staticmethod
     def free(r: int) -> "FgAbelianGroup":
@@ -236,6 +237,11 @@ AFFINE = "affine"
 GROUP_WITH_ZERO = "group_with_zero"
 
 
+def _lattice_guard(d: int) -> None:
+    """Refuse cone work in Z^d: its kernels carry a d x d identity block."""
+    guard("lattice", f"{d}^2 kernel entries", d * d, 1_000_000)
+
+
 @dataclass(frozen=True)
 class PointedMonoid:
     kind: str
@@ -247,6 +253,7 @@ class PointedMonoid:
         if self.ambient_dim < 0:
             raise ShapeMismatch(f"ambient_dim {self.ambient_dim} is negative")
         if self.kind == AFFINE:
+            _lattice_guard(self.ambient_dim)
             seen = set()
             for g in self.generators:
                 if len(g) != self.ambient_dim:
@@ -270,6 +277,7 @@ class PointedMonoid:
     @staticmethod
     def orthant(d: int) -> "PointedMonoid":
         """N^d with zero adjoined: the coordinate monoid of A^d."""
+        _lattice_guard(d)
         basis = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
         return PointedMonoid.affine(d, basis)
 

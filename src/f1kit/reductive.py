@@ -18,14 +18,7 @@ two checks.
 from itertools import combinations, permutations, product
 
 from .counting import IntPolynomial
-from .errors import (
-    InvalidComposition,
-    NotASubgroup,
-    OutOfScale,
-    ShapeMismatch,
-    TypeNotMaximal,
-    scale_cap,
-)
+from .errors import InvalidComposition, NotASubgroup, ShapeMismatch, TypeNotMaximal, guard
 from .linalg import Mat
 from .monoids import FgAbelianGroup
 from .report import Report
@@ -105,10 +98,6 @@ def gl_model(n: int) -> GroupModel:
     rank-n torus times the refined affine cell of the Bruhat stratum.
     It is the parabolic model of the one-block type (n).
     """
-    cap = scale_cap(6)
-    if not 1 <= n <= cap:
-        raise OutOfScale(f"gl_model guard: n = {n} is outside 1..{cap}, cap {cap} "
-                         f"(override with F1KIT_MAX_SCALE)")
     return _block_model(n, (n,))
 
 
@@ -137,16 +126,22 @@ def parabolic_model(n: int, parts) -> GroupModel:
     Bruhat dimensions, so the counting polynomial factors as
     q^dim_u * prod N_GL(k_i).
     """
-    cap = scale_cap(6)
-    if not 1 <= n <= cap:
-        raise OutOfScale(f"parabolic_model guard: n = {n} is outside 1..{cap}, cap {cap} "
-                         f"(override with F1KIT_MAX_SCALE)")
     return _block_model(n, parts)
 
 
 def _block_model(n: int, parts) -> GroupModel:
-    """The block-permutation model of type parts, n already guarded."""
+    """The block-permutation model of type parts.
+
+    Its component table has |W|^2 entries, |W| = prod k_i!; the guard
+    checks the product as it grows, so that gl:1000000000 is refused at
+    once, and says "at least" when it stops before the last factor.
+    """
     parts = _check_composition(n, parts)
+    order = 1
+    for i in (i for k in parts for i in range(2, k + 1)):
+        guard("component table", f"at least {order}^2 entries", order * order, 518_400)
+        order *= i
+    guard("component table", f"{order}^2 entries", order * order, 518_400)
     w = FiniteGroupTable.build(block_perms(n, parts), perm_compose)
     theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
@@ -165,12 +160,18 @@ def grassmannian_model(k: int, n: int) -> F1Scheme:
     """Grassmannian of k-planes: one refined affine cell per k-subset.
 
     Every cell has torus dimension 0, so all C(n, k) subsets are
-    F1-points, and the counting polynomial is the Gauss binomial.
+    F1-points, and the counting polynomial is the Gauss binomial.  The
+    guard counts C(n, k) cells of n positions each as C(n, k) = C(n, j),
+    j = min(k, n - k), is built up through C(n - j + i, i), so that a
+    huge n is refused at once ("at least" when it stops early).
     """
-    cap = scale_cap(8)
-    if not 0 <= k <= n <= cap:
-        raise OutOfScale(f"grassmannian_model guard: k = {k}, n = {n} is outside "
-                         f"0 <= k <= n <= {cap}, cap {cap} (override with F1KIT_MAX_SCALE)")
+    if not 0 <= k <= n:
+        raise ShapeMismatch(f"need 0 <= k <= n, got k = {k}, n = {n}")
+    j, cells = min(k, n - k), 1
+    for i in range(1, j + 1):
+        guard("grassmannian cells", f"at least {cells} x {n} positions", cells * n, 560)
+        cells = cells * (n - j + i) // i
+    guard("grassmannian cells", f"C({n}, {k}) x {n} positions", cells * n, 560)
     cells = tuple(
         Cell(0, subset, schubert_dim(subset))
         for subset in combinations(range(1, n + 1), k)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .errors import InfiniteHomSet, OutOfScale, ShapeMismatch, scale_cap
+from .counting import cell_dimension_guard
+from .errors import InfiniteHomSet, ShapeMismatch, guard
 from .linalg import Mat
 from .monoids import FgAbelianGroup, GroupHom, PointedMonoid, compose_hom, validate_hom
 from .report import Report
@@ -43,7 +44,11 @@ class Cell:
 
 @dataclass(frozen=True)
 class Torification:
-    """Nonempty list of cells with distinct labels."""
+    """Nonempty list of cells with distinct labels.
+
+    The largest cell dimension, dim + affine, is guarded here, before
+    any count or point set is built from the cells.
+    """
     cells: tuple[Cell, ...]
 
     def __post_init__(self):
@@ -52,6 +57,7 @@ class Torification:
         labels = [c.label for c in self.cells]
         if len(set(labels)) != len(labels):
             raise ShapeMismatch("cell labels must be distinct")
+        cell_dimension_guard(max(c.dim + c.affine for c in self.cells))
 
     def min_dim(self) -> int:
         return min(c.dim for c in self.cells)
@@ -146,11 +152,7 @@ class F1Scheme:
                 )
 
     def _materialize(self) -> None:
-        budget = scale_cap(1 << 15)
-        total = self.cells.torus_count()
-        if total > budget:
-            raise OutOfScale(f"monoid side guard: {total} torus points exceeds cap {budget} "
-                             f"(override with F1KIT_MAX_SCALE)")
+        guard("monoid side", "torus points", self.cells.torus_count(), 1 << 15)
         spaces = []
         pairs = []
         i = 0

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .counting import IntPolynomial
-from .errors import ShapeMismatch, TooManyGenerators, scale_cap
-from .linalg import Mat, feasible, kernel_basis
+from .counting import IntPolynomial, cell_dimension_guard
+from .errors import ShapeMismatch, TooManyGenerators, guard
+from .linalg import Mat, feasible, kernel_basis, rank
 from .monoids import GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
@@ -116,7 +116,7 @@ def _walk(gens, d: int) -> dict[int, int]:
     found is expanded once, which is where its rank is read.
     """
     bottom = minimal_face(gens, d)
-    cone_rank = d - len(kernel_basis(Mat.from_rows(len(gens), d, gens)))
+    cone_rank = rank(Mat.from_rows(len(gens), d, gens))
     ranks: dict[int, int] = {}
     found = {bottom}
     rejected = set()
@@ -154,24 +154,17 @@ def face_ranks(m: PointedMonoid) -> tuple[tuple[int, int], ...]:
 
     The walk runs once per instance: its result is kept on the instance,
     outside the dataclass fields, so ==, hash and repr do not see it and
-    a value-equal instance walks again.
+    a value-equal instance walks again.  Before it walks, the face guard
+    refuses a cone that may have more than 2^14 faces.
     """
     faces = m.__dict__.get("_face_ranks")
     if faces is None:
         k = len(m.generators)
+        guard("face enumeration", f"2^{k} faces", 1 << k, 1 << 14, TooManyGenerators)
         faces = tuple(sorted(_walk(m.generators, m.ambient_dim).items(),
                              key=lambda item: _subset(item[0], k)))
         object.__setattr__(m, "_face_ranks", faces)
     return faces
-
-
-def _require_generators(m: PointedMonoid) -> None:
-    k = len(m.generators)
-    cap = scale_cap(14)
-    if k > cap:
-        raise TooManyGenerators(
-            f"face enumeration guard: {k} generators (up to 2^{k} = {1 << k} faces) "
-            f"exceeds cap {cap} generators (override with F1KIT_MAX_SCALE)")
 
 
 def spec(m: PointedMonoid) -> MoSpace:
@@ -187,7 +180,6 @@ def spec(m: PointedMonoid) -> MoSpace:
         point = MoPoint(0, 0, (), m.group)
         return MoSpace((m,), (point,), ((0, 0),))
 
-    _require_generators(m)
     k = len(m.generators)
     free = [FgAbelianGroup.free(r) for r in range(m.ambient_dim + 1)]
     points = []
@@ -256,8 +248,8 @@ def point_count_poly(m: PointedMonoid) -> IntPolynomial:
     gcd factors that are not polynomial in q.
     """
     if m.kind == GROUP_WITH_ZERO:
+        cell_dimension_guard(m.group.rank)
         return IntPolynomial.qminus1_power(m.group.rank)
-    _require_generators(m)
     per_rank = [0] * (m.ambient_dim + 1)
     for _, r in face_ranks(m):
         per_rank[r] += 1

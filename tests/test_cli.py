@@ -1,11 +1,16 @@
 """Command line behavior: output shape, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import f1kit.reductive
 from f1kit.cli import main, parse_selector
 from f1kit.errors import SelectorError
 from f1kit.spectrum import face_masks
@@ -152,11 +157,66 @@ def test_const_group_file(tmp_path):
     assert r.returncode == 2
 
 
-def test_bad_usage_exits_2():
+def test_bad_usage_exits_2(tmp_path, capsys):
     assert run_cli("count", "gl:nope").returncode == 2
     assert run_cli("spec", "gl:2").returncode == 2
     assert run_cli("points", "torus:1", "--over", "bad").returncode == 2
     assert run_cli("nosuchcommand").returncode == 2
+    # out-of-scale requests: a guard refuses each at once, before the big object exists
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"kind": "affine", "ambient_dim": 10**9, "generators": []}))
+    gwz = tmp_path / "gwz.json"
+    gwz.write_text(json.dumps({"kind": "group_with_zero", "rank": 10**9}))
+    for argv, refusal in [
+        (["spec", f"monoid:{huge}"], "lattice guard"),
+        (["points", f"monoid:{huge}"], "lattice guard"),
+        (["count", f"monoid:{huge}"], "lattice guard"),
+        (["spec", "additive:1000000000"], "lattice guard"),
+        (["count", "torus:1000000000"], "cell dimension guard"),
+        (["points", "torus:1000000000"], "cell dimension guard"),
+        (["check", "torus:100000", "--suite", "group"], "cell dimension guard"),
+        (["check", "torus:400", "--suite", "group,sigma,action,strongweak"],
+         "theta determinant guard: 1 x 400^3 elimination steps = 64000000 exceeds cap 8000000"),
+        (["count", "additive:1000000000"], "cell dimension guard"),
+        (["points", "additive:1000000000", "--over", "h:3"], "cell dimension guard"),
+        (["count", f"monoid:{gwz}"], "cell dimension guard"),
+        (["oracle", f"monoid:{gwz}", "--q", "2"], "cell dimension guard"),
+        (["count", "gl:1000000000"],
+         "component table guard: at least 5040^2 entries = 25401600 exceeds cap 518400"),
+        (["count", "gr:3,1000000000"], "grassmannian cells guard: at least "),
+        (["count", "gr:1000000000,1000000000"], "grassmannian cells guard"),
+        (["points", "gr:0,1000000000"], "grassmannian cells guard"),
+    ]:
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        assert refusal in capsys.readouterr().err, argv
+
+
+def test_scale_factor_multiplies_every_cap(monkeypatch, capsys):
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "2")     # 2^4 matrices, far below every cap
+    assert main(["oracle", "gl:2", "--q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    for half in ("1/2", "0.5"):
+        monkeypatch.setenv("F1KIT_MAX_SCALE", half)
+        assert main(["count", "gl:6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: component table guard: 720^2 entries = 518400 exceeds cap 259200 "
+            "(scale caps with F1KIT_MAX_SCALE)\n")
+    for bad in ("0", "-1", "x", "1/0", "nan"):
+        monkeypatch.setenv("F1KIT_MAX_SCALE", bad)
+        assert main(["count", "gl:2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: F1KIT_MAX_SCALE must be a positive integer or fraction, got {bad!r}\n")
+
+
+def test_selection_builds_its_group_model_once(monkeypatch, capsys):
+    calls = []
+    build = f1kit.reductive._block_model
+    monkeypatch.setattr(f1kit.reductive, "_block_model",
+                        lambda *args: calls.append(args) or build(*args))
+    assert main(["check", "gl:4", "--suite", "group,sigma,action"]) == 0
+    assert calls == [(4, (4,))]
 
 
 @pytest.mark.parametrize("data", [
@@ -168,9 +228,10 @@ def test_bad_usage_exits_2():
     {"kind": "affine", "ambient_dim": 1, "generators": "12"},
     {"kind": "affine", "ambient_dim": 2, "generators": [[True, 0]]},
     {"kind": "affine", "ambient_dim": -1, "generators": []},
+    {"kind": "group_with_zero", "rank": 1, "torsion": [0, 3]},
 ], ids=["generators-string", "ambient-dim-string", "top-level-list",
         "ambient-dim-float", "generator-float", "generators-digits", "generator-bool",
-        "ambient-dim-negative"])
+        "ambient-dim-negative", "torsion-zero"])
 def test_malformed_monoid_file_exits_2(tmp_path, data):
     mfile = tmp_path / "m.json"
     mfile.write_text(json.dumps(data))
@@ -229,3 +290,104 @@ def test_pretty_flag_changes_formatting_only():
     assert flat.stdout != pretty.stdout
     assert json.loads(flat.stdout) == json.loads(pretty.stdout)
     assert flat.stdout.endswith(b"\n")
+
+
+# -- exit-code contract, fuzzed ------------------------------------------------
+
+_SIZES = st.sampled_from([-1, 0, 1, 2, 3, 10**9])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _SIZES | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _monoid_json(draw):
+    d = draw(st.integers(0, 3) | _SIZES)
+    vector = st.lists(st.integers(-2, 2), min_size=d, max_size=d) if 0 <= d <= 3 else _JSON
+    return {"kind": draw(st.sampled_from(["affine", "group_with_zero", "torus"])),
+            "ambient_dim": d, "generators": draw(st.lists(vector, max_size=4)),
+            "rank": draw(_SIZES), "torsion": draw(st.lists(_SIZES, max_size=2))}
+
+
+@st.composite
+def _group_json(draw):
+    labels = draw(st.sampled_from([["e"], ["e", "s"], ["0", "1", "2"]]))
+    n = len(labels)
+    cyclic = [[labels[(i + j) % n] for j in range(n)] for i in range(n)]
+    table = draw(st.just(cyclic) | st.lists(st.lists(st.sampled_from(labels), min_size=n,
+                                                     max_size=n), min_size=n, max_size=n))
+    r = draw(st.integers(0, 2) | _SIZES)
+    one = [[int(i == j) for j in range(r)] for i in range(r)] if 0 <= r <= 2 else r
+    return {"labels": labels, "table": table, "r": r,
+            "theta": draw(st.just([one] * n) | _JSON),
+            "cells": draw(st.just({lab: 2 for lab in labels})
+                          | st.dictionaries(st.sampled_from(labels), _SIZES | _JSON)),
+            **draw(st.fixed_dictionaries({}, optional={"cocycle": _JSON, "mo_law": _JSON}))}
+
+
+_SIZE = _SIZES.map(str)
+_VALUES = st.lists(_SIZES | st.sampled_from([2, 3]), min_size=1, max_size=2).map(
+    lambda values: ",".join(map(str, values)))
+
+
+@st.composite
+def _selectors(draw, tmp_path):
+    kind = draw(st.sampled_from(["gl", "parabolic", "gr", "torus", "additive",
+                                 "monoid", "const", "ext", "junk"]))
+    if kind in ("gl", "torus", "additive"):
+        return f"{kind}:{draw(_SIZE)}"
+    if kind == "parabolic":
+        return f"parabolic:{draw(_SIZE)}:" + "+".join(draw(st.lists(_SIZE, min_size=1, max_size=3)))
+    if kind == "gr":
+        return f"gr:{draw(_SIZE)},{draw(_SIZE)}"
+    if kind == "junk":
+        return draw(st.text(max_size=10).filter(lambda t: not t.startswith("-")))
+    path = tmp_path / f"{kind}.json"
+    files = {"monoid": _monoid_json(), "const": _group_json(), "ext": _group_json() | st.just(_SL2)}
+    path.write_text(json.dumps(draw(files[kind] | _JSON)))
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    odd = [str(tmp_path), "no/such.json", "nul\0.json", str(tmp_path / "latin1.json")]
+    return f"{kind}:" + draw(st.sampled_from([str(path)] * 4 + odd))
+
+
+@st.composite
+def _cli_calls(draw, tmp_path):
+    command = draw(st.sampled_from(["spec", "points", "count", "check", "oracle"]))
+    argv = [command, draw(_selectors(tmp_path))]
+    if command == "points" and draw(st.booleans()):
+        argv.append("--over=" + draw(st.sampled_from(["f1", "bad"]) | _VALUES.map("h:".__add__)))
+    if command == "count":
+        argv += ["--limit"] if draw(st.booleans()) else []
+        argv += ["--eval=" + draw(_VALUES)] if draw(st.booleans()) else []
+    if command == "check":
+        names = st.sampled_from(["group", "sigma", "action", "strongweak", "nosuch"])
+        suite = draw(st.lists(names | _SIZE.map("quotient:".__add__), min_size=1, max_size=3)
+                     | st.just([]))
+        argv.append("--suite=" + ",".join(suite))
+    if command == "oracle":
+        argv.append("--q=" + draw(_VALUES))
+    return argv
+
+
+def _run_in_process(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzz_exit_code_contract(tmp_path, data):
+    """Any selector, size, flag and file: exit 0, 1 or 2, never an exception
+    out of main, and a successful call prints the same bytes twice.  The
+    sizes include 0, -1 and 10^9, which a guard must refuse at once."""
+    argv = data.draw(_cli_calls(tmp_path), label="argv")
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error: ")
+    if code == 0:
+        assert _run_in_process(argv)[1] == out

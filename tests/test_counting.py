@@ -154,13 +154,13 @@ def test_oracle_scale_guards():
 
 def test_guard_messages_name_estimate_cap_and_override():
     with pytest.raises(OutOfScale, match=r"^brute field guard: q = 7 exceeds cap 5 "
-                       r"\(override with F1KIT_MAX_SCALE\)$"):
+                       r"\(scale caps with F1KIT_MAX_SCALE\)$"):
         brute_count_gl(1, 7)
     with pytest.raises(OutOfScale, match=r"^brute enumeration guard: 5\^16 matrices = "
-                       r"152587890625 exceeds cap 4000000 \(override with F1KIT_MAX_SCALE\)$"):
+                       r"152587890625 exceeds cap 4000000 \(scale caps with F1KIT_MAX_SCALE\)$"):
         brute_count_gl(4, 5)
     with pytest.raises(OutOfScale, match=r"^brute enumeration guard: 5\^10 generator images = "
-                       r"9765625 exceeds cap 4000000 \(override with F1KIT_MAX_SCALE\)$"):
+                       r"9765625 exceeds cap 4000000 \(scale caps with F1KIT_MAX_SCALE\)$"):
         brute_count_monoid_homs(PointedMonoid.orthant(10), 5)
 
 

@@ -231,13 +231,15 @@ def test_z_rank_scale_guard():
 
 
 def test_z_rank_guard_names_guard_estimate_cap_and_override(monkeypatch):
-    with pytest.raises(OutOfScale, match=r"^integral points guard: 2\^13 x 1 components = 8192 "
-                                         r"elements exceeds cap 4096 \(override with F1KIT_MAX_SCALE\)$"):
+    with pytest.raises(OutOfScale, match=r"^integral points guard: \(2\^13 x 1 components\)\^2 "
+                                         r"table entries = 67108864 exceeds cap 16777216 "
+                                         r"\(scale caps with F1KIT_MAX_SCALE\)$"):
         z_rank_group(torus_group(13))
     g = sl2_model()
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
-    with pytest.raises(OutOfScale, match=r"^integral points guard: 2\^1 x 2 components = 4 "
-                                         r"elements exceeds cap 3 "):
+    # 4096^2 x 9/4096^2 = 9 entries
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "9/16777216")
+    with pytest.raises(OutOfScale, match=r"^integral points guard: \(2\^1 x 2 components\)\^2 "
+                                         r"table entries = 16 exceeds cap 9 "):
         z_rank_group(g)
 
 
@@ -293,9 +295,9 @@ def test_theta_validate_rejects_bad_theta_on_151_elements():
 
 def test_cocycle_guard_names_guard_estimate_cap_and_override(monkeypatch):
     law = sl2_model().law
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
-    with pytest.raises(OutOfScale, match=r"cocycle identity guard: 2\^2 x 1 generators = 4 "
-                                         r"triples exceeds cap 3 .*F1KIT_MAX_SCALE"):
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "3/2000000")
+    with pytest.raises(OutOfScale, match=r"^cocycle identity guard: 2\^2 x 1 generator triples = 4 "
+                                         r"exceeds cap 3 \(scale caps with F1KIT_MAX_SCALE\)$"):
         law.cocycle.validate(law.theta)
 
 
@@ -653,15 +655,17 @@ def test_action_and_law_morphism_guards_refuse_before_work(monkeypatch, capsys):
     import f1kit.groups as groups
     lookups = []
     monkeypatch.setattr(groups, "split_action_blocks", lambda *a: lookups.append(a))
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "100")
-    # 2 x 6 x 2 generators x 6 = 144 instances
-    assert main(["check", "gl:3", "--suite", "action"]) == 2
-    err = capsys.readouterr().err
-    assert "action law guard: 2 x 6 x 2 generators x 6 = 144 instances" in err
-    assert "exceeds cap 100" in err and "F1KIT_MAX_SCALE" in err
+    # caps 1,000,000 x 1/10000 = 100 and 100,000 x 3/10000 = 30; at 1/10000 the
+    # law morphism (36 components, cap 10) would refuse first, so it is built before
+    g = gl_model(3)
+    act = self_action(g)
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/10000")
+    with pytest.raises(OutOfScale, match=r"^action law guard: 2 x 6 x 2 generators x 6 instances "
+                       r"= 144 exceeds cap 100 \(scale caps with F1KIT_MAX_SCALE\)$"):
+        check_action(g, g.rank_scheme, act)
     assert lookups == []
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "30")
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "3/10000")
     assert main(["check", "gl:3", "--suite", "strongweak"]) == 2
     err = capsys.readouterr().err
-    assert "law morphism guard: 6^2 = 36 components exceeds cap 30" in err
-    assert "F1KIT_MAX_SCALE" in err
+    assert err == ("error: law morphism guard: 6^2 components = 36 exceeds cap 30 "
+                   "(scale caps with F1KIT_MAX_SCALE)\n")

@@ -1,5 +1,7 @@
 """Exact matrix kernels: determinant, rank, integer kernel, feasibility."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -249,6 +251,28 @@ def _sparse_mats(draw, rows, cols):
     """Integers with many zeros: half the entries are 0, the rest small."""
     entry = st.one_of(st.just(0), st.integers(-4, 4))
     return Mat.from_rows(rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+def _minor_rank(m: Mat) -> int:
+    """The largest r with a nonzero r x r minor, each minor expanded by
+    Leibniz's formula over all permutations: no elimination at all."""
+    def leibniz(rows, cols):
+        total = 0
+        for perm in itertools.permutations(range(len(cols))):
+            sign = (-1) ** sum(1 for i in range(len(perm)) for j in range(i) if perm[j] > perm[i])
+            total += sign * math.prod(m.data[r][cols[p]] for r, p in zip(rows, perm))
+        return total
+
+    return max(r for r in range(min(m.rows, m.cols) + 1)
+               if any(leibniz(rows, cols)
+                      for rows in itertools.combinations(range(m.rows), r)
+                      for cols in itertools.combinations(range(m.cols), r)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(lambda rc: _sparse_mats(*rc)))
+def test_rank_matches_minor_rank_property(m):
+    assert rank(m) == _minor_rank(m)
 
 
 @st.composite

@@ -124,16 +124,19 @@ def test_gl_scale_guard():
         gl_model(7)
 
 
-def test_catalog_guard_messages_name_request_cap_and_override():
-    with pytest.raises(OutOfScale, match=r"^gl_model guard: n = 7 is outside 1\.\.6, cap 6 "
-                       r"\(override with F1KIT_MAX_SCALE\)$"):
+def test_catalog_guard_messages_name_request_cap_and_override(monkeypatch):
+    with pytest.raises(OutOfScale, match=r"^component table guard: 5040\^2 entries = 25401600 "
+                       r"exceeds cap 518400 \(scale caps with F1KIT_MAX_SCALE\)$"):
         gl_model(7)
-    with pytest.raises(OutOfScale, match=r"^parabolic_model guard: n = 7 is outside 1\.\.6, "
-                       r"cap 6 \(override with F1KIT_MAX_SCALE\)$"):
+    with pytest.raises(OutOfScale, match=r"^grassmannian cells guard: C\(9, 4\) x 9 positions "
+                       r"= 1134 exceeds cap 560 \(scale caps with F1KIT_MAX_SCALE\)$"):
+        grassmannian_model(4, 9)
+    # the guards count work, not n: S_3 x S_4 has 144 elements, well within the cap
+    assert parabolic_model(7, (3, 4)).w.order() == 144
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/100")
+    with pytest.raises(OutOfScale, match=r"^component table guard: 144\^2 entries = 20736 "
+                       r"exceeds cap 5184 \(scale caps with F1KIT_MAX_SCALE\)$"):
         parabolic_model(7, (3, 4))
-    with pytest.raises(OutOfScale, match=r"^grassmannian_model guard: k = 2, n = 9 is outside "
-                       r"0 <= k <= n <= 8, cap 8 \(override with F1KIT_MAX_SCALE\)$"):
-        grassmannian_model(2, 9)
 
 
 def test_block_perms_and_composition_guard():
@@ -193,7 +196,7 @@ def test_grassmannian_cells_and_polynomial():
     assert schubert_dim((1, 2)) == 0
     assert schubert_dim((3, 4)) == 4
     with pytest.raises(OutOfScale):
-        grassmannian_model(2, 9)
+        grassmannian_model(4, 9)
 
 
 def test_coset_subset_bijection_examples():

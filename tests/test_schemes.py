@@ -96,11 +96,11 @@ def test_lazy_monoid_side_budget():
 
 
 def test_monoid_side_guard_names_guard_estimate_cap_and_override(monkeypatch):
-    with pytest.raises(OutOfScale, match=r"^monoid side guard: 65536 torus points exceeds cap 32768 "
-                                         r"\(override with F1KIT_MAX_SCALE\)$"):
+    with pytest.raises(OutOfScale, match=r"^monoid side guard: torus points = 65536 exceeds cap 32768 "
+                                         r"\(scale caps with F1KIT_MAX_SCALE\)$"):
         additive_chain(16).mo
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "7")
-    with pytest.raises(OutOfScale, match=r"^monoid side guard: 8 torus points exceeds cap 7 "):
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "7/32768")
+    with pytest.raises(OutOfScale, match=r"^monoid side guard: torus points = 8 exceeds cap 7 "):
         additive_chain(3).eval_pairs
 
 

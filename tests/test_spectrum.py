@@ -278,10 +278,10 @@ def test_one_walk_per_instance(monkeypatch):
 
 
 def test_generator_guard_names_estimate_cap_and_override(monkeypatch):
-    with pytest.raises(TooManyGenerators, match=r"^face enumeration guard: 15 generators "
-                       r"\(up to 2\^15 = 32768 faces\) exceeds cap 14 generators "
-                       r"\(override with F1KIT_MAX_SCALE\)$"):
+    with pytest.raises(TooManyGenerators, match=r"^face enumeration guard: 2\^15 faces = 32768 "
+                       r"exceeds cap 16384 \(scale caps with F1KIT_MAX_SCALE\)$"):
         spec(PointedMonoid.orthant(15))
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "3")
-    with pytest.raises(TooManyGenerators, match="exceeds cap 3 generators"):
+    # 2^14 x 1/2048 = 2^3 faces
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/2048")
+    with pytest.raises(TooManyGenerators, match=r"^face enumeration guard: 2\^4 faces = 16 exceeds cap 8 "):
         point_count_poly(PointedMonoid.orthant(4))
