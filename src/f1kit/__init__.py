@@ -17,7 +17,6 @@ from .errors import (
     InfiniteHomSet,
     InvalidComposition,
     MembershipUndecidedWithinBound,
-    MixedTorsionSmash,
     NonDivisible,
     NotASubgroup,
     NotPrime,
@@ -42,8 +41,6 @@ from .monoids import (
     hom_count,
     member,
     monoid_from_json,
-    monoid_to_json,
-    smash_product,
     units_of,
     validate_hom,
 )
@@ -52,8 +49,6 @@ from .spectrum import (
     MoSpace,
     disjoint_union,
     point_count_poly,
-    rank_of_point,
-    rank_subspace,
     space_report,
     spec,
 )
@@ -86,14 +81,12 @@ from .schemes import (
     f1_points,
     from_torification,
     h_points_count,
-    identity_map,
     induced_monomial,
     match_components,
     monomial_morphism,
     point_scheme,
     product_scheme,
     rank_part,
-    strong_identity,
     strong_to_weak,
 )
 from .groups import (
@@ -127,7 +120,6 @@ from .reductive import (
     one_line_perms,
     parabolic_model,
     perm_compose,
-    perm_inverse,
     perm_length,
     perm_matrix,
     quotient_model,

@@ -359,10 +359,11 @@ def compare_counts(poly: IntPolynomial, kind: str, params: dict, qs) -> dict:
 
     Returns a JSON-able report: per q the polynomial value, the brute
     value, and whether they agree exactly; overall equality under "equal".
+    A q listed twice is counted once.
     """
     per_q = {}
     all_equal = True
-    for q in qs:
+    for q in dict.fromkeys(qs):
         pv = poly(q)
         bv = brute_count(kind, params, q)
         per_q[str(q)] = {"poly": pv, "brute": bv, "equal": pv == bv}

@@ -25,10 +25,6 @@ class MembershipUndecidedWithinBound(F1KitError):
     """
 
 
-class MixedTorsionSmash(F1KitError):
-    """Smash of an affine monoid with a group that has torsion units."""
-
-
 class InfiniteHomSet(F1KitError):
     """Requested an exact count of a hom set that is not finite."""
 

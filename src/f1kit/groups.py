@@ -13,11 +13,16 @@ The five group diagrams (associativity, both unit laws, both inverse
 laws) on both sides hold exactly when three law facts hold: W's table
 is a group, theta is a homomorphism, and the cochain is a normalized
 2-cocycle.  Each fact has one verification kernel, run over the table's
-generating set, that returns its first violation or None; the raising
-validators and check_group_axioms all call these kernels.  The action
-law rests on the same argument: once the group law is verified,
-check_action needs act(x x', y) = act(x, act(x', y)) only for x' in the
-components of the generators (see its docstring).
+generating set, that returns its first violation or None.  Each verdict
+is kept on the object that owns the fact and computed at most once per
+object: FiniteGroupTable.violation holds the table's, and
+ExtensionLaw.violation the theta-then-cocycle verdict, since the
+cocycle identity rests on theta.  FiniteGroupTable.build,
+extension_model and check_group_axioms read these verdicts, and so does
+require_group through check_group_axioms.  The action law rests on the
+same argument: once the group law is verified, check_action needs
+act(x x', y) = act(x, act(x', y)) only for x' in the components of the
+generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
 morphism data only when a check asks for it.
@@ -95,13 +100,18 @@ class FiniteGroupTable:
                     stack.extend(new)
         return tuple(picks)
 
+    @cached_property
+    def violation(self):
+        """table_violation of this table, computed once per table."""
+        return table_violation(self)
+
     @staticmethod
     def build(elements, mul) -> "FiniteGroupTable":
         """Assemble a table from labels and a label-level product.
 
-        Locates the identity and inverses, then verifies the group laws
-        with table_violation: O(n^2) for units and inverses, Light's test
-        over the generating set for associativity.
+        Locates the identity and inverses, then raises on the table's
+        violation: O(n^2) for units and inverses, Light's test over the
+        generating set for associativity.
         """
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
@@ -121,7 +131,7 @@ class FiniteGroupTable:
         # right inverses; a row without the identity keeps e, which the kernel rejects
         inverses = tuple(row.index(identity) if identity in row else identity for row in table)
         t = FiniteGroupTable(elements, table, identity, inverses)
-        _raise_on(table_violation(t), t, AxiomsFailed)
+        _raise_on(t.violation, t, AxiomsFailed)
         return t
 
     @staticmethod
@@ -217,10 +227,6 @@ class ThetaRep:
     def matrix(self, i: int) -> Mat:
         return self.matrices[i]
 
-    def validate(self) -> None:
-        """Raise ThetaNotHomomorphism at the first theta_violation."""
-        _raise_on(theta_violation(self), self.w, ThetaNotHomomorphism)
-
     @staticmethod
     def trivial(w: FiniteGroupTable, r: int) -> "ThetaRep":
         return ThetaRep(w, r, tuple(Mat.identity(r) for _ in range(w.order())))
@@ -280,11 +286,6 @@ class Cocycle:
         row = ((1,) * r,) * w.order()
         return Cocycle(w, r, (row,) * w.order())
 
-    def validate(self, theta: ThetaRep) -> None:
-        """Raise CocycleInvalid at the first cocycle_violation; theta must
-        already pass ThetaRep.validate."""
-        _raise_on(cocycle_violation(self, theta), self.w, CocycleInvalid)
-
 
 def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
     """First failure of normalization or the 2-cocycle identity, or None.
@@ -340,6 +341,12 @@ class ExtensionLaw:
             raise ShapeMismatch("theta and cocycle must share the component group")
         if self.cocycle.r != self.theta.r:
             raise ShapeMismatch("theta and cocycle must share the rank")
+
+    @cached_property
+    def violation(self):
+        """theta_violation, else cocycle_violation, whose proof needs theta
+        to be a homomorphism; computed once per law."""
+        return theta_violation(self.theta) or cocycle_violation(self.cocycle, self.theta)
 
 
 TWISTED = "twisted"
@@ -426,13 +433,14 @@ def extension_model(law: ExtensionLaw, cell_dims: dict, mo_law: str = TWISTED) -
 
     cell_dims maps each element label of W to the total dimension of its
     cell; the cell is the refined torification of G_m^r x A^(d - r), so
-    every dimension must be at least r.  theta and the cocycle are
-    validated here, over W's generating set and at every size; a broken
-    theta surfaces as ThetaNotHomomorphism, a broken cochain as
-    CocycleInvalid.
+    every dimension must be at least r.  The law's verdict is read here,
+    over W's generating set and at every size; a broken theta surfaces as
+    ThetaNotHomomorphism, a broken cochain as CocycleInvalid.
     """
-    law.theta.validate()
-    law.cocycle.validate(law.theta)
+    bad = law.violation
+    if bad is not None:
+        fact = _FAILING_DIAGRAM[bad[0]][1]
+        _raise_on(bad, law.theta.w, ThetaNotHomomorphism if fact == "exponent" else CocycleInvalid)
     r = law.theta.r
     cells = []
     for label in law.theta.w.elements:
@@ -462,7 +470,9 @@ def _diagram_witness(side, name, labels, part):
     return {"side": side, "diagram": name, "at": list(labels), "part": part}
 
 
-# the diagram instance, and the part of it, that each kernel violation fails
+# the diagram instance, and the part of it, that each kernel violation fails;
+# the part names the fact: component for W's table, exponent for theta,
+# signs for the cocycle
 _FAILING_DIAGRAM = {
     "two-sided identity": ("unit", "component"),
     "two-sided inverse": ("inverse", "component"),
@@ -479,24 +489,21 @@ _FAILING_DIAGRAM = {
 def check_group_axioms(g: GroupModel) -> Report:
     """All five group diagrams, on both sides, through the three law facts.
 
-    The diagrams hold exactly when table_violation, theta_violation (on
-    the monoid side only under the twisted law) and cocycle_violation
-    find nothing; a violation names a failing diagram instance.  Each
-    side has 2|W| unit, 2|W| inverse and |W|^3 associativity instances,
+    The diagrams hold exactly when the table's and the law's stored
+    verdicts find nothing; a violation names a failing diagram instance,
+    and one of theta fails the monoid side only under the twisted law.
+    Each side has 2|W| unit, 2|W| inverse and |W|^3 associativity instances,
     enumerated side (mo, z) > diagram > components; checks counts them
     all on a pass, and is the witness's position among them on a failure.
     """
     w = g.w
     n = w.order()
-    side, bad = "mo", table_violation(w)
-    if bad is None:
-        side, bad = ("mo" if g.mo_law == TWISTED else "z"), theta_violation(g.law.theta)
-    if bad is None:
-        side, bad = "z", cocycle_violation(g.law.cocycle, g.law.theta)
+    bad = w.violation or g.law.violation
     if bad is None:
         return Report.passed(2 * (4 * n + n ** 3))
     kind, at = bad
     diagram, part = _FAILING_DIAGRAM[kind]
+    side = "mo" if part == "component" or (part == "exponent" and g.mo_law == TWISTED) else "z"
     if kind == "homomorphism law":
         at += (w.identity,)
     pos = 0 if side == "mo" else 4 * n + n ** 3
@@ -563,8 +570,8 @@ def z_rank_group(g: GroupModel) -> FiniteGroupTable:
     multiplication follows the extension law
     (s, a) (t, b) = (s theta_a(t) c(a, b), ab), with unit (+1, e).  The
     order is 2^r |W|; a full table is materialized, so the size is
-    guarded.  require_group verifies the law once; the table is then
-    filled from it by index arithmetic, and not verified again.
+    guarded.  require_group reads the law's stored verdicts; the table is
+    then filled from the law by index arithmetic, and not verified again.
     """
     w = g.w
     n = w.order()

@@ -22,7 +22,6 @@ from math import gcd
 
 from .errors import (
     InfiniteHomSet,
-    MixedTorsionSmash,
     SelectorError,
     ShapeMismatch,
     guard,
@@ -290,54 +289,10 @@ class PointedMonoid:
     def group_with_zero(group: FgAbelianGroup) -> "PointedMonoid":
         return PointedMonoid(GROUP_WITH_ZERO, 0, (), group)
 
-    def is_trivial(self) -> bool:
-        """True for {0, 1} in either representation."""
-        if self.kind == AFFINE:
-            return not self.generators
-        return self.group.is_trivial()
-
     def generator_count(self) -> int:
         if self.kind == AFFINE:
             return len(self.generators)
         return self.group.generator_count()
-
-
-def group_as_affine(g: FgAbelianGroup) -> PointedMonoid:
-    """Embed a free group as the lattice monoid on +- basis vectors."""
-    if g.torsion:
-        raise MixedTorsionSmash(
-            f"torsion {g.torsion} cannot embed in a lattice monoid"
-        )
-    gens = []
-    for i in range(g.rank):
-        e = tuple(1 if j == i else 0 for j in range(g.rank))
-        gens.append(e)
-        gens.append(tuple(-x for x in e))
-    return PointedMonoid.affine(g.rank, gens)
-
-
-def smash_product(a: PointedMonoid, b: PointedMonoid) -> PointedMonoid:
-    """Smash product: base points identified, everything else pairs off.
-
-    For affine operands this is the block concatenation of generators in
-    Z^(da+db); for two groups with zero it is {0} u (H + H'); a mixed pair
-    first embeds the (necessarily free) group as a +-basis lattice monoid.
-    Smashing with {0, 1} returns the other operand unchanged.
-    """
-    if a.is_trivial():
-        return b
-    if b.is_trivial():
-        return a
-    if a.kind == GROUP_WITH_ZERO and b.kind == GROUP_WITH_ZERO:
-        return PointedMonoid.group_with_zero(a.group.direct_sum(b.group))
-    if a.kind == GROUP_WITH_ZERO:
-        a = group_as_affine(a.group)
-    if b.kind == GROUP_WITH_ZERO:
-        b = group_as_affine(b.group)
-    da, db = a.ambient_dim, b.ambient_dim
-    gens = [g + (0,) * db for g in a.generators]
-    gens += [(0,) * da + h for h in b.generators]
-    return PointedMonoid.affine(da + db, gens)
 
 
 def _unit_split(m: PointedMonoid):
@@ -447,20 +402,6 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     if m.kind == GROUP_WITH_ZERO:
         return m.group
     return FgAbelianGroup.free(m.ambient_dim - len(_unit_split(m)[2]))
-
-
-def monoid_to_json(m: PointedMonoid) -> dict:
-    if m.kind == AFFINE:
-        return {
-            "kind": AFFINE,
-            "ambient_dim": m.ambient_dim,
-            "generators": [list(g) for g in m.generators],
-        }
-    return {
-        "kind": GROUP_WITH_ZERO,
-        "rank": m.group.rank,
-        "torsion": list(m.group.torsion),
-    }
 
 
 def monoid_from_json(data: dict) -> PointedMonoid:

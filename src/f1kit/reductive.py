@@ -57,13 +57,6 @@ def perm_compose(v: Perm, w: Perm) -> Perm:
     return tuple(v[w[i] - 1] for i in range(len(w)))
 
 
-def perm_inverse(w: Perm) -> Perm:
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        out[x - 1] = i + 1
-    return tuple(out)
-
-
 def perm_length(w: Perm) -> int:
     """Inversion count l(w).
 

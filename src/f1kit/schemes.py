@@ -300,15 +300,6 @@ class MonomialMap:
                 raise ShapeMismatch(f"component {i}: signs must be +-1 of length {tgt_rank}")
 
 
-def identity_map(x: RankScheme) -> MonomialMap:
-    return MonomialMap(
-        x, x,
-        tuple(l for l, _ in x.components),
-        tuple(Mat.identity(g.rank) for _, g in x.components),
-        tuple((1,) * g.rank for _, g in x.components),
-    )
-
-
 def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
     """g after f; target components, exponents and signs all compose."""
     if f.target != g.source:
@@ -348,22 +339,21 @@ class StrongMorphismRk:
 
 
 def check_strong(f: StrongMorphismRk) -> Report:
-    """Validate each stalk comap; shapes were enforced at construction."""
+    """Validate each stalk comap; shapes were enforced at construction.
+
+    Components that share one comap object share its report, so each
+    distinct comap is validated once; checks still counts every component.
+    """
+    reports = {}
     parts = []
     for i, h in enumerate(f.comaps):
-        r = validate_hom(h)
+        r = reports.get(id(h))
+        if r is None:
+            r = reports[id(h)] = validate_hom(h)
         if not r.ok:
             return Report.failed(i + 1, {"component": i, "hom": r.witness})
         parts.append(r)
     return Report.merge(parts)
-
-
-def strong_identity(x: RankScheme) -> StrongMorphismRk:
-    return StrongMorphismRk(
-        x, x,
-        tuple(l for l, _ in x.components),
-        tuple(GroupHom.identity(g) for _, g in x.components),
-    )
 
 
 def compose_strong(g: StrongMorphismRk, f: StrongMorphismRk) -> StrongMorphismRk:
@@ -433,7 +423,8 @@ def check_weak(w: WeakMorphism) -> Report:
 
     ok means the pair is a valid weak morphism; the notes record
     "strong" or "not-strong" according to whether the scheme side is the
-    transposed comap with trivial signs.
+    transposed comap with trivial signs, compared once per distinct
+    (exponent, comap, signs) triple of objects.
     """
     f, z = w.mo_side, w.z_side
     checks = 0
@@ -449,11 +440,10 @@ def check_weak(w: WeakMorphism) -> Report:
     hom_ok = check_strong(f)
     if not hom_ok.ok:
         return Report.failed(checks + hom_ok.checks, hom_ok.witness)
-    is_strong = all(
-        z.exponents[i] == f.comaps[i].free_matrix.transpose()
-        and all(s == 1 for s in z.signs[i])
-        for i in range(len(f.source.components))
-    )
+    triples = {(id(e), id(h), id(s)): (e, h, s)
+               for e, h, s in zip(z.exponents, f.comaps, z.signs)}
+    is_strong = all(e == h.free_matrix.transpose() and all(x == 1 for x in s)
+                    for e, h, s in triples.values())
     note = "strong" if is_strong else "not-strong"
     return Report(True, checks + hom_ok.checks, None, (note,))
 

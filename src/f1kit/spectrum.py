@@ -25,7 +25,7 @@ from math import gcd
 from operator import mul
 
 from .counting import IntPolynomial, cell_dimension_guard
-from .errors import ShapeMismatch, TooManyGenerators, guard
+from .errors import TooManyGenerators, guard
 from .linalg import Mat, feasible, kernel_basis, rank
 from .monoids import GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
@@ -215,27 +215,6 @@ def disjoint_union(spaces) -> MoSpace:
         for i, j in s.specialization:
             pairs.append((i + point_off, j + point_off))
     return MoSpace(tuple(patches), tuple(points), tuple(pairs))
-
-
-def rank_of_point(s: MoSpace, point_id: int) -> int:
-    """Rank of the unit group of the stalk at the given point."""
-    if not 0 <= point_id < len(s.points):
-        raise ShapeMismatch(f"no point {point_id} in a space of {len(s.points)} points")
-    return s.points[point_id].unit_group.rank
-
-
-def rank_subspace(s: MoSpace) -> MoSpace:
-    """Discrete subspace of minimal-rank points, stalks kept.
-
-    Each minimal point becomes its own group-with-zero patch, so applying
-    the operation twice is the identity on the result.
-    """
-    rho = s.min_rank()
-    sub = []
-    for p in s.points:
-        if p.unit_group.rank == rho:
-            sub.append(spec(PointedMonoid.group_with_zero(p.unit_group)))
-    return disjoint_union(sub)
 
 
 def point_count_poly(m: PointedMonoid) -> IntPolynomial:

@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import f1kit.counting
 import f1kit.reductive
 from f1kit.cli import main, parse_selector
 from f1kit.errors import SelectorError
@@ -118,6 +119,22 @@ def test_oracle_command():
     # no oracle for parabolic models
     r = run_cli("oracle", "parabolic:3:1+2", "--q", "2")
     assert r.returncode == 2
+
+
+def test_oracle_runs_each_distinct_q_once(monkeypatch, capsys):
+    runs = []
+    real = f1kit.counting.brute_count
+    monkeypatch.setattr(f1kit.counting, "brute_count",
+                        lambda kind, params, q: runs.append(q) or real(kind, params, q))
+    assert main(["oracle", "gl:3", "--q", "3,3,3"]) == 0
+    assert runs == [3]
+    assert capsys.readouterr().out == (
+        '{"equal":true,"kind":"gl","per_q":{"3":{"brute":11232,"equal":true,"poly":11232}},'
+        '"poly_q":[0,0,0,-1,1,1,0,-1,-1,1]}\n')
+    # each q runs at its first place in the list
+    assert main(["oracle", "gr:2,4", "--q", "3,2,3"]) == 0
+    assert runs == [3, 3, 2]
+    assert json.loads(capsys.readouterr().out)["equal"] is True
 
 
 def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):

@@ -32,6 +32,7 @@ from f1kit.groups import (
     split_action_blocks,
     table_violation,
     tables_isomorphic_by,
+    theta_violation,
     torus_group,
     unit_weak_morphism,
     z_rank_group,
@@ -96,16 +97,24 @@ def test_table_index_is_a_lookup_that_rejects_unknown_labels():
     assert not tables_isomorphic_by({x: [x] for x in t.elements}, t, t)
 
 
+def _extend(theta: ThetaRep, cocycle: Cocycle | None = None) -> GroupModel:
+    """extension_model on theta and a cochain (trivial by default), with
+    cells of the torus rank."""
+    w, r = theta.w, theta.r
+    law = ExtensionLaw(theta, Cocycle.trivial(w, r) if cocycle is None else cocycle)
+    return extension_model(law, {label: r for label in w.elements})
+
+
 def test_theta_validation():
     w = FiniteGroupTable.cyclic(2, ("e", "s"))
     with pytest.raises(ThetaNotHomomorphism):
-        ThetaRep(w, 1, (Mat.identity(1), Mat.from_rows(1, 1, [[2]]))).validate()
+        _extend(ThetaRep(w, 1, (Mat.identity(1), Mat.from_rows(1, 1, [[2]]))))
     with pytest.raises(ThetaNotHomomorphism):
         # s * s = e but M_s^2 is not the identity matrix for M_s = [[1]] shifted
-        ThetaRep(w, 2, (Mat.identity(2),
-                        Mat.from_rows(2, 2, [[1, 1], [0, 1]]))).validate()
+        _extend(ThetaRep(w, 2, (Mat.identity(2), Mat.from_rows(2, 2, [[1, 1], [0, 1]]))))
     good = ThetaRep(w, 1, (Mat.identity(1), Mat.from_rows(1, 1, [[-1]])))
-    good.validate()
+    assert theta_violation(good) is None
+    assert _extend(good).law.violation is None
 
 
 def test_cocycle_validation():
@@ -113,10 +122,10 @@ def test_cocycle_validation():
     theta = ThetaRep.trivial(w, 1)
     # normalization failure: c(e, s) != 1
     bad = Cocycle(w, 1, (((1,), (-1,)), ((1,), (1,))))
-    with pytest.raises(CocycleInvalid):
-        bad.validate(theta)
+    with pytest.raises(CocycleInvalid, match=r"^left normalization fails at \('s'\)$"):
+        _extend(theta, bad)
     # the sign cocycle of the weak model satisfies the identity
-    Cocycle(w, 1, (((1,), (1,)), ((1,), (-1,)))).validate(theta)
+    assert _extend(theta, Cocycle(w, 1, (((1,), (1,)), ((1,), (-1,))))).kind == "weak"
 
 
 def test_constant_and_torus_models():
@@ -290,15 +299,18 @@ def test_theta_validate_rejects_bad_theta_on_151_elements():
     w = FiniteGroupTable.cyclic(151)
     mats = tuple(Mat.from_rows(1, 1, [[(-1) ** k]]) for k in range(151))
     with pytest.raises(ThetaNotHomomorphism):
-        ThetaRep(w, 1, mats).validate()
+        _extend(ThetaRep(w, 1, mats))
 
 
 def test_cocycle_guard_names_guard_estimate_cap_and_override(monkeypatch):
-    law = sl2_model().law
+    g = sl2_model()
     monkeypatch.setenv("F1KIT_MAX_SCALE", "3/2000000")
+    # g's law keeps the verdict it reached at the default cap ...
+    assert check_group_axioms(g).ok
+    # ... so the lowered cap shows on a fresh law only
     with pytest.raises(OutOfScale, match=r"^cocycle identity guard: 2\^2 x 1 generator triples = 4 "
                                          r"exceeds cap 3 \(scale caps with F1KIT_MAX_SCALE\)$"):
-        law.cocycle.validate(law.theta)
+        extension_model(ExtensionLaw(g.law.theta, g.law.cocycle), {"e": 1, "s": 2})
 
 
 def test_group_suite_checks_count_diagram_instances():

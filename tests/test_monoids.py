@@ -1,4 +1,4 @@
-"""Pointed monoids, abelian group data, homs, smash products, membership."""
+"""Pointed monoids, abelian group data, homs, membership."""
 
 from itertools import product
 
@@ -9,7 +9,6 @@ from f1kit import monoids, spectrum
 from f1kit.errors import (
     InfiniteHomSet,
     MembershipUndecidedWithinBound,
-    MixedTorsionSmash,
     ShapeMismatch,
 )
 from f1kit.linalg import Mat, feasible, rank
@@ -23,8 +22,6 @@ from f1kit.monoids import (
     hom_count,
     member,
     monoid_from_json,
-    monoid_to_json,
-    smash_product,
     units_of,
     validate_hom,
 )
@@ -267,34 +264,12 @@ def test_member_feasibility_calls(monkeypatch):
         assert _feasible_calls(monkeypatch, lambda: member(m, target)) == calls
 
 
-def test_smash_product_affine():
-    a = PointedMonoid.orthant(1)
-    b = PointedMonoid.orthant(2)
-    s = smash_product(a, b)
-    assert s.kind == AFFINE
-    assert s.ambient_dim == 3
-    assert s.generator_count() == 3
-    # smashing with the trivial monoid changes nothing
-    triv = PointedMonoid.group_with_zero(FgAbelianGroup.trivial())
-    assert smash_product(a, triv).generators == a.generators
-
-
-def test_smash_product_groups_and_mixed():
-    g1 = PointedMonoid.group_with_zero(FgAbelianGroup.free(1))
-    g2 = PointedMonoid.group_with_zero(FgAbelianGroup.free(2))
-    s = smash_product(g1, g2)
-    assert s.kind == GROUP_WITH_ZERO and s.group.rank == 3
-    # a free group smashed with an affine monoid embeds as a torus block
-    mixed = smash_product(g1, PointedMonoid.orthant(1))
-    assert mixed.kind == AFFINE and mixed.ambient_dim == 2
-    torsion = PointedMonoid.group_with_zero(FgAbelianGroup.from_orders([2]))
-    with pytest.raises(MixedTorsionSmash):
-        smash_product(torsion, PointedMonoid.orthant(1))
-
-
 def test_monoid_json_round_trip():
-    for m in (PointedMonoid.orthant(2),
-              PointedMonoid.affine(2, [[1, 0], [1, 1], [0, 2]]),
-              PointedMonoid.group_with_zero(FgAbelianGroup(1, (2,)))):
-        again = monoid_from_json(monoid_to_json(m))
-        assert again == m
+    for data, m in (
+            ({"kind": "affine", "ambient_dim": 2, "generators": [[1, 0], [0, 1]]},
+             PointedMonoid.orthant(2)),
+            ({"kind": "affine", "ambient_dim": 2, "generators": [[1, 0], [1, 1], [0, 2]]},
+             PointedMonoid.affine(2, [[1, 0], [1, 1], [0, 2]])),
+            ({"kind": "group_with_zero", "rank": 1, "torsion": [2]},
+             PointedMonoid.group_with_zero(FgAbelianGroup(1, (2,))))):
+        assert monoid_from_json(data) == m

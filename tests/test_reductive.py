@@ -9,15 +9,20 @@ import pytest
 import f1kit.cli as cli
 import f1kit.groups as groups
 import f1kit.reductive as reductive
+import f1kit.schemes as schemes
 from f1kit.counting import IntPolynomial, gauss_binomial, torification_poly, vanishing_order_and_limit
 from f1kit.errors import InvalidComposition, NotASubgroup, OutOfScale, TypeNotMaximal
 from f1kit.groups import (
+    FiniteGroupTable,
     check_action,
     check_group_axioms,
+    constant_group,
     f1_points_group,
+    require_group,
     self_action,
     sigma_check,
     tables_isomorphic_by,
+    torus_group,
 )
 from f1kit.linalg import Mat
 from f1kit.reductive import (
@@ -33,7 +38,6 @@ from f1kit.reductive import (
     one_line_perms,
     parabolic_model,
     perm_compose,
-    perm_inverse,
     perm_length,
     perm_matrix,
     quotient_model,
@@ -59,11 +63,17 @@ def all_compositions(n):
     return out
 
 
+def _inverse(w):
+    """Reference inverse of a one-line permutation: w^(-1)(w(i)) = i."""
+    return tuple(sorted(range(1, len(w) + 1), key=lambda i: w[i - 1]))
+
+
 def test_permutation_helpers():
     assert one_line_perms(3) == tuple(permutations((1, 2, 3)))
     u, v = (2, 3, 1), (1, 3, 2)
     assert perm_compose(u, v) == (2, 1, 3)
-    assert perm_compose(u, perm_inverse(u)) == (1, 2, 3)
+    assert _inverse(u) == (3, 1, 2)
+    assert perm_compose(u, _inverse(u)) == (1, 2, 3)
     assert perm_length((1, 2, 3)) == 0
     assert perm_length((3, 2, 1)) == 3
     # matrix functoriality P(u)P(v) = P(uv) on every pair in S_3
@@ -262,7 +272,7 @@ def test_tau_transport_and_action():
         # spot check the subset action formula on one pair
         sigma = tuple(range(2, n + 1)) + (1,)
         w = one_line_perms(n)[-1]
-        transported = coset_subset(perm_compose(w, perm_inverse(sigma)), k)
+        transported = coset_subset(perm_compose(w, _inverse(sigma)), k)
         image = tuple(sorted(sigma[a - 1] for a in coset_subset(w, k)))
         assert transported == image
 
@@ -334,10 +344,46 @@ def test_self_action_work_counts(monkeypatch):
     assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
     # one block lookup per (side, i, y)
     assert len(lookups) == 2 * 6 * 6
-    # theta over the generators (6 x 2), then three products per instance at
-    # j in the generators (the law's identity block A is not multiplied):
+    # gl_model verified theta already, so only three products per instance
+    # at j in the generators (the law's identity block A is not multiplied):
     # 2 sides x 6 x 2 x 6 instances
-    assert len(products) == 6 * 2 + 3 * 2 * 6 * 2 * 6
+    assert len(products) == 3 * 2 * 6 * 2 * 6
+
+
+LAW_KERNELS = ("table_violation", "theta_violation", "cocycle_violation")
+
+
+def test_suite_runs_each_law_kernel_once_per_law(monkeypatch):
+    runs = {name: _counting(monkeypatch, groups, name) for name in LAW_KERNELS}
+    assert cli.main(["check", "gl:4", "--suite", "group,action,strongweak,quotient:2"]) == 0
+    # two laws, gl:4 and its 2+2 parabolic, each verified where it is built;
+    # the group, action and tau checks read the stored verdicts
+    assert {name: len(calls) for name, calls in runs.items()} == dict.fromkeys(LAW_KERNELS, 2)
+
+
+def test_law_verdicts_wait_for_a_check(monkeypatch):
+    z3 = FiniteGroupTable.cyclic(3)
+    runs = {name: _counting(monkeypatch, groups, name) for name in LAW_KERNELS}
+    torus_group(200)        # no 200^3 determinant before a check asks
+    c = constant_group(FiniteGroupTable(z3.elements, z3.mult, z3.identity, z3.inverses))
+    assert sum(map(len, runs.values())) == 0
+    for _ in range(2):
+        assert check_group_axioms(c).ok
+        require_group(c)
+    assert {name: len(calls) for name, calls in runs.items()} == dict.fromkeys(LAW_KERNELS, 1)
+
+
+def test_strongweak_validates_each_comap_once(monkeypatch):
+    sel = cli.parse_selector("gl:4")
+    homs = _counting(monkeypatch, schemes, "validate_hom")
+    transposes = _counting(monkeypatch, Mat, "transpose")
+    rep = cli._run_check("strongweak", sel)
+    assert rep.ok and rep.checks == 1202
+    # 24 law comaps (one per row i), 1 unit comap, 24 inversion comaps
+    assert len(homs) == 24 + 1 + 24
+    # one transpose builds each comap, and the strong test takes one per
+    # distinct (exponent, comap, signs) triple
+    assert len(transposes) == 2 * (24 + 1 + 24)
 
 
 def test_quotient_suite_builds_each_morphism_once(monkeypatch):

@@ -28,14 +28,12 @@ from f1kit.schemes import (
     f1_points,
     from_torification,
     h_points_count,
-    identity_map,
     induced_monomial,
     match_components,
     monomial_morphism,
     point_scheme,
     product_scheme,
     rank_part,
-    strong_identity,
     strong_to_weak,
 )
 
@@ -121,9 +119,9 @@ def test_monomial_map_algebra():
     b = RankScheme((("y", free(2)),))
     swap = Mat.from_rows(2, 2, [[0, 1], [1, 0]])
     f = MonomialMap(a, b, ("y",), (swap,), ((1, -1),))
-    i = identity_map(a)
+    i = MonomialMap(a, a, ("x",), (Mat.identity(2),), ((1, 1),))
     assert compose_maps(f, i) == f
-    gf = compose_maps(f, compose_maps(identity_map(a), i))
+    gf = compose_maps(f, compose_maps(i, i))
     assert gf == f
     # signs push through exponents: swap carries (1,-1) to (-1,1), which
     # cancels against g's own (-1,1)
@@ -142,8 +140,11 @@ def test_strong_morphisms_and_checks():
     )
     f = StrongMorphismRk(a, b, ("r", "r"), comaps)
     assert check_strong(f).ok
-    assert compose_strong(strong_identity(b), f) == f
-    assert compose_strong(f, strong_identity(a)) == f
+    id_b = StrongMorphismRk(b, b, ("r",), (GroupHom.identity(free(1)),))
+    id_a = StrongMorphismRk(a, a, ("p", "q"),
+                            (GroupHom.identity(free(1)), GroupHom.identity(free(2))))
+    assert compose_strong(id_b, f) == f
+    assert compose_strong(f, id_a) == f
     with pytest.raises(ShapeMismatch):
         StrongMorphismRk(a, b, ("r",), comaps)
 

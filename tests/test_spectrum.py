@@ -10,13 +10,11 @@ from f1kit.counting import IntPolynomial, brute_count_monoid_homs
 from f1kit.errors import TooManyGenerators
 from f1kit.schemes import affine_toric
 from f1kit.linalg import Mat, feasible, kernel_basis, rank
-from f1kit.monoids import FgAbelianGroup, PointedMonoid, smash_product
+from f1kit.monoids import FgAbelianGroup, PointedMonoid
 from f1kit.spectrum import (
     disjoint_union,
     face_masks,
     point_count_poly,
-    rank_of_point,
-    rank_subspace,
     space_report,
     spec,
 )
@@ -40,7 +38,7 @@ def test_orthant_spectrum_is_the_subset_lattice():
 def test_orthant_point_ranks():
     s = spec(PointedMonoid.orthant(3))
     for p in s.points:
-        assert rank_of_point(s, p.id) == len(p.face)
+        assert p.unit_group.rank == len(p.face)
     assert s.min_rank() == 0
 
 
@@ -77,7 +75,10 @@ def test_point_count_poly_orthant_is_q_power():
 def test_smash_spectrum_multiplies():
     a = PointedMonoid.orthant(1)
     b = PointedMonoid.affine(1, [(2,), (3,)])
-    s = spec(smash_product(a, b))
+    # their smash product: the generators side by side in block-diagonal position
+    ab = PointedMonoid.affine(2, [g + (0,) for g in a.generators]
+                              + [(0,) + h for h in b.generators])
+    s = spec(ab)
     sa, sb = spec(a), spec(b)
     assert s.point_count() == sa.point_count() * sb.point_count()
     # rank is additive across the smash
@@ -85,7 +86,7 @@ def test_smash_spectrum_multiplies():
     expect = sorted(pa.unit_group.rank + pb.unit_group.rank
                     for pa in sa.points for pb in sb.points)
     assert ranks == expect
-    assert point_count_poly(smash_product(a, b)) == point_count_poly(a) * point_count_poly(b)
+    assert point_count_poly(ab) == point_count_poly(a) * point_count_poly(b)
 
 
 def test_group_with_zero_spectrum():
@@ -105,13 +106,6 @@ def test_disjoint_union_offsets():
     # no cross-patch specialization
     for i, j in u.specialization:
         assert u.points[i].patch == u.points[j].patch
-
-
-def test_rank_subspace_idempotent():
-    s = spec(PointedMonoid.orthant(2))
-    r = rank_subspace(s)
-    assert r.point_count() == 1
-    assert rank_subspace(r).point_count() == r.point_count()
 
 
 def test_spectrum_generator_cap():
