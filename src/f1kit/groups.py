@@ -25,11 +25,13 @@ act(x x', y) = act(x, act(x', y)) only for x' in the components of the
 generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
-morphism data only when a check asks for it.
+morphism data only when a check asks for it.  As in schemes, check_action
+slices, multiplies and pushes signs once per distinct tuple of block objects.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import AxiomsFailed, CocycleInvalid, ShapeMismatch, ThetaNotHomomorphism, guard
 from .linalg import Mat, det
@@ -41,6 +43,8 @@ from .schemes import (
     RankScheme,
     Torification,
     WeakMorphism,
+    _once,
+    _push_signs,
     apply_exponent_to_signs,
     from_torification,
     monomial_morphism,
@@ -322,8 +326,7 @@ def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
             a_s = w.mul(a, s)
             c_as = cocycle.value(a, s)
             for b in range(n):
-                lhs = mul_signs(apply_exponent_to_signs(ma, cocycle.value(s, b)),
-                                cocycle.value(a, w.mul(s, b)))
+                lhs = _push_signs(ma, cocycle.value(a, w.mul(s, b)), cocycle.value(s, b))
                 if lhs != mul_signs(c_as, cocycle.value(a_s, b)):
                     return "cocycle identity", (a, s, b)
     return None
@@ -617,21 +620,19 @@ def sigma_check(g: GroupModel) -> Report:
     return Report.passed(checks, ("section-splits",))
 
 
-def split_action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: str, i: int, yc: int):
-    """Exponent blocks [A | B] and signs of an action at ((i, yc))."""
-    src = act.z_side.source if side == "z" else act.mo_side.source
-    idx = src.index((g.w.elements[i], y.components[yc][0]))
-    if side == "z":
-        e = act.z_side.exponents[idx]
-        signs = act.z_side.signs[idx]
-        label = act.z_side.targets[idx]
-    else:
-        e = act.mo_side.comaps[idx].free_matrix.transpose()
-        signs = (1,) * e.rows
-        label = act.mo_side.targets[idx]
-    a = e.col_slice(0, g.r)
-    b = e.col_slice(g.r, e.cols)
-    return a, b, signs, y.index(label)
+def split_action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: str, i: int, yc: int,
+                        slices: dict | None = None):
+    """Exponent blocks [A | B] and signs of an action at ((i, yc)); slices,
+    kept for one check, splits each exponent or comap object once."""
+    half = act.z_side if side == "z" else act.mo_side
+    idx = half.source.index((g.w.elements[i], y.components[yc][0]))
+    block = half.exponents[idx] if side == "z" else half.comaps[idx]
+    slices = {} if slices is None else slices
+    if id(block) not in slices:
+        e = block if side == "z" else block.free_matrix.transpose()
+        slices[id(block)] = e.col_slice(0, g.r), e.col_slice(g.r, e.cols), (1,) * e.rows
+    a, b, ones = slices[id(block)]
+    return a, b, half.signs[idx] if side == "z" else ones, y.index(half.targets[idx])
 
 
 def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
@@ -672,9 +673,17 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     if act.z_side.source != expected_src or act.z_side.target != y:
         return Report.failed(1, {"reason": "action must map G x Y to Y"})
     require_group(g)
+    slices, memo = {}, {}
+
+    def times(a: Mat, b: Mat) -> Mat:
+        return _once(memo, (id(a), id(b)), mul, a, b)
+
+    def push(e: Mat, outer, inner):
+        return _once(memo, (id(e), id(outer), id(inner)), _push_signs, e, outer, inner)
+
     per_side = m + n * n * m
     for pos, side in ((0, "mo"), (per_side, "z")):
-        blk = [[split_action_blocks(g, y, act, side, i, yc) for yc in range(m)]
+        blk = [[split_action_blocks(g, y, act, side, i, yc, slices) for yc in range(m)]
                for i in range(n)]
         for yc in range(m):
             # composing with the unit kills the group block A, so only the
@@ -698,10 +707,9 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
                     # LHS: act after (mu x id); RHS: act after (id x act)
                     if ym != yi:
                         part = "component"
-                    elif (am, am * lb, bm) != (ai, bi * aj, bi * bj):
+                    elif (am, times(am, lb), bm) != (ai, times(bi, aj), times(bi, bj)):
                         part = "exponent"
-                    elif (mul_signs(sm, apply_exponent_to_signs(am, ls))
-                          != mul_signs(si, apply_exponent_to_signs(bi, sj))):
+                    elif push(am, sm, ls) != push(bi, si, sj):
                         part = "signs"
                     else:
                         continue

@@ -18,6 +18,7 @@ the face spans the unit lattice, and the cone is pointed modulo it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import (
@@ -182,14 +183,6 @@ class GroupHom:
             raise ShapeMismatch("on_free needs torsion-free source and target")
         return GroupHom(source, target, matrix, Mat.zeros(0, source.rank))
 
-    @staticmethod
-    def identity(g: FgAbelianGroup) -> "GroupHom":
-        n = g.generator_count()
-        free = Mat.identity(g.rank).hstack(Mat.zeros(g.rank, len(g.torsion)))
-        tors = Mat.zeros(len(g.torsion), g.rank).hstack(Mat.identity(len(g.torsion)))
-        assert free.cols == n and tors.cols == n
-        return GroupHom(g, g, free, tors)
-
 
 def validate_hom(f: GroupHom) -> Report:
     """Check that the stated generator images define a homomorphism.
@@ -294,16 +287,16 @@ class PointedMonoid:
             return len(self.generators)
         return self.group.generator_count()
 
-
-def _unit_split(m: PointedMonoid):
-    """The generators on the minimal face of the cone, those off it, and
-    a lattice basis of the integer functionals vanishing on the face:
-    integer coordinates on Q^d / span(face)."""
-    from .spectrum import minimal_face     # spectrum imports this module
-    face = minimal_face(m.generators, m.ambient_dim)
-    units = [g for j, g in enumerate(m.generators) if face >> j & 1]
-    rest = [g for j, g in enumerate(m.generators) if not face >> j & 1]
-    return units, rest, kernel_basis(Mat.from_rows(len(units), m.ambient_dim, units))
+    @cached_property
+    def _unit_split(self):
+        """The generators on the minimal face of the cone, those off it, and
+        a lattice basis of the integer functionals vanishing on the face:
+        integer coordinates on Q^d / span(face).  Kept on the instance."""
+        from .spectrum import minimal_face     # spectrum imports this module
+        face = minimal_face(self.generators, self.ambient_dim)
+        units = tuple(g for j, g in enumerate(self.generators) if face >> j & 1)
+        rest = tuple(g for j, g in enumerate(self.generators) if not face >> j & 1)
+        return units, rest, tuple(kernel_basis(Mat.from_rows(len(units), self.ambient_dim, units)))
 
 
 def member(m: PointedMonoid, target) -> bool:
@@ -342,7 +335,7 @@ def member(m: PointedMonoid, target) -> bool:
         raise ShapeMismatch(f"vector of length {len(target)} in ambient dimension {d}")
     if all(x == 0 for x in target):
         return True
-    units, rest, funcs = _unit_split(m)
+    units, rest, funcs = m._unit_split
     k = len(rest)
     quotient = Mat.from_rows(len(funcs), d, funcs)
     images = [quotient.apply(v) for v in rest]
@@ -393,15 +386,15 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     lambda >= 0, then -Ng is in the monoid for a common denominator N,
     so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and -u are in the
     monoid, their representations add up to 0, so every generator that
-    u uses is on the minimal face.  The answer is always decided, with
-    one feasibility call on a pointed cone and 1 + k otherwise.
+    u uses is on the minimal face.  Always decided, with one feasibility
+    call on a pointed cone and 1 + k otherwise, once per instance.
 
     >>> units_of(PointedMonoid.affine(2, [(1, 0), (-1, 0), (0, 1)]))
     FgAbelianGroup(rank=1, torsion=())
     """
     if m.kind == GROUP_WITH_ZERO:
         return m.group
-    return FgAbelianGroup.free(m.ambient_dim - len(_unit_split(m)[2]))
+    return FgAbelianGroup.free(m.ambient_dim - len(m._unit_split[2]))
 
 
 def monoid_from_json(data: dict) -> PointedMonoid:

@@ -283,8 +283,10 @@ def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorph
     """The projection to the quotient, lambda and pr2, built once.
 
     The quotient checks take these as an argument so that one quotient
-    suite builds each morphism once.
+    suite builds each morphism once, after guarding their size.
     """
+    guard("quotient square", f"{p.w.order()} x {g.w.order()} components",
+          p.w.order() * g.w.order(), 86_400)
     _, proj = quotient_model(p, g)
     return proj, lambda_action(p, g), _pr2_weak(p, g)
 

@@ -11,10 +11,16 @@ Cells are stored in families: a Cell with affine = a stands for the
 dim-torus with an a-dimensional affine cell.  Counting and minimal-cell
 data read off families exactly, so nothing is lost, and catalog models
 whose explicit torus count is astronomical stay cheap.
+
+Catalog morphisms share a few block, comap and sign objects among many
+components, so each per-component kernel runs once per distinct tuple
+of input objects, in an id()-keyed memo that lives for one call, and
+the components sharing those inputs share the result object.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 from typing import Any
 
 from .counting import cell_dimension_guard
@@ -102,9 +108,18 @@ def point_scheme() -> RankScheme:
     return RankScheme((("*", FgAbelianGroup.trivial()),))
 
 
+def _once(memo: dict, key, fn, *args):
+    """fn(*args), computed once per key of memo and shared after that."""
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = fn(*args)
+    return out
+
+
 def product_scheme(a: RankScheme, b: RankScheme) -> RankScheme:
+    sums = {}
     comps = tuple(
-        ((la, lb), ga.direct_sum(gb))
+        ((la, lb), _once(sums, (id(ga), id(gb)), ga.direct_sum, gb))
         for la, ga in a.components
         for lb, gb in b.components
     )
@@ -270,6 +285,11 @@ def mul_signs(a: SignVec, b: SignVec) -> SignVec:
     return tuple(x * y for x, y in zip(a, b))
 
 
+def _push_signs(e: Mat, outer: SignVec, inner: SignVec) -> SignVec:
+    """Signs of outer * t^e after inner * t: outer times inner pushed through e."""
+    return mul_signs(outer, apply_exponent_to_signs(e, inner))
+
+
 @dataclass(frozen=True)
 class MonomialMap:
     """Componentwise monomial morphism between free rank schemes.
@@ -289,27 +309,31 @@ class MonomialMap:
         n = len(self.source.components)
         if not (len(self.targets) == len(self.exponents) == len(self.signs) == n):
             raise ShapeMismatch("per-component data must align with source components")
+        first = {}
         for i, (label, e, s) in enumerate(zip(self.targets, self.exponents, self.signs)):
-            src_rank = self.source.components[i][1].rank
-            tgt_rank = self.target.stalk(label).rank
-            if e.rows != tgt_rank or e.cols != src_rank:
+            src, tgt = self.source.components[i][1], self.target.stalk(label)
+            if first.setdefault((id(src), id(tgt), id(e), id(s)), i) != i:
+                continue    # an earlier component with these objects passed
+            if e.rows != tgt.rank or e.cols != src.rank:
                 raise ShapeMismatch(
-                    f"component {i}: exponent is {e.rows}x{e.cols}, needs {tgt_rank}x{src_rank}"
+                    f"component {i}: exponent is {e.rows}x{e.cols}, needs {tgt.rank}x{src.rank}"
                 )
-            if len(s) != tgt_rank or any(v not in (1, -1) for v in s):
-                raise ShapeMismatch(f"component {i}: signs must be +-1 of length {tgt_rank}")
+            if len(s) != tgt.rank or any(v not in (1, -1) for v in s):
+                raise ShapeMismatch(f"component {i}: signs must be +-1 of length {tgt.rank}")
 
 
 def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
     """g after f; target components, exponents and signs all compose."""
     if f.target != g.source:
         raise ShapeMismatch("compose_maps needs f.target == g.source")
+    memo = {}
     targets, exps, signs = [], [], []
-    for i in range(len(f.source.components)):
+    for i, (fe, fs) in enumerate(zip(f.exponents, f.signs)):
         j = g.source.index(f.targets[i])
+        ge, gs = g.exponents[j], g.signs[j]
         targets.append(g.targets[j])
-        exps.append(g.exponents[j] * f.exponents[i])
-        signs.append(mul_signs(g.signs[j], apply_exponent_to_signs(g.exponents[j], f.signs[i])))
+        exps.append(_once(memo, (id(ge), id(fe)), mul, ge, fe))
+        signs.append(_once(memo, (id(ge), id(gs), id(fs)), _push_signs, ge, gs, fs))
     return MonomialMap(f.source, g.target, tuple(targets), tuple(exps), tuple(signs))
 
 
@@ -331,10 +355,14 @@ class StrongMorphismRk:
         n = len(self.source.components)
         if len(self.targets) != n or len(self.comaps) != n:
             raise ShapeMismatch("per-component data must align with source components")
+        first = {}
         for i, (label, h) in enumerate(zip(self.targets, self.comaps)):
-            if h.source != self.target.stalk(label):
+            tgt, src = self.target.stalk(label), self.source.components[i][1]
+            if first.setdefault((id(tgt), id(src), id(h)), i) != i:
+                continue    # an earlier component with these objects passed
+            if h.source != tgt:
                 raise ShapeMismatch(f"component {i}: comap source is not the target stalk")
-            if h.target != self.source.components[i][1]:
+            if h.target != src:
                 raise ShapeMismatch(f"component {i}: comap target is not the source stalk")
 
 
@@ -359,11 +387,13 @@ def check_strong(f: StrongMorphismRk) -> Report:
 def compose_strong(g: StrongMorphismRk, f: StrongMorphismRk) -> StrongMorphismRk:
     if f.target != g.source:
         raise ShapeMismatch("compose_strong needs f.target == g.source")
+    memo = {}
     targets, comaps = [], []
-    for i in range(len(f.source.components)):
+    for i, fh in enumerate(f.comaps):
         j = g.source.index(f.targets[i])
+        gh = g.comaps[j]
         targets.append(g.targets[j])
-        comaps.append(compose_hom(f.comaps[i], g.comaps[j]))
+        comaps.append(_once(memo, (id(fh), id(gh)), compose_hom, fh, gh))
     return StrongMorphismRk(f.source, g.target, tuple(targets), tuple(comaps))
 
 
@@ -442,10 +472,16 @@ def check_weak(w: WeakMorphism) -> Report:
         return Report.failed(checks + hom_ok.checks, hom_ok.witness)
     triples = {(id(e), id(h), id(s)): (e, h, s)
                for e, h, s in zip(z.exponents, f.comaps, z.signs)}
-    is_strong = all(e == h.free_matrix.transpose() and all(x == 1 for x in s)
+    is_strong = all(_is_transpose(e, h.free_matrix) and all(x == 1 for x in s)
                     for e, h, s in triples.values())
     note = "strong" if is_strong else "not-strong"
     return Report(True, checks + hom_ok.checks, None, (note,))
+
+
+def _is_transpose(e: Mat, m: Mat) -> bool:
+    """e == m.transpose(), compared entry by entry without building it."""
+    return (e.rows, e.cols) == (m.cols, m.rows) and all(
+        x == m.data[j][i] for i, row in enumerate(e.data) for j, x in enumerate(row))
 
 
 def compose_weak(g: WeakMorphism, f: WeakMorphism) -> WeakMorphism:

@@ -573,6 +573,27 @@ def _flipped(side, part, at_unit=False):
     return g, y, act
 
 
+def _borrowed(side):
+    """gl:3's self-action whose block at (j, y), j outside {e} u generators,
+    is a new object equal to the block that the unit's row shares: [I | I]
+    where [I | theta_j] belongs.  The check splits and multiplies it as
+    its own object, so the shared block's verdict cannot hide it."""
+    g, y, act = _self(gl_model(3))
+    w = g.w
+    j = next(x for x in range(w.order()) if x != w.identity and x not in w.generators)
+    k, unit = (act.z_side.source.index((w.elements[x], y.components[1][0]))
+               for x in (j, w.identity))
+    if side == "z":
+        exps = list(act.z_side.exponents)
+        exps[k] = Mat.from_rows(exps[unit].rows, exps[unit].cols, exps[unit].data)
+        return g, y, WeakMorphism(act.mo_side, replace(act.z_side, exponents=tuple(exps)))
+    comaps = list(act.mo_side.comaps)
+    h = comaps[unit]
+    comaps[k] = replace(h, free_matrix=Mat.from_rows(h.free_matrix.rows, h.free_matrix.cols,
+                                                     h.free_matrix.data))
+    return g, y, WeakMorphism(replace(act.mo_side, comaps=tuple(comaps)), act.z_side)
+
+
 def _partial(s_pos):
     """A component-only map act: gl:3 x {p0, p1} -> {p0, p1} that satisfies
     the action law at j = e and j = s, the generator at s_pos, but is not
@@ -637,6 +658,8 @@ ACTIONS = {
        for side in ("mo", "z") for part in ("target", "exponent")},
     "broken:unit-z-sign": lambda: _flipped("z", "sign", True),
     "broken:conjugated-group-block": _conjugated_group_block,
+    **{f"broken:{side}-copy-of-a-shared-block": (lambda side=side: _borrowed(side))
+       for side in ("mo", "z")},
     "broken:only-at-second-generator": lambda: _partial(0),
     "broken:only-at-first-generator": lambda: _partial(1),
 }

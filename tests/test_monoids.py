@@ -80,7 +80,7 @@ def test_hom_composition():
     gf = compose_hom(g, f)
     assert gf.free_matrix == Mat.from_rows(1, 2, [[2, 2]])
     assert validate_hom(gf).ok
-    i = GroupHom.identity(a)
+    i = GroupHom.on_free(a, a, Mat.identity(2))
     assert compose_hom(f, i).free_matrix == f.free_matrix
 
 
@@ -262,6 +262,9 @@ def test_member_feasibility_calls(monkeypatch):
     ]
     for m, target, calls in pinned:
         assert _feasible_calls(monkeypatch, lambda: member(m, target)) == calls
+    # the unit split is kept on the instance: a second call on the last
+    # monoid makes only its 2 relaxations
+    assert _feasible_calls(monkeypatch, lambda: member(m, (0, 1))) == 2
 
 
 def test_monoid_json_round_trip():

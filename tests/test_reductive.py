@@ -149,6 +149,31 @@ def test_catalog_guard_messages_name_request_cap_and_override(monkeypatch):
         parabolic_model(7, (3, 4))
 
 
+def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
+    compositions = []
+    monkeypatch.setattr(reductive, "compose_weak", lambda *a: compositions.append(a))
+    # cap 86,400 x 1/8000 = 10 < 2 x 6 square components of gl:3 quotient:1,
+    # while gl:3's own table (36 <= 64) and theta (162 <= 1000) still fit
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/8000")
+    assert cli.main(["check", "gl:3", "--suite", "quotient:1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: quotient square guard: 2 x 6 components = 12 exceeds cap 10 "
+        "(scale caps with F1KIT_MAX_SCALE)\n")
+    assert compositions == []
+    # the default cap admits the largest square: gl:6 quotient:1, 120 x 720
+    monkeypatch.delenv("F1KIT_MAX_SCALE")
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(reductive, "quotient_model", admitted)
+    with pytest.raises(Admitted):
+        reductive.quotient_maps(parabolic_model(6, (1, 5)), gl_model(6))
+
+
 def test_block_perms_and_composition_guard():
     assert block_perms(3, (1, 2)) == ((1, 2, 3), (1, 3, 2))
     assert len(block_perms(4, (2, 2))) == 4
@@ -335,6 +360,26 @@ def test_universality_composition_count(monkeypatch):
     assert len(calls) == 2 + 20 + 2
 
 
+def test_factorizations_share_their_blocks(monkeypatch):
+    # compose_weak(h, proj) forms each product, comap composition and sign
+    # push once per distinct input objects: proj and h each share one
+    # block and one comap, and h carries one sign object per quotient
+    # component (on rank 0 targets every sign vector is the empty tuple)
+    real, shares = reductive.compose_weak, []
+
+    def composed(g, f):
+        out = real(g, f)
+        shares.append(tuple(len({id(x) for x in xs})
+                            for xs in (out.z_side.exponents, out.mo_side.comaps, out.z_side.signs)))
+        return out
+
+    monkeypatch.setattr(reductive, "compose_weak", composed)
+    assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
+    # the square's two, then 20 factorizations over 24 components: targets
+    # of rank 0 (4 maps), then of rank 1 to 4
+    assert shares[2:22] == [(1, 1, 1)] * 4 + [(1, 1, 6)] * 16
+
+
 def test_self_action_work_counts(monkeypatch):
     g = gl_model(3)
     y, act = g.rank_scheme, self_action(g)
@@ -344,10 +389,10 @@ def test_self_action_work_counts(monkeypatch):
     assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
     # one block lookup per (side, i, y)
     assert len(lookups) == 2 * 6 * 6
-    # gl_model verified theta already, so only three products per instance
-    # at j in the generators (the law's identity block A is not multiplied):
-    # 2 sides x 6 x 2 x 6 instances
-    assert len(products) == 3 * 2 * 6 * 2 * 6
+    # gl_model verified theta already, and each product runs once per pair
+    # of block objects (the law's identity block A is not multiplied): per
+    # side, A(ij) theta_i, B_i A_j and B_i B_j for the 6 x 2 pairs (i, j)
+    assert len(products) == 3 * 2 * 6 * 2
 
 
 LAW_KERNELS = ("table_violation", "theta_violation", "cocycle_violation")
@@ -381,9 +426,9 @@ def test_strongweak_validates_each_comap_once(monkeypatch):
     assert rep.ok and rep.checks == 1202
     # 24 law comaps (one per row i), 1 unit comap, 24 inversion comaps
     assert len(homs) == 24 + 1 + 24
-    # one transpose builds each comap, and the strong test takes one per
-    # distinct (exponent, comap, signs) triple
-    assert len(transposes) == 2 * (24 + 1 + 24)
+    # one transpose builds each comap; the strong test compares each comap
+    # with its block entry by entry
+    assert len(transposes) == 24 + 1 + 24
 
 
 def test_quotient_suite_builds_each_morphism_once(monkeypatch):

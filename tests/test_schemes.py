@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from f1kit.counting import torification_poly
 from f1kit.errors import InfiniteHomSet, OutOfScale, ShapeMismatch
 from f1kit.groups import law_weak_morphism
 from f1kit.linalg import Mat
-from f1kit.monoids import FgAbelianGroup, GroupHom, PointedMonoid
+from f1kit.monoids import FgAbelianGroup, GroupHom, PointedMonoid, compose_hom
 from f1kit.reductive import gl_model
 from f1kit.schemes import (
     Cell,
@@ -20,6 +21,7 @@ from f1kit.schemes import (
     WeakMorphism,
     additive_chain,
     affine_toric,
+    apply_exponent_to_signs,
     check_strong,
     check_weak,
     compose_maps,
@@ -31,6 +33,7 @@ from f1kit.schemes import (
     induced_monomial,
     match_components,
     monomial_morphism,
+    mul_signs,
     point_scheme,
     product_scheme,
     rank_part,
@@ -129,6 +132,12 @@ def test_monomial_map_algebra():
     h = compose_maps(g, f)
     assert h.exponents[0].is_identity()
     assert h.signs[0] == (1, 1)
+    # one sign object pushed through two different blocks: two pushes
+    ab = RankScheme((("x", free(2)), ("y", free(2))))
+    s, one = (1, -1), (1, 1)
+    f2 = MonomialMap(ab, ab, ("x", "y"), (Mat.identity(2),) * 2, (s, s))
+    g2 = MonomialMap(ab, ab, ("x", "y"), (Mat.identity(2), swap), (one, one))
+    assert compose_maps(g2, f2).signs == ((1, -1), (-1, 1))
 
 
 def test_strong_morphisms_and_checks():
@@ -140,9 +149,10 @@ def test_strong_morphisms_and_checks():
     )
     f = StrongMorphismRk(a, b, ("r", "r"), comaps)
     assert check_strong(f).ok
-    id_b = StrongMorphismRk(b, b, ("r",), (GroupHom.identity(free(1)),))
-    id_a = StrongMorphismRk(a, a, ("p", "q"),
-                            (GroupHom.identity(free(1)), GroupHom.identity(free(2))))
+    def ident(r):
+        return GroupHom.on_free(free(r), free(r), Mat.identity(r))
+    id_b = StrongMorphismRk(b, b, ("r",), (ident(1),))
+    id_a = StrongMorphismRk(a, a, ("p", "q"), (ident(1), ident(2)))
     assert compose_strong(id_b, f) == f
     assert compose_strong(f, id_a) == f
     with pytest.raises(ShapeMismatch):
@@ -214,6 +224,117 @@ def test_monomial_morphism_shares_one_comap_per_block_object():
     law = law_weak_morphism(gl_model(3))
     assert len(law.mo_side.comaps) == 36
     assert len({id(h) for h in law.mo_side.comaps}) == 6
+
+
+def test_shape_checks_see_each_component_stalk():
+    # one block object on two components whose target stalks differ in rank
+    a = RankScheme((("p", free(1)), ("q", free(1))))
+    b = RankScheme((("r", free(1)), ("s", free(2))))
+    e, one = Mat.identity(1), (1,)
+    with pytest.raises(ShapeMismatch, match="^component 1: exponent is 1x1, needs 2x1$"):
+        MonomialMap(a, b, ("r", "s"), (e, e), (one, one))
+    h = GroupHom.on_free(free(1), free(1), e)
+    with pytest.raises(ShapeMismatch, match="^component 1: comap source is not the target stalk$"):
+        StrongMorphismRk(a, b, ("r", "s"), (h, h))
+
+
+# -- composition against the per-component reference -------------------------
+
+def _compose_maps_reference(g, f):
+    """compose_maps as one product and one sign push per component."""
+    targets, exps, signs = [], [], []
+    for i in range(len(f.source.components)):
+        j = g.source.index(f.targets[i])
+        targets.append(g.targets[j])
+        exps.append(g.exponents[j] * f.exponents[i])
+        signs.append(mul_signs(g.signs[j], apply_exponent_to_signs(g.exponents[j], f.signs[i])))
+    return MonomialMap(f.source, g.target, tuple(targets), tuple(exps), tuple(signs))
+
+
+def _compose_strong_reference(g, f):
+    """compose_strong as one comap composition per component."""
+    targets, comaps = [], []
+    for i in range(len(f.source.components)):
+        j = g.source.index(f.targets[i])
+        targets.append(g.targets[j])
+        comaps.append(compose_hom(f.comaps[i], g.comaps[j]))
+    return StrongMorphismRk(f.source, g.target, tuple(targets), tuple(comaps))
+
+
+def _weak_pair(rng):
+    """Weak morphisms f: a -> b and g: b -> c on free stalks.  Each kind
+    of datum (blocks, comaps, signs) of each morphism is shared (one
+    object per shape), equal (new objects equal to the first), distinct
+    (new random objects) or mixed (one of two objects per shape, or a
+    copy of one), so the inputs range from fully shared to fully
+    distinct; signs may be -1."""
+    stalks = {r: free(r) for r in range(3)} if rng.random() < 0.5 else None
+
+    def scheme():
+        size = rng.randint(1, 5)
+        ranks = rng.choices(range(3), k=size) if rng.random() < 0.5 else [rng.randrange(3)] * size
+        return RankScheme(tuple((f"c{i}", stalks[r] if stalks else free(r))
+                                for i, r in enumerate(ranks)))
+
+    def picker(fresh, copy):
+        mode, pool = rng.choice(("shared", "equal", "distinct", "mixed")), {}
+
+        def pick(shape):
+            slot = (shape, rng.randrange(2) if mode == "mixed" else 0)
+            if mode == "distinct" or slot not in pool:
+                pool[slot] = fresh(shape)
+                return pool[slot]
+            reuse = mode == "shared" or mode == "mixed" and rng.random() < 0.5
+            return pool[slot] if reuse else copy(pool[slot])
+        return pick
+
+    def mat(rows, cols):
+        return Mat.from_rows(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
+                                          for _ in range(rows)])
+
+    def weak(a, b):
+        block = picker(lambda shape: mat(*shape), lambda e: Mat.from_rows(e.rows, e.cols, e.data))
+        comap = picker(lambda shape: GroupHom.on_free(free(shape[0]), free(shape[1]),
+                                                      mat(shape[1], shape[0])),
+                       lambda h: GroupHom.on_free(h.source, h.target, h.free_matrix))
+        sign = picker(lambda r: tuple(rng.choice((1, -1)) for _ in range(r)),
+                      lambda v: tuple(list(v)))
+        targets, exps, homs, signs = [], [], [], []
+        for _, sa in a.components:
+            label, sb = rng.choice(b.components)
+            targets.append(label)
+            exps.append(block((sb.rank, sa.rank)))
+            homs.append(comap((sb.rank, sa.rank)))
+            signs.append(sign(sb.rank))
+        return WeakMorphism(StrongMorphismRk(a, b, tuple(targets), tuple(homs)),
+                            MonomialMap(a, b, tuple(targets), tuple(exps), tuple(signs)))
+
+    a, b, c = scheme(), scheme(), scheme()
+    return weak(b, c), weak(a, b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_compositions_agree_with_the_per_component_reference(rng):
+    g, f = _weak_pair(rng)
+    z = _compose_maps_reference(g.z_side, f.z_side)
+    mo = _compose_strong_reference(g.mo_side, f.mo_side)
+    assert compose_maps(g.z_side, f.z_side) == z
+    assert compose_strong(g.mo_side, f.mo_side) == mo
+    out = compose_weak(g, f)
+    assert out == WeakMorphism(mo, z)
+    # components with the same input objects share one result object
+    for i in range(len(f.z_side.targets)):
+        for k in range(i):
+            j, l = (g.z_side.source.index(f.z_side.targets[x]) for x in (i, k))
+            if g.z_side.exponents[j] is g.z_side.exponents[l]:
+                if f.z_side.exponents[i] is f.z_side.exponents[k]:
+                    assert out.z_side.exponents[i] is out.z_side.exponents[k]
+                if (g.z_side.signs[j] is g.z_side.signs[l]
+                        and f.z_side.signs[i] is f.z_side.signs[k]):
+                    assert out.z_side.signs[i] is out.z_side.signs[k]
+            if g.mo_side.comaps[j] is g.mo_side.comaps[l] and f.mo_side.comaps[i] is f.mo_side.comaps[k]:
+                assert out.mo_side.comaps[i] is out.mo_side.comaps[k]
 
 
 def random_scheme(rng):
