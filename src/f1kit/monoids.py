@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     guard,
 )
-from .linalg import Mat, feasible, kernel_basis
+from .linalg import Mat, feasible, kernel_basis, rank
 from .report import Report, json_ints
 
 
@@ -298,6 +298,56 @@ class PointedMonoid:
         rest = tuple(g for j, g in enumerate(self.generators) if not face >> j & 1)
         return units, rest, tuple(kernel_basis(Mat.from_rows(len(units), self.ambient_dim, units)))
 
+    @cached_property
+    def _tail(self):
+        """member's search data, kept off _unit_split so that units_of pays
+        for the face alone: the map to Q^d / span(face), the images of the
+        off-face generators there, and the first level s from which those
+        images are linearly independent.  Kept on the instance."""
+        _, rest, funcs = self._unit_split
+        quotient = Mat.from_rows(len(funcs), self.ambient_dim, funcs)
+        images = tuple(quotient.apply(v) for v in rest)
+        s = max(0, len(rest) - len(funcs))
+        while rank(Mat.from_rows(len(rest) - s, len(funcs), images[s:])) < len(rest) - s:
+            s += 1
+        return quotient, images, s
+
+    @cached_property
+    def _period(self):
+        """P for member's innermost free level s - 1: the least P >= 1 with
+        P v in N tail + ZU, where v is that level's generator, tail the
+        generators from level s on and U those on the face; None when no
+        such P exists.  Kept on the instance.
+
+        v lies in span(tail, U), since s - 1 is not a tail level.  In an
+        integer relation p v + n.tail + w.U = 0, n = -p alpha, where alpha
+        are the rational coordinates of v's image on the tail's images.
+        So the p that occur are the multiples of g, the gcd of the last
+        coordinates of a lattice basis of the relations, and g v lies in
+        N tail + ZU exactly when alpha >= 0; otherwise no multiple does.
+        """
+        units, rest, _ = self._unit_split
+        s = self._tail[2]
+        relations = _relations(units + rest[s:], rest[s - 1])
+        some = next(rel for rel in relations if rel[-1])
+        if any(x * some[-1] > 0 for x in some[len(units):-1]):
+            return None
+        return gcd(*(rel[-1] for rel in relations))
+
+
+def _relations(columns, r: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """A lattice basis of the integer relations among the columns and r,
+    the kernel of [columns | r].  The last coordinates of all relations
+    are the multiples n with n r in the group the columns span; those of
+    the basis generate them.  So r is in that group exactly when their
+    gcd is 1."""
+    return kernel_basis(Mat.from_rows(len(r), len(columns) + 1,
+                                      [[col[i] for col in columns] + [x] for i, x in enumerate(r)]))
+
+
+def _in_group(columns, r: tuple[int, ...]) -> bool:
+    return gcd(*(rel[-1] for rel in _relations(columns, r))) == 1
+
 
 def member(m: PointedMonoid, target) -> bool:
     """Is the lattice vector an element of the affine monoid?
@@ -308,17 +358,35 @@ def member(m: PointedMonoid, target) -> bool:
     is too: U generates the group ZU.  Hence t is a member exactly when
     t - sum c_j v_j lies in ZU for some c in N^V.
 
-    A depth-first search fixes c_j one generator of V at a time, raising
-    it from 0 for as long as the rational relaxation stays feasible:
-    c >= 0 on v_j and the later generators, whose images in Q^d / span(F)
-    sum to the image of the residual.  A witness keeps every relaxation
-    on its path feasible up to its own c_j, so the search cannot pass it.
-    Each loop ends: C / span(F) is pointed and every v_j has a nonzero
-    image there, so the relaxation is a bounded polytope.  At a leaf the
-    residual r lies in ZU exactly when some integer relation among the
-    columns [U | r] has coefficient -1 on r, that is, when the last
-    coordinates of a lattice basis of that kernel have gcd 1.  A failed
-    (level, residual) pair is remembered and not searched again.
+    Root: a member lies in the group all generators span, which is
+    decided by one kernel (_in_group); a target outside it is refused.
+
+    Levels 0 .. s - 1 are free: a depth-first search fixes c_j one
+    generator of V at a time, raising it from 0 for as long as the
+    rational relaxation stays feasible: c >= 0 on v_j and the later
+    generators, whose images in Q^d / span(F) sum to the image of the
+    residual.  A witness keeps every relaxation on its path feasible up
+    to its own c_j, so the search cannot pass it.  Each loop ends:
+    C / span(F) is pointed and every v_j has a nonzero image there, so
+    the relaxation is a bounded polytope.  A failed (level, residual)
+    pair is remembered and not searched again.
+
+    Tail: from level s on, the images of V are linearly independent
+    (PointedMonoid._tail), so their coefficients are the unique rational
+    solution for the residual's image.  The relations among [tail images
+    | image of r] form a lattice of rank at most 1.  An integer solution
+    exists exactly when its basis vector ends in +-1, and reads off it;
+    it must be >= 0.  What remains lies in span(F), and it must lie in
+    ZU (the same kernel test as the root, on [U | rest]).
+
+    Innermost free level s - 1: with P as in PointedMonoid._period,
+    a witness with c_{s-1} >= P stays a witness after c_{s-1} - P, since
+    P v_{s-1} = n.tail + w.U with n >= 0 moves onto the tail and the
+    units.  So that level stops at c < P (the group relaxation; Rosales
+    and Garcia-Sanchez, Numerical Semigroups, 2009).  P is computed the
+    first time the level gets past c = 0.  The outer free levels, and
+    this one when P does not exist, walk as far as the relaxation lets
+    them.
 
     >>> member(PointedMonoid.orthant(2), (3, 1))
     True
@@ -329,16 +397,19 @@ def member(m: PointedMonoid, target) -> bool:
     """
     if m.kind != AFFINE:
         raise ShapeMismatch("membership is a lattice question; needs an affine monoid")
-    target = tuple(int(x) for x in target)
+    target = tuple(target)
+    if any(type(x) is not int for x in target):
+        raise ShapeMismatch(f"vector {target} has a coordinate that is not an int")
     d = m.ambient_dim
     if len(target) != d:
         raise ShapeMismatch(f"vector of length {len(target)} in ambient dimension {d}")
     if all(x == 0 for x in target):
         return True
-    units, rest, funcs = m._unit_split
+    if not _in_group(m.generators, target):
+        return False
+    units, rest, _ = m._unit_split
+    quotient, images, s = m._tail
     k = len(rest)
-    quotient = Mat.from_rows(len(funcs), d, funcs)
-    images = [quotient.apply(v) for v in rest]
 
     def relax(start: int, residual: tuple[int, ...]) -> bool:
         nvars = k - start
@@ -348,25 +419,34 @@ def member(m: PointedMonoid, target) -> bool:
             cons.append((tuple(1 if i == j else 0 for i in range(nvars)), 0, "ge"))
         return feasible(cons, nvars)
 
-    def in_lattice(residual: tuple[int, ...]) -> bool:
-        cols = Mat.from_rows(d, len(units) + 1,
-                             [[u[c] for u in units] + [residual[c]] for c in range(d)])
-        return gcd(*(rel[-1] for rel in kernel_basis(cols))) == 1
+    def solve(residual: tuple[int, ...]) -> bool:
+        relations = _relations(images[s:], quotient.apply(residual))
+        if not relations or relations[0][-1] not in (1, -1):
+            return False
+        sign = relations[0][-1]
+        for x, v in zip(relations[0], rest[s:]):
+            if x * sign > 0:
+                return False
+            residual = tuple(y + x * sign * z for y, z in zip(residual, v))
+        return all(x == 0 for x in residual) or _in_group(units, residual)
 
     dead: set[tuple[int, tuple[int, ...]]] = set()
 
     def dfs(start: int, residual: tuple[int, ...]) -> bool:
         if all(x == 0 for x in residual):
             return True
-        if start == k:
-            return in_lattice(residual)
+        if start == s:
+            return solve(residual)
         key = (start, residual)
         if key in dead:
             return False
-        current = residual
+        current, c = residual, 0
         while relax(start, current):
             if dfs(start + 1, current):
                 return True
+            c += 1
+            if start == s - 1 and m._period is not None and c >= m._period:
+                break
             current = tuple(x - y for x, y in zip(current, rest[start]))
         dead.add(key)
         return False
@@ -387,7 +467,9 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and -u are in the
     monoid, their representations add up to 0, so every generator that
     u uses is on the minimal face.  Always decided, with one feasibility
-    call on a pointed cone and 1 + k otherwise, once per instance.
+    call on a pointed cone and 1 + k otherwise, each in d variables (the
+    Farkas dual of -g in the cone), once per instance.  member's search
+    data (PointedMonoid._tail, _period) is not computed here.
 
     >>> units_of(PointedMonoid.affine(2, [(1, 0), (-1, 0), (0, 1)]))
     FgAbelianGroup(rank=1, torsion=())

@@ -93,16 +93,16 @@ def minimal_face(gens, d: int) -> int:
 
     It is the empty set when the cone is pointed and no generator is
     zero (one feasibility call), otherwise the generators g_j whose
-    negatives lie in the cone: lambda >= 0 with sum lambda_i g_i = -g_j
-    (one more call per generator).
+    negatives lie in the cone (one more call per generator).  Each call
+    is in the d variables of a functional u.  By Farkas' lemma -g_j is
+    in the cone exactly when no u has u.g >= 0 on every generator and
+    u.(-g_j) < 0; scaling u, exactly when {u.g >= 0 for all g,
+    u.g_j >= 1} is infeasible.
     """
     if _is_face(gens, 0, d):
         return 0
-    k = len(gens)
-    cols = [tuple(g[c] for g in gens) for c in range(d)]
-    nonneg = [(tuple(int(i == t) for i in range(k)), 0, "ge") for t in range(k)]
-    return sum(1 << j for j in range(k)
-               if feasible([(col, gens[j][c], "eq") for c, col in enumerate(cols)] + nonneg, k))
+    dual = [(g, 0, "ge") for g in gens]
+    return sum(1 << j for j, g in enumerate(gens) if not feasible(dual + [(g, -1, "ge")], d))
 
 
 def _walk(gens, d: int) -> dict[int, int]:

@@ -1,17 +1,19 @@
 """Pointed monoids, abelian group data, homs, membership."""
 
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1kit import monoids, spectrum
+from f1kit import linalg, monoids, spectrum
 from f1kit.errors import (
     InfiniteHomSet,
     MembershipUndecidedWithinBound,
     ShapeMismatch,
 )
-from f1kit.linalg import Mat, feasible, rank
+from f1kit.linalg import Mat, feasible, kernel_basis, rank
 from f1kit.monoids import (
     AFFINE,
     GROUP_WITH_ZERO,
@@ -25,7 +27,7 @@ from f1kit.monoids import (
     units_of,
     validate_hom,
 )
-from test_spectrum import _feasible_calls
+from test_spectrum import _feasible_calls, _is_monoid, _oracle_corpus
 
 
 def test_group_invariant_factors():
@@ -213,11 +215,11 @@ def test_membership_decisions_and_bound():
 
 
 @st.composite
-def _small_cones(draw, size=3):
-    """Up to size generators with entries in -2..2 in Z^1 or Z^2: a
+def _small_cones(draw, size=3, max_dim=2):
+    """Up to size generators with entries in -2..2 in Z^1 .. Z^max_dim: a
     pointed cone (first coordinates positive) or one with a line (the
     negative of the first generator added)."""
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, max_dim))
     line = draw(st.booleans())
     first = st.integers(-2, 2) if line else st.integers(1, 2)
     vector = st.tuples(first, *[st.integers(-2, 2)] * (d - 1)).filter(any)
@@ -249,22 +251,207 @@ def test_member_agrees_with_the_bounded_search(m, vector):
     assert member(m, target) == expected, (m.generators, target)
 
 
+def _lambda_minimal_face(gens, d):
+    """The minimal face by the primal test, in k variables: g_j is on it
+    when some lambda >= 0 has sum lambda_i g_i = -g_j."""
+    k = len(gens)
+    cols = [tuple(g[c] for g in gens) for c in range(d)]
+    nonneg = [(tuple(int(i == t) for i in range(k)), 0, "ge") for t in range(k)]
+    return sum(1 << j for j in range(k)
+               if feasible([(col, gens[j][c], "eq") for c, col in enumerate(cols)] + nonneg, k))
+
+
+def test_minimal_face_agrees_with_the_lambda_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectrum, "feasible", lambda cons, n: calls.append(n) or feasible(cons, n))
+    shapes = [(m.ambient_dim, m.generators) for m in UNIT_CORPUS] + _oracle_corpus()
+    for d, gens in shapes:
+        calls.clear()
+        face = spectrum.minimal_face(gens, d)
+        assert face == _lambda_minimal_face(gens, d), gens
+        # one call on a pointed cone, 1 + k otherwise, each in d variables
+        assert calls == [d] * (1 if face == 0 else 1 + len(gens)), gens
+
+
+def _walk_member(m, target):
+    """Membership by walking every off-face coefficient, on the split
+    that _lambda_minimal_face gives: each coefficient is raised from 0 for
+    as long as the rational relaxation stays feasible, and at a leaf the
+    residual must lie in the group the face generators span."""
+    gens, d = m.generators, m.ambient_dim
+    face = _lambda_minimal_face(gens, d)
+    units = [g for j, g in enumerate(gens) if face >> j & 1]
+    rest = [g for j, g in enumerate(gens) if not face >> j & 1]
+    funcs = kernel_basis(Mat.from_rows(len(units), d, units))
+    quotient = Mat.from_rows(len(funcs), d, funcs)
+    images = [quotient.apply(v) for v in rest]
+    k = len(rest)
+
+    def relax(start, residual):
+        nvars = k - start
+        cons = [(tuple(img[i] for img in images[start:]), -y, "eq")
+                for i, y in enumerate(quotient.apply(residual))]
+        cons += [(tuple(int(i == j) for i in range(nvars)), 0, "ge") for j in range(nvars)]
+        return feasible(cons, nvars)
+
+    def in_lattice(residual):
+        cols = Mat.from_rows(d, len(units) + 1, [[u[c] for u in units] + [residual[c]]
+                                                 for c in range(d)])
+        return gcd(*(rel[-1] for rel in kernel_basis(cols))) == 1
+
+    dead = set()
+
+    def dfs(start, residual):
+        if not any(residual):
+            return True
+        if start == k:
+            return in_lattice(residual)
+        if (start, residual) in dead:
+            return False
+        current = residual
+        while relax(start, current):
+            if dfs(start + 1, current):
+                return True
+            current = tuple(x - y for x, y in zip(current, rest[start]))
+        dead.add((start, residual))
+        return False
+
+    return dfs(0, tuple(target))
+
+
+# the membership properties run on 1,000 examples in CI, under
+# --hypothesis-profile=ci; they pin no max_examples so that it applies
+@settings(deadline=None, derandomize=True)
+@given(_small_cones(size=4, max_dim=3), st.tuples(*[st.integers(-6, 6)] * 3))
+def test_member_agrees_with_the_coefficient_walk(m, vector):
+    target = vector[:m.ambient_dim]
+    assert member(m, target) == _walk_member(m, target), (m.generators, target)
+
+
+ORACLE_MONOIDS = [PointedMonoid.affine(d, gens) for d, gens in _oracle_corpus()
+                  if _is_monoid(gens)]
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.sampled_from(ORACLE_MONOIDS), st.data())
+def test_member_agrees_with_the_coefficient_walk_on_oracle_shapes(m, data):
+    # a small combination of the generators, moved by a step in -1..1 on
+    # each coordinate: members, and lattice points on either side of them
+    k, d = len(m.generators), m.ambient_dim
+    coeffs = data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    step = data.draw(st.tuples(*[st.integers(-1, 1)] * d))
+    target = tuple(x + sum(c * g[i] for c, g in zip(coeffs, m.generators))
+                   for i, x in enumerate(step))
+    assert member(m, target) == _walk_member(m, target), (m.generators, target)
+
+
 def test_member_feasibility_calls(monkeypatch):
     # member's own calls count together with the minimal face's
     monkeypatch.setattr(monoids, "feasible", lambda cons, n: spectrum.feasible(cons, n))
+    line = PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 2], [1, 3]])
     pinned = [
-        # pointed: 1 for the minimal face, 4 relaxations
-        (PointedMonoid.affine(1, [[2], [3]]), (1,), 5),
-        # all generators on the minimal face: 1 + 2, then the lattice test
-        (PointedMonoid.affine(1, [[2], [-2]]), (1,), 3),
-        # 1 + 3 for the minimal face, 2 relaxations on (0, 2)
-        (PointedMonoid.affine(2, [[1, 1], [-1, -1], [0, 2]]), (0, 1), 6),
+        # pointed: 1 for the minimal face, 2 relaxations on level 0
+        (PointedMonoid.affine(1, [[2], [3]]), (1,), 3),
+        # off the lattice the generators span: the root test answers
+        # before the minimal face is sought
+        (PointedMonoid.affine(1, [[2], [-2]]), (1,), 0),
+        (PointedMonoid.affine(2, [[1, 1], [-1, -1], [0, 2]]), (0, 1), 0),
+        # on the lattice: 1 + 4 for the minimal face, 2 relaxations on
+        # level 0, which P = 3 would stop at c = 3
+        (line, (0, 1), 7),
     ]
     for m, target, calls in pinned:
         assert _feasible_calls(monkeypatch, lambda: member(m, target)) == calls
-    # the unit split is kept on the instance: a second call on the last
-    # monoid makes only its 2 relaxations
-    assert _feasible_calls(monkeypatch, lambda: member(m, (0, 1))) == 2
+    # the unit split is kept on the instance: a second call makes only
+    # its 2 relaxations
+    assert _feasible_calls(monkeypatch, lambda: member(line, (0, 1))) == 2
+
+
+def _work(monkeypatch, run):
+    """(feasible calls, kernel_basis calls) that run makes, wherever they
+    are called from (linalg.rank reads a kernel too)."""
+    counts = [0, 0]
+
+    def counted(i, fn):
+        def call(*args):
+            counts[i] += 1
+            return fn(*args)
+        return call
+
+    for module in (monoids, spectrum):
+        monkeypatch.setattr(module, "feasible", counted(0, feasible))
+    for module in (monoids, spectrum, linalg):
+        monkeypatch.setattr(module, "kernel_basis", counted(1, kernel_basis))
+    run()
+    return tuple(counts)
+
+
+def _member_work(monkeypatch, d, gens, target):
+    """member's answer on a fresh monoid, and the work it takes."""
+    answer = []
+    work = _work(monkeypatch, lambda: answer.append(member(PointedMonoid.affine(d, gens), target)))
+    return answer[0], work
+
+
+NUMERICAL = [(6,), (10,), (15,)]
+PLANE = [(2, 0), (0, 2), (1, 1), (3, 1)]
+
+
+def test_member_work_on_large_targets(monkeypatch):
+    # (d, generators, target, answer, feasible calls, kernel_basis calls)
+    rows = [
+        # 29 is the Frobenius number of <6, 10, 15>; the walk on 6 ends at
+        # c = 4, and each of its steps meets the bound P = 3 on 10
+        (1, NUMERICAL, (29,), False, 21, 15),
+        # the same work at any size: found at c = 1 on 6
+        (1, NUMERICAL, (2001,), True, 7, 8),
+        (1, NUMERICAL, (20001,), True, 7, 8),
+        # off the lattice x + y even: the root test alone
+        (2, PLANE, (401, 200), False, 0, 1),
+        (2, PLANE, (4001, 2000), False, 0, 1),
+        # (0, 2) is outside the simplicial cone of the tail (1, 1), (3, 1),
+        # so its level has no P and walks until the tail solve succeeds
+        (2, PLANE, (4000, 2000), True, 3, 4),
+        (2, PLANE, (1, 3), True, 4, 6),
+    ]
+    for d, gens, target, answer, calls, kernels in rows:
+        assert _member_work(monkeypatch, d, gens, target) == (answer, (calls, kernels)), target
+
+
+def test_member_work_at_ten_times_the_target_size(monkeypatch):
+    # (generators, target, about ten times the target, same answer)
+    corpus = [
+        (NUMERICAL, (2001,), (20001,)),
+        ([(3,), (5,), (7,)], (301,), (3001,)),
+        (PLANE, (401, 200), (4001, 2000)),
+        (PLANE, (400, 200), (4000, 2000)),
+        ([(1, 0), (-1, 0), (0, 2), (1, 3)], (5, 301), (50, 3001)),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)], (100, 200, 301), (1000, 2000, 3001)),
+    ]
+    small, large = [0, 0], [0, 0]
+    for gens, target, big in corpus:
+        d = len(target)
+        answer, work = _member_work(monkeypatch, d, gens, target)
+        big_answer, big_work = _member_work(monkeypatch, d, gens, big)
+        assert answer == big_answer, (gens, target)
+        small = [a + b for a, b in zip(small, work)]
+        large = [a + b for a, b in zip(large, big_work)]
+    assert all(b <= 3 * a for a, b in zip(small, large)), (small, large)
+
+
+def test_units_of_computes_no_search_data(monkeypatch):
+    # the minimal face's feasibility calls and one kernel for the
+    # functionals vanishing on it; member's tail and P are left alone
+    for m in UNIT_CORPUS:
+        face_calls = 1 if units_of(m).rank == 0 else 1 + len(m.generators)
+        fresh = PointedMonoid.affine(m.ambient_dim, m.generators)
+        assert _work(monkeypatch, lambda: units_of(fresh)) == (face_calls, 1), m
+
+
+def test_member_refuses_coordinates_that_are_not_ints():
+    for target in [(0.5,), (Fraction(3, 2),), ("2",), (2.0,), (True,)]:
+        with pytest.raises(ShapeMismatch):
+            member(PointedMonoid.orthant(1), target)
 
 
 def test_monoid_json_round_trip():
