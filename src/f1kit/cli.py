@@ -346,7 +346,7 @@ def _run_check(name: str, sel: Selection) -> Report:
 
 def cmd_check(args) -> int:
     sel = parse_selector(args.selector)
-    names = [t for t in args.suite.split(",") if t]
+    names = list(dict.fromkeys(t for t in args.suite.split(",") if t))    # each distinct check once
     if not names:
         raise SelectorError("--suite must name at least one check")
     suite = {}

@@ -25,13 +25,14 @@ act(x x', y) = act(x, act(x', y)) only for x' in the components of the
 generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
-morphism data only when a check asks for it.  As in schemes, check_action
-slices, multiplies and pushes signs once per distinct tuple of block objects.
+morphism data only when a check asks for it.  check_action reads each row
+pair (i, j) once, and compares exponents and signs once per distinct tuple
+of block objects.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
+from operator import itemgetter
 
 from .errors import AxiomsFailed, CocycleInvalid, ShapeMismatch, ThetaNotHomomorphism, guard
 from .linalg import Mat, det
@@ -43,7 +44,6 @@ from .schemes import (
     RankScheme,
     Torification,
     WeakMorphism,
-    _once,
     _push_signs,
     apply_exponent_to_signs,
     from_torification,
@@ -121,15 +121,19 @@ class FiniteGroupTable:
         index = {e: i for i, e in enumerate(elements)}
         if len(index) != len(elements):
             raise AxiomsFailed("duplicate element labels")
-        n = len(elements)
         try:
             table = tuple(
                 tuple(index[mul(a, b)] for b in elements) for a in elements
             )
         except KeyError as bad:
             raise AxiomsFailed(f"product leaves the element set: {bad.args[0]!r}")
+        return FiniteGroupTable._from_rows(elements, table)
+
+    @staticmethod
+    def _from_rows(elements: tuple, table: tuple) -> "FiniteGroupTable":
+        """build's table from its index rows: identity, inverses, verdict."""
         try:
-            identity = table.index(tuple(range(n)))
+            identity = table.index(tuple(range(len(elements))))
         except ValueError:
             raise AxiomsFailed("no two-sided identity") from None
         # right inverses; a row without the identity keeps e, which the kernel rejects
@@ -186,13 +190,13 @@ def table_violation(t: FiniteGroupTable):
         b = t.inverses[a]
         if m[a][b] != e or m[b][a] != e:
             return "two-sided inverse", (a,)
-    for x in range(n):
-        row = m[x]
-        for s in t.generators:
+    # x (s y) over all y is row x gathered through row s (n >= 2, so a tuple)
+    gathers = [(s, itemgetter(*m[s])) for s in t.generators]
+    for x, row in enumerate(m):
+        for s, gather in gathers:
             left = m[row[s]]
-            for y, sy in enumerate(m[s]):
-                if left[y] != row[sy]:
-                    return "associativity", (x, s, y)
+            if left != gather(row):
+                return "associativity", (x, s, next(y for y, sy in enumerate(m[s]) if left[y] != row[sy]))
     return None
 
 
@@ -273,8 +277,8 @@ class Cocycle:
         n = self.w.order()
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ShapeMismatch("cocycle table must be |W| x |W|")
-        # a table usually holds |W|^2 references to a few vectors; test each once
-        for v in {v for row in self.table for v in row}:
+        # a table usually holds |W|^2 references to a few rows and vectors; test each once
+        for v in {v for row in {id(row): row for row in self.table}.values() for v in row}:
             if len(v) != self.r or any(s not in (1, -1) for s in v):
                 raise ShapeMismatch("cocycle values must be +-1 vectors of length r")
 
@@ -536,15 +540,13 @@ def law_weak_morphism(g: GroupModel) -> WeakMorphism:
     rk = g.rank_scheme
     targets, exps, mo_exps, signs = [], [], [], []
     for i in range(n):
-        # the blocks [A | B] depend on i only; the signs on (i, j)
+        # the blocks [A | B] depend on i only; the signs c(i, j) on (i, j)
         za, zb, _ = g.law_blocks("z", i, w.identity)
         ma, mb, _ = g.law_blocks("mo", i, w.identity)
-        z_e, mo_e = za.hstack(zb), ma.hstack(mb)
-        for j in range(n):
-            targets.append(w.elements[w.mul(i, j)])
-            exps.append(z_e)
-            mo_exps.append(mo_e)
-            signs.append(g.law_blocks("z", i, j)[2])
+        targets += map(w.elements.__getitem__, w.mult[i])
+        exps += [za.hstack(zb)] * n
+        mo_exps += [ma.hstack(mb)] * n
+        signs += g.law.cocycle.table[i]
     return monomial_morphism(product_scheme(rk, rk), rk, targets, exps, signs, mo_exps)
 
 
@@ -640,7 +642,8 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
 
     Verifies act(e, -) = id and act(mu(g1,g2), -) = act(g1, act(g2, -))
     with exact component, exponent-block and sign comparisons, reading
-    act's blocks from a table built once per side.  Associativity is
+    act's blocks from a table built once per side and each row pair (i, j)
+    once (blocks once per distinct operand tuple).  Associativity is
     checked at every (i, y) but only for j in S = w.generators, which
     suffices once g's law is a group law (require_group, first):
 
@@ -673,13 +676,21 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     if act.z_side.source != expected_src or act.z_side.target != y:
         return Report.failed(1, {"reason": "action must map G x Y to Y"})
     require_group(g)
-    slices, memo = {}, {}
+    slices, triples, halves = {}, {}, {}
 
-    def times(a: Mat, b: Mat) -> Mat:
-        return _once(memo, (id(a), id(b)), mul, a, b)
-
-    def push(e: Mat, outer, inner):
-        return _once(memo, (id(e), id(outer), id(inner)), _push_signs, e, outer, inner)
+    def operand_part(cj: int, ci: int, cm: int) -> str:
+        """The part (exponent, signs or "") failed at the current (i, j) by triples cj, ci, cm."""
+        # LHS: act after (mu x id), by cm and the law blocks; RHS: act after (id x act), by ci and cj
+        lhs, rhs = (cm, id(lb), id(ls)), (ci, cj)
+        if lhs not in halves:
+            am, bm, sm = operands[cm]
+            # the law's group block A is always the identity, so am * A = am
+            halves[lhs] = (am, am * lb, bm), _push_signs(am, sm, ls)
+        if rhs not in halves:
+            (aj, bj, sj), (ai, bi, si) = operands[cj], operands[ci]
+            halves[rhs] = (ai, bi * aj, bi * bj), _push_signs(bi, si, sj)
+        (left, left_signs), (right, right_signs) = halves[lhs], halves[rhs]
+        return "exponent" if left != right else "signs" if left_signs != right_signs else ""
 
     per_side = m + n * n * m
     for pos, side in ((0, "mo"), (per_side, "z")):
@@ -695,27 +706,26 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
             if part:
                 return Report.failed(pos + yc + 1, _diagram_witness(side, "action-unit", [ylabel], part))
         pos += m
+        # each entry's target component, and its operand triple (A, B, signs) by number
+        outs = [[out for *_, out in row] for row in blk]
+        cls = [[triples.setdefault((id(a), id(b), id(s)), (len(triples), (a, b, s)))[0]
+                for a, b, s, _ in row] for row in blk]
+        operands = [t for _, t in triples.values()]
         for i in range(n):
             for j in js:
                 ij = w.mul(i, j)
-                # the law's group block A is always the identity, so am * A = am
                 _, lb, ls = g.law_blocks(side, i, j)
-                for yc in range(m):
-                    aj, bj, sj, yj = blk[j][yc]
-                    ai, bi, si, yi = blk[i][yj]
-                    am, bm, sm, ym = blk[ij][yc]
-                    # LHS: act after (mu x id); RHS: act after (id x act)
-                    if ym != yi:
-                        part = "component"
-                    elif (am, times(am, lb), bm) != (ai, times(bi, aj), times(bi, bj)):
-                        part = "exponent"
-                    elif push(am, sm, ls) != push(bi, si, sj):
-                        part = "signs"
-                    else:
-                        continue
-                    labels = [w.elements[i], w.elements[j], y.components[yc][0]]
-                    return Report.failed(pos + (i * n + j) * m + yc + 1,
-                                         _diagram_witness(side, "action-associativity", labels, part))
+                oi, ci, oj, cj, om, cm = outs[i], cls[i], outs[j], cls[j], outs[ij], cls[ij]
+                # every instance's component, each distinct operand tuple once; then find y
+                if list(map(oi.__getitem__, oj)) == om and not any(
+                        operand_part(*key) for key in set(zip(cj, map(ci.__getitem__, oj), cm))):
+                    continue
+                for yc, yj in enumerate(oj):
+                    part = "component" if om[yc] != oi[yj] else operand_part(cj[yc], ci[yj], cm[yc])
+                    if part:
+                        labels = [w.elements[i], w.elements[j], y.components[yc][0]]
+                        return Report.failed(pos + (i * n + j) * m + yc + 1,
+                                             _diagram_witness(side, "action-associativity", labels, part))
     return Report.passed(2 * per_side)
 
 

@@ -11,16 +11,16 @@ throughout.
 
 Matrices are stored dense but multiplied sparsely: a product row sums
 the rows of the right factor picked out by the left row's nonzero
-entries, and a lone coefficient 1 reuses that row as it is.  The
-exponent blocks of the type-A catalog are identities, zero blocks and
-permutation matrices, so most product rows cost one lookup.  Mat is
+entries, and a lone coefficient 1 reuses that row as it is.  Mat is
 frozen, so Mat.identity(n) and Mat.zeros(r, c) return one shared
-instance per shape.
+instance per shape.  The type-A theta blocks come from _signed_perm and
+keep their signed-permutation form beside the fields: two such factors
+multiply by composing tuples, and det reads the permutation's sign.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ShapeMismatch
 
@@ -41,6 +41,7 @@ class Mat:
     rows: int
     cols: int
     data: tuple[tuple[int, ...], ...]
+    _perm = None    # (cols, signs) from _signed_perm; not a field, so ==, hash, repr skip it
 
     def __post_init__(self):
         if len(self.data) != self.rows:
@@ -73,6 +74,10 @@ class Mat:
             raise ShapeMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if not (self.rows and self.cols and other.cols):
             return Mat.zeros(self.rows, other.cols)
+        if self._perm and other._perm:      # row i of the product is sa[i] times row ca[i]
+            (ca, sa), (cb, sb) = self._perm, other._perm
+            return _signed_perm(tuple(map(cb.__getitem__, ca)),
+                                sa if -1 not in sb else tuple(s * sb[k] for s, k in zip(sa, ca)))
         b = other.data
         zero = (0,) * other.cols
         out = []
@@ -143,6 +148,16 @@ _IDENTITIES: dict[int, Mat] = {}
 _ZEROS: dict[tuple[int, int], Mat] = {}
 
 
+def _signed_perm(cols: tuple, signs: tuple) -> Mat:
+    """signs[i] = +-1 at (i, cols[i]), zero elsewhere, carrying that form."""
+    rows = tuple(map(Mat.identity(len(cols)).data.__getitem__, cols))
+    if -1 in signs:
+        rows = tuple(r if s == 1 else tuple(-x for x in r) for r, s in zip(rows, signs))
+    m = Mat(len(cols), len(cols), rows)
+    object.__setattr__(m, "_perm", (cols, signs))
+    return m
+
+
 def det(m: Mat) -> int:
     """Determinant by fraction-free Bareiss elimination.
 
@@ -151,6 +166,8 @@ def det(m: Mat) -> int:
     """
     if m.rows != m.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
+    if perm := m._perm:     # the sign of the permutation, by inversions, times the signs
+        return (-1) ** sum(a > b for i, a in enumerate(perm[0]) for b in perm[0][i + 1:]) * prod(perm[1])
     n = m.rows
     if n == 0:
         return 1

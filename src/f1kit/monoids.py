@@ -18,7 +18,7 @@ the face spans the unit lattice, and the cone is pointed modulo it.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 from .errors import (
@@ -56,6 +56,7 @@ class FgAbelianGroup:
                 raise ShapeMismatch(f"torsion {self.torsion} is not a divisibility chain")
 
     @staticmethod
+    @cache      # one shared instance per rank; safe because the group is frozen
     def free(r: int) -> "FgAbelianGroup":
         return FgAbelianGroup(r, ())
 

@@ -1,25 +1,28 @@
 """Type-A catalog: GL(n), parabolic subgroups, Grassmannians, quotients.
 
 Permutations are one-line tuples, 1-based: w = (w(1), ..., w(n)), with
-(v w)(i) = v(w(i)).  The GL(n) model has component group S_n acting on
-the rank-n torus by permutation matrices, trivial cocycle, and one cell
-per w of total dimension n + n(n-1)/2 + l(w), where l is the inversion
-count.  Parabolic models restrict the components to a block subgroup and
-pad every cell by the dimension of the unipotent radical.  Grassmannian
-cells are indexed by k-subsets of {1..n}; the projection from GL(n)
-collapses each component w to the subset of positions sent into {1..k}.
-universality_check gets coinvariance of its test maps from the
-coequalizing square and their factorizations (see its docstring); a
-quotient suite builds the projection, lambda and pr2 once
-(quotient_maps) and shares them and the square's report between the
-two checks.
+(v w)(i) = v(w(i)).  The GL(n) model has component group S_n, its table
+walked from the Coxeter generators, acting on the rank-n torus by
+permutation matrices in signed-permutation form, trivial cocycle, and
+one cell per w of total dimension n + n(n-1)/2 + l(w), where l is the
+inversion count.  Parabolic models restrict the components to a block
+subgroup and pad every cell by the dimension of the unipotent radical.
+Grassmannian cells are indexed by k-subsets of {1..n}; the projection
+from GL(n) collapses each component w to the subset of positions sent
+into {1..k}.  universality_check gets coinvariance of its test maps from
+the coequalizing square and their factorizations, composed once per
+quotient component (see its docstring); a quotient suite builds the
+projection, lambda and pr2 once (quotient_maps) and shares them and the
+square's report between the two checks.
 """
 
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
+from math import comb
+from operator import itemgetter
 
 from .counting import IntPolynomial
 from .errors import InvalidComposition, NotASubgroup, ShapeMismatch, TypeNotMaximal, guard
-from .linalg import Mat
+from .linalg import Mat, _signed_perm
 from .monoids import FgAbelianGroup
 from .report import Report
 from .schemes import (
@@ -28,6 +31,7 @@ from .schemes import (
     RankScheme,
     Torification,
     WeakMorphism,
+    _restrict,
     compose_weak,
     from_torification,
     monomial_morphism,
@@ -68,10 +72,8 @@ def perm_length(w: Perm) -> int:
 
 
 def perm_matrix(w: Perm) -> Mat:
-    """P(w) with P(w)_{ij} = 1 iff i = w(j); then P(v)P(w) = P(vw)."""
-    n = len(w)
-    return Mat.from_rows(n, n, [[1 if i + 1 == w[j] else 0 for j in range(n)]
-                                for i in range(n)])
+    """P(w) with P(w)_{ij} = 1 iff i = w(j), in signed-permutation form; P(v)P(w) = P(vw)."""
+    return _signed_perm(tuple(sorted(range(len(w)), key=w.__getitem__)), (1,) * len(w))
 
 
 def symmetric_table(n: int) -> FiniteGroupTable:
@@ -81,7 +83,27 @@ def symmetric_table(n: int) -> FiniteGroupTable:
     >>> [t.elements[s] for s in t.generators]
     [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
     """
-    return FiniteGroupTable.build(one_line_perms(n), perm_compose)
+    return _block_table(n, (n,))
+
+
+def _block_table(n: int, parts) -> FiniteGroupTable:
+    """block_perms(n, parts)'s table from its Coxeter generators, the adjacent
+    transpositions s in the blocks (Bjorner and Brenti, 1.2): y -> s y swaps two
+    values of y, a label permutation L_s, and row(x s)[y] = row(x)[L_s[y]], so a
+    breadth-first walk of the Cayley graph gathers each row from its parent."""
+    elements = block_perms(n, parts)
+    index = {w: x for x, w in enumerate(elements)}
+    e, cuts, steps = index[tuple(range(1, n + 1))], set(accumulate(parts)), []
+    for i in (i for i in range(1, n) if i not in cuts):
+        ls = [index[tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)] for w in elements]
+        steps.append((ls[e], itemgetter(*ls)))      # |W| >= 2 here, so a tuple getter
+    rows, walk = {e: tuple(range(len(elements)))}, [e]
+    for x in walk:
+        for s, gather in steps:
+            if rows[x][s] not in rows:
+                rows[rows[x][s]] = gather(rows[x])
+                walk.append(rows[x][s])
+    return FiniteGroupTable._from_rows(elements, tuple(map(rows.__getitem__, range(len(elements)))))
 
 
 def gl_model(n: int) -> GroupModel:
@@ -135,7 +157,7 @@ def _block_model(n: int, parts) -> GroupModel:
         guard("component table", f"at least {order}^2 entries", order * order, 518_400)
         order *= i
     guard("component table", f"{order}^2 entries", order * order, 518_400)
-    w = FiniteGroupTable.build(block_perms(n, parts), perm_compose)
+    w = _block_table(n, parts)
     theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
     dim_u = (n * n - sum(k * k for k in parts)) // 2
@@ -200,10 +222,8 @@ def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
     targets, exps = [], []
     for u in p.w.elements:
         gi = g.w.index(u)
-        e = Mat.identity(r).hstack(g.law.theta.matrix(gi))
-        for wj in range(g.w.order()):
-            targets.append(g.w.elements[g.w.mul(gi, wj)])
-            exps.append(e)
+        targets += map(g.w.elements.__getitem__, g.w.mult[gi])
+        exps += [Mat.identity(r).hstack(g.law.theta.matrix(gi))] * g.w.order()
     return monomial_morphism(product_scheme(p.rank_scheme, g.rank_scheme), g.rank_scheme,
                              targets, exps)
 
@@ -255,7 +275,8 @@ def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphis
     n = g.r
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
-    targets = [coset_subset(w, k) for w in g.w.elements]
+    label = {a: a for a in qrk.labels()}     # subsets as the quotient's own label objects
+    targets = [label[coset_subset(w, k)] for w in g.w.elements]
     return q, monomial_morphism(g.rank_scheme, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
@@ -313,36 +334,27 @@ def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
     return Report.failed(pairs, {"reason": "coordinate data differs"})
 
 
-def _test_targets(n: int, k: int):
-    """Deterministic family of factorization targets: stalk ranks 0..n."""
-    from math import comb
-    for m in range(n + 1):
-        for comps in (1, comb(n, k)):
-            yield RankScheme(tuple(
-                (f"t{i}", FgAbelianGroup.free(m)) for i in range(comps)
-            ))
-
-
 def _test_family(g: GroupModel, k: int, subsets):
     """Coinvariant test morphisms out of g's rank part, two per target.
 
-    Components are coset-constant (the coset's subset position in
-    subsets, modulo the number of target components); the second
-    variant puts sign -1 on the odd target components.
+    Targets have free stalks of rank m = 0..n on one or C(n, k) components
+    t0, t1, ...  Components are coset-constant (the coset's subset position
+    in subsets, modulo the number of target components); the second
+    variant puts sign -1 on the odd target components, and is the first
+    one again, the same object, when it has no such sign to put.
     """
     n = g.r
-    size = g.w.order()
     position = {s: i for i, s in enumerate(subsets)}
     cosets = [position[coset_subset(w, k)] for w in g.w.elements]
-    for target in _test_targets(n, k):
-        m = target.components[0][1].rank
-        ncomp = len(target.components)
-        exps = (Mat.zeros(m, n),) * size
+    for m, ncomp in product(range(n + 1), (1, comb(n, k))):
+        labels = [f"t{c}" for c in range(ncomp)]
+        target = RankScheme(tuple((t, FgAbelianGroup.free(m)) for t in labels))
         cis = [c % ncomp for c in cosets]
-        targets = tuple(f"t{ci}" for ci in cis)
-        for variant in range(2):
-            signs = tuple((-1 if (variant and ci % 2) else 1,) * m for ci in cis)
-            yield monomial_morphism(g.rank_scheme, target, targets, exps, signs)
+        exps, targets = (Mat.zeros(m, n),) * len(cis), tuple(labels[ci] for ci in cis)
+        signs = ((1,) * m, (-1,) * m)
+        yield (f := monomial_morphism(g.rank_scheme, target, targets, exps, [signs[0]] * len(cis)))
+        yield f if m == 0 or ncomp == 1 else monomial_morphism(
+            g.rank_scheme, target, targets, exps, [signs[ci % 2] for ci in cis])
 
 
 def universality_check(p: GroupModel, g: GroupModel, square: Report | None = None,
@@ -362,6 +374,9 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     non-coinvariant control must be rejected by explicit composition.
     A quotient suite passes in maps = quotient_maps(p, g) and the square's
     report, so that neither is built twice; both are built when not given.
+    f = h . proj is composed and compared on one element per fiber: the
+    square makes proj's target, its only datum into rank-0 components,
+    constant on each fiber (a coset), and f must be constant there too.
     """
     maps = maps or quotient_maps(p, g)
     if square is None:
@@ -374,38 +389,40 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     k = len(subsets[0])     # quotient_maps recognized the parabolic
     coset_of = {w: coset_subset(w, k) for w in g.w.elements}
     fibers = [[i for i, w in enumerate(g.w.elements) if coset_of[w] == s] for s in subsets]
-    checks = 0
+    reps = [fiber[0] for fiber in fibers]
+    rep_of = [reps[subsets.index(coset_of[w])] for w in g.w.elements]
+    source = RankScheme(tuple(g.rank_scheme.components[i] for i in reps))
+    proj_reps = _restrict(proj, reps, source)
+    checks, prev = 0, None
     for f in _test_family(g, k, subsets):
-        target, targets, signs = f.z_side.target, f.z_side.targets, f.z_side.signs
-        m = target.components[0][1].rank
-        checks += 1     # coinvariance, from the square once f factors below
-        # factor through the quotient: forced on each fiber
-        h_targets, h_signs = [], []
-        for subset, fiber in zip(subsets, fibers):
-            vals = {(targets[i], signs[i]) for i in fiber}
-            if len(vals) != 1:
-                return Report.failed(checks, {"subset": list(subset), "reason": "fiber not constant"})
-            tlabel, sign = next(iter(vals))
-            h_targets.append(tlabel)
-            h_signs.append(sign)
-        h = monomial_morphism(qrk, target, h_targets, (Mat.zeros(m, 0),) * len(subsets), h_signs)
-        checks += 1
-        if compose_weak(h, proj) != f:
-            return Report.failed(checks, {"target_rank": m, "reason": "factorization does not recover the map"})
+        # coinvariance (from the square once f factors), factorization, uniqueness
+        checks += 3
+        if f is prev:
+            continue    # the same test map again, which passed just above
+        prev, z = f, f.z_side
+        m = z.target.components[0][1].rank
+        # factor through the quotient: forced on each fiber, where all of f's data agree
+        data = list(zip(z.targets, z.signs, z.exponents, f.mo_side.targets, f.mo_side.comaps))
+        if list(map(data.__getitem__, rep_of)) != data:
+            subset = next(s for s, fb in zip(subsets, fibers) if any(data[i] != data[fb[0]] for i in fb))
+            return Report.failed(checks - 2, {"subset": list(subset), "reason": "fiber not constant"})
+        h = monomial_morphism(qrk, z.target, [data[i][0] for i in reps],
+                              (Mat.zeros(m, 0),) * len(subsets), [data[i][1] for i in reps])
+        hp = compose_weak(h, proj_reps)
+        got = zip(hp.z_side.targets, hp.z_side.signs, hp.z_side.exponents, hp.mo_side.targets, hp.mo_side.comaps)
+        if [*got, hp.mo_side.target] != [*map(data.__getitem__, reps), f.mo_side.target]:
+            return Report.failed(checks - 1, {"target_rank": m, "reason": "factorization does not recover the map"})
         # uniqueness: component and sign data on each quotient component
         # are pinned by any single fiber element, and exponents out of a
         # rank-0 source admit exactly one matrix shape
-        checks += 1
     # negative control: a map separating two elements of one coset must be
     # caught as non-coinvariant; only meaningful when some fiber has > 1
     # element, i.e. when the parabolic has nontrivial components
     if p.w.order() > 1:
         n = g.r
-        big = next(s for s in subsets
-                   if sum(1 for w in g.w.elements if coset_of[w] == s) > 1)
-        marked = next(w for w in g.w.elements if coset_of[w] == big)
+        marked = next(fiber[0] for fiber in fibers if len(fiber) > 1)
         target = RankScheme((("t0", FgAbelianGroup.trivial()), ("t1", FgAbelianGroup.trivial())))
-        targets = ["t1" if w == marked else "t0" for w in g.w.elements]
+        targets = ["t1" if i == marked else "t0" for i in range(g.w.order())]
         f_bad = monomial_morphism(g.rank_scheme, target, targets, (Mat.zeros(0, n),) * len(targets))
         checks += 1
         if compose_weak(f_bad, lam) == compose_weak(f_bad, pr2):
@@ -423,7 +440,8 @@ def tau_morphism(g: GroupModel, k: int) -> tuple[RankScheme, WeakMorphism]:
     q = grassmannian_model(k, n)
     qrk = rank_part(q)
     src = product_scheme(g.rank_scheme, qrk)
-    targets = [tuple(sorted(sigma[a - 1] for a in subset))
+    label = {a: a for a in qrk.labels()}     # sigma(A) as the quotient's own label object
+    targets = [label[tuple(sorted(sigma[a - 1] for a in subset))]
                for sigma in g.w.elements for subset in qrk.labels()]
     return qrk, monomial_morphism(src, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
@@ -434,29 +452,25 @@ def tau_check(g: GroupModel, k: int) -> Report:
     For every sigma and every w the coset of w sigma^(-1) must carry the
     subset sigma(subset(w)); on top of that the transported morphism
     satisfies the action diagrams on both sides.  w sigma^(-1) is read
-    from g's verified component table, and sigma(A) is computed once per
-    sigma and k-subset A.
+    from g's verified component table, and sigma(A) from tau's targets.
     """
     qrk, tau = tau_morphism(g, k)
-    wt = g.w
-    subsets = [coset_subset(w, k) for w in wt.elements]
-    checks = 0
+    wt, n = g.w, g.w.order()
+    subsets, c = [coset_subset(w, k) for w in wt.elements], len(qrk.components)
     for s, sigma in enumerate(wt.elements):
+        acted = dict(zip(qrk.labels(), tau.z_side.targets[s * c:(s + 1) * c]))
         s_inv = wt.inv(s)
-        acted = {subset: tuple(sorted(sigma[a - 1] for a in subset)) for subset in qrk.labels()}
-        for i, w in enumerate(wt.elements):
-            checks += 1
-            transported = subsets[wt.mul(i, s_inv)]
-            image = acted[subsets[i]]
-            if transported != image:
-                return Report.failed(checks, {
-                    "sigma": list(sigma), "w": list(w),
-                    "transported": list(transported), "subset_action": list(image),
-                })
+        moved = [subsets[row[s_inv]] for row in wt.mult]    # the coset of w sigma^(-1), per w
+        i = next((i for i, a in enumerate(subsets) if moved[i] != acted[a]), None)
+        if i is not None:
+            return Report.failed(s * n + i + 1, {
+                "sigma": list(sigma), "w": list(wt.elements[i]),
+                "transported": list(moved[i]), "subset_action": list(acted[subsets[i]]),
+            })
     action = check_action(g, qrk, tau)
     if not action.ok:
-        return Report.failed(checks + action.checks, action.witness)
-    return Report.passed(checks + action.checks)
+        return Report.failed(n * n + action.checks, action.witness)
+    return Report.passed(n * n + action.checks)
 
 
 def gl_counting_identity(n: int) -> tuple[IntPolynomial, IntPolynomial]:

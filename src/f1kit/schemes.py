@@ -14,13 +14,13 @@ whose explicit torus count is astronomical stay cheap.
 
 Catalog morphisms share a few block, comap and sign objects among many
 components, so each per-component kernel runs once per distinct tuple
-of input objects, in an id()-keyed memo that lives for one call, and
-the components sharing those inputs share the result object.
+of input objects (_each and the shape checks, keyed by id() for one
+call), and the components sharing those inputs share the result object.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
+from operator import itemgetter, mul
 from typing import Any
 
 from .counting import cell_dimension_guard
@@ -108,22 +108,18 @@ def point_scheme() -> RankScheme:
     return RankScheme((("*", FgAbelianGroup.trivial()),))
 
 
-def _once(memo: dict, key, fn, *args):
-    """fn(*args), computed once per key of memo and shared after that."""
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = fn(*args)
-    return out
+def _each(fn, *columns) -> tuple:
+    """fn over the rows of the columns, run once per distinct tuple of row
+    objects; the rows that share their objects share the result object."""
+    keys = list(zip(*(map(id, c) for c in columns)))
+    memo = {k: fn(*row) for k, row in dict(zip(keys, zip(*columns))).items()}
+    return tuple(map(memo.__getitem__, keys))
 
 
 def product_scheme(a: RankScheme, b: RankScheme) -> RankScheme:
-    sums = {}
-    comps = tuple(
-        ((la, lb), _once(sums, (id(ga), id(gb)), ga.direct_sum, gb))
-        for la, ga in a.components
-        for lb, gb in b.components
-    )
-    return RankScheme(comps)
+    pairs = [(ca, cb) for ca in a.components for cb in b.components]
+    sums = _each(FgAbelianGroup.direct_sum, [ca[1] for ca, _ in pairs], [cb[1] for _, cb in pairs])
+    return RankScheme(tuple(((ca[0], cb[0]), s) for (ca, cb), s in zip(pairs, sums)))
 
 
 class F1Scheme:
@@ -309,9 +305,10 @@ class MonomialMap:
         n = len(self.source.components)
         if not (len(self.targets) == len(self.exponents) == len(self.signs) == n):
             raise ShapeMismatch("per-component data must align with source components")
-        first = {}
-        for i, (label, e, s) in enumerate(zip(self.targets, self.exponents, self.signs)):
-            src, tgt = self.source.components[i][1], self.target.stalk(label)
+        first, stalks = {}, {}
+        for i, ((_, src), label, e, s) in enumerate(zip(self.source.components, self.targets,
+                                                        self.exponents, self.signs)):
+            tgt = stalks.get(id(label)) or stalks.setdefault(id(label), self.target.stalk(label))
             if first.setdefault((id(src), id(tgt), id(e), id(s)), i) != i:
                 continue    # an earlier component with these objects passed
             if e.rows != tgt.rank or e.cols != src.rank:
@@ -326,15 +323,10 @@ def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
     """g after f; target components, exponents and signs all compose."""
     if f.target != g.source:
         raise ShapeMismatch("compose_maps needs f.target == g.source")
-    memo = {}
-    targets, exps, signs = [], [], []
-    for i, (fe, fs) in enumerate(zip(f.exponents, f.signs)):
-        j = g.source.index(f.targets[i])
-        ge, gs = g.exponents[j], g.signs[j]
-        targets.append(g.targets[j])
-        exps.append(_once(memo, (id(ge), id(fe)), mul, ge, fe))
-        signs.append(_once(memo, (id(ge), id(gs), id(fs)), _push_signs, ge, gs, fs))
-    return MonomialMap(f.source, g.target, tuple(targets), tuple(exps), tuple(signs))
+    js = list(map(g.source._positions.__getitem__, f.targets))    # f's targets are g's source labels
+    ges, gss = (list(map(x.__getitem__, js)) for x in (g.exponents, g.signs))
+    return MonomialMap(f.source, g.target, tuple(map(g.targets.__getitem__, js)),
+                       _each(mul, ges, f.exponents), _each(_push_signs, ges, gss, f.signs))
 
 
 @dataclass(frozen=True)
@@ -355,9 +347,9 @@ class StrongMorphismRk:
         n = len(self.source.components)
         if len(self.targets) != n or len(self.comaps) != n:
             raise ShapeMismatch("per-component data must align with source components")
-        first = {}
-        for i, (label, h) in enumerate(zip(self.targets, self.comaps)):
-            tgt, src = self.target.stalk(label), self.source.components[i][1]
+        first, stalks = {}, {}
+        for i, ((_, src), label, h) in enumerate(zip(self.source.components, self.targets, self.comaps)):
+            tgt = stalks.get(id(label)) or stalks.setdefault(id(label), self.target.stalk(label))
             if first.setdefault((id(tgt), id(src), id(h)), i) != i:
                 continue    # an earlier component with these objects passed
             if h.source != tgt:
@@ -372,29 +364,19 @@ def check_strong(f: StrongMorphismRk) -> Report:
     Components that share one comap object share its report, so each
     distinct comap is validated once; checks still counts every component.
     """
-    reports = {}
-    parts = []
-    for i, h in enumerate(f.comaps):
-        r = reports.get(id(h))
-        if r is None:
-            r = reports[id(h)] = validate_hom(h)
-        if not r.ok:
-            return Report.failed(i + 1, {"component": i, "hom": r.witness})
-        parts.append(r)
-    return Report.merge(parts)
+    reports = _each(validate_hom, f.comaps)
+    if all(reports):
+        return Report.merge(list(reports))
+    i = next(i for i, r in enumerate(reports) if not r)
+    return Report.failed(i + 1, {"component": i, "hom": reports[i].witness})
 
 
 def compose_strong(g: StrongMorphismRk, f: StrongMorphismRk) -> StrongMorphismRk:
     if f.target != g.source:
         raise ShapeMismatch("compose_strong needs f.target == g.source")
-    memo = {}
-    targets, comaps = [], []
-    for i, fh in enumerate(f.comaps):
-        j = g.source.index(f.targets[i])
-        gh = g.comaps[j]
-        targets.append(g.targets[j])
-        comaps.append(_once(memo, (id(fh), id(gh)), compose_hom, fh, gh))
-    return StrongMorphismRk(f.source, g.target, tuple(targets), tuple(comaps))
+    js = list(map(g.source._positions.__getitem__, f.targets))
+    return StrongMorphismRk(f.source, g.target, tuple(map(g.targets.__getitem__, js)),
+                            _each(compose_hom, f.comaps, list(map(g.comaps.__getitem__, js))))
 
 
 def induced_monomial(f: StrongMorphismRk) -> MonomialMap:
@@ -434,16 +416,13 @@ def monomial_morphism(source: RankScheme, target: RankScheme, targets, exponents
     """
     targets, exponents = tuple(targets), tuple(exponents)
     mo_exponents = exponents if mo_exponents is None else tuple(mo_exponents)
-    comaps = {}
-    for e in mo_exponents:
-        if id(e) not in comaps:
-            comaps[id(e)] = GroupHom.on_free(FgAbelianGroup.free(e.rows),
-                                             FgAbelianGroup.free(e.cols), e.transpose())
+    comaps = {k: GroupHom.on_free(FgAbelianGroup.free(e.rows), FgAbelianGroup.free(e.cols), e.transpose())
+              for k, e in dict(zip(map(id, mo_exponents), mo_exponents)).items()}
     if signs is None:
         ones = {}
         signs = (ones.setdefault(e.rows, (1,) * e.rows) for e in exponents)
     return WeakMorphism(
-        StrongMorphismRk(source, target, targets, tuple(comaps[id(e)] for e in mo_exponents)),
+        StrongMorphismRk(source, target, targets, tuple(map(comaps.__getitem__, map(id, mo_exponents)))),
         MonomialMap(source, target, targets, exponents, tuple(signs)),
     )
 
@@ -457,23 +436,19 @@ def check_weak(w: WeakMorphism) -> Report:
     (exponent, comap, signs) triple of objects.
     """
     f, z = w.mo_side, w.z_side
-    checks = 0
     if f.source != z.source or f.target != z.target:
         return Report.failed(1, {"reason": "halves live on different schemes"})
-    for i in range(len(f.source.components)):
-        checks += 1
-        if f.targets[i] != z.targets[i]:
-            return Report.failed(checks, {
-                "component": i, "reason": "component maps disagree",
-                "mo": f.targets[i], "z": z.targets[i],
-            })
+    checks = len(f.source.components)
+    if tuple(f.targets) != tuple(z.targets):
+        i = next(i for i, (a, b) in enumerate(zip(f.targets, z.targets)) if a != b)
+        return Report.failed(i + 1, {
+            "component": i, "reason": "component maps disagree", "mo": f.targets[i], "z": z.targets[i],
+        })
     hom_ok = check_strong(f)
     if not hom_ok.ok:
         return Report.failed(checks + hom_ok.checks, hom_ok.witness)
-    triples = {(id(e), id(h), id(s)): (e, h, s)
-               for e, h, s in zip(z.exponents, f.comaps, z.signs)}
-    is_strong = all(_is_transpose(e, h.free_matrix) and all(x == 1 for x in s)
-                    for e, h, s in triples.values())
+    is_strong = all(_each(lambda e, h, s: _is_transpose(e, h.free_matrix) and all(x == 1 for x in s),
+                          z.exponents, f.comaps, z.signs))
     note = "strong" if is_strong else "not-strong"
     return Report(True, checks + hom_ok.checks, None, (note,))
 
@@ -489,6 +464,14 @@ def compose_weak(g: WeakMorphism, f: WeakMorphism) -> WeakMorphism:
         compose_strong(g.mo_side, f.mo_side),
         compose_maps(g.z_side, f.z_side),
     )
+
+
+def _restrict(f: WeakMorphism, keep, source: RankScheme) -> WeakMorphism:
+    """f on its source components at the positions keep (two or more), which
+    source lists in that order."""
+    mo, z, pick = f.mo_side, f.z_side, itemgetter(*keep)
+    return WeakMorphism(StrongMorphismRk(source, mo.target, pick(mo.targets), pick(mo.comaps)),
+                        MonomialMap(source, z.target, pick(z.targets), pick(z.exponents), pick(z.signs)))
 
 
 def match_components(a: RankScheme, b: RankScheme) -> dict | None:

@@ -108,6 +108,21 @@ def test_check_quotient_suite():
     assert r.returncode == 2
 
 
+def test_check_runs_each_distinct_suite_once(monkeypatch, capsys):
+    assert main(["check", "gl:4", "--suite", "quotient:2"]) == 0
+    single = capsys.readouterr().out
+    runs = []
+    real = f1kit.cli._run_check
+    monkeypatch.setattr(f1kit.cli, "_run_check", lambda name, sel: runs.append(name) or real(name, sel))
+    assert main(["check", "gl:4", "--suite", "quotient:2,quotient:2"]) == 0
+    assert runs == ["quotient:2"]
+    assert capsys.readouterr().out == single
+    # each name runs at its first place in the list
+    assert main(["check", "gl:3", "--suite", "sigma,group,sigma"]) == 0
+    assert runs == ["quotient:2", "sigma", "group"]
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_oracle_command():
     r = run_cli("oracle", "gr:2,4", "--q", "2,3")
     assert r.returncode == 0

@@ -594,6 +594,42 @@ def _borrowed(side):
     return g, y, WeakMorphism(replace(act.mo_side, comaps=tuple(comaps)), act.z_side)
 
 
+def _odd_entry(side, part, row):
+    """gl:3's self-action, whose rows share one block and one sign object
+    per element, with one entry (x, y) changed to a new object of another
+    value: its exponent block, or on the scheme side its signs.  x is the
+    first generator (an operand j of the scan) or the last element, y the
+    last component, so the row pair scan must find it among entries that
+    share their objects and report the exhaustive scan's first failure."""
+    g, y, act = _self(gl_model(3))
+    w = g.w
+    x = w.generators[0] if row == "generator" else w.order() - 1
+    k = act.z_side.source.index((w.elements[x], y.components[-1][0]))
+    if part == "sign":
+        signs = list(act.z_side.signs)
+        signs[k] = (-signs[k][0],) + signs[k][1:]
+        return g, y, WeakMorphism(act.mo_side, replace(act.z_side, signs=tuple(signs)))
+    if side == "z":
+        exps = list(act.z_side.exponents)
+        exps[k] = exps[k] + Mat.from_rows(3, 6, [[0, 0, 0, 0, 0, 2]] + [[0] * 6] * 2)
+        return g, y, WeakMorphism(act.mo_side, replace(act.z_side, exponents=tuple(exps)))
+    comaps = list(act.mo_side.comaps)
+    h = comaps[k]
+    comaps[k] = replace(h, free_matrix=h.free_matrix + Mat.from_rows(6, 3, [[0, 0, 2]] + [[0] * 3] * 5))
+    return g, y, WeakMorphism(replace(act.mo_side, comaps=tuple(comaps)), act.z_side)
+
+
+def _coboundary_on_v4():
+    """V4 with trivial theta, one shared 1x1 identity, and the coboundary
+    c(i, j) = f(i) f(j) f(ij) of f = (1, -1, 1, 1).  Its self-action is an
+    action, and the row pairs (0, 1) and (3, 2) share ij = 1 and the law's
+    B block but not the law's signs: c(0, 1) = 1, c(3, 2) = -1."""
+    f, one = (1, -1, 1, 1), Mat.identity(1)
+    table = tuple(tuple((f[i] * f[j] * f[V4.mul(i, j)],) for j in range(4)) for i in range(4))
+    cells = Torification(tuple(Cell(1, label, 0) for label in V4.elements))
+    return _self(GroupModel(ExtensionLaw(ThetaRep(V4, 1, (one,) * 4), Cocycle(V4, 1, table)), cells))
+
+
 def _partial(s_pos):
     """A component-only map act: gl:3 x {p0, p1} -> {p0, p1} that satisfies
     the action law at j = e and j = s, the generator at s_pos, but is not
@@ -646,6 +682,7 @@ ACTIONS = {
     "self:torus:2": lambda: _self(torus_group(2)),
     "self:sl2-weak": lambda: _self(sl2_model()),
     "self:sl2-product": lambda: _self(extension_model(sl2_model().law, {"e": 1, "s": 2}, PRODUCT)),
+    "self:coboundary-on-v4": _coboundary_on_v4,
     **{f"lambda:parabolic:{n}:" + "+".join(map(str, parts)):
        (lambda n=n, parts=parts: _lam(n, parts))
        for n, all_parts in PARABOLIC_PARTS.items() for parts in all_parts},
@@ -660,6 +697,10 @@ ACTIONS = {
     "broken:conjugated-group-block": _conjugated_group_block,
     **{f"broken:{side}-copy-of-a-shared-block": (lambda side=side: _borrowed(side))
        for side in ("mo", "z")},
+    **{f"broken:odd-{side}-{part}-at-{row}": (lambda side=side, part=part, row=row:
+                                               _odd_entry(side, part, row))
+       for side, part in (("mo", "exponent"), ("z", "exponent"), ("z", "sign"))
+       for row in ("generator", "last")},
     "broken:only-at-second-generator": lambda: _partial(0),
     "broken:only-at-first-generator": lambda: _partial(1),
 }

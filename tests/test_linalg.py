@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f1kit.errors import ShapeMismatch
-from f1kit.linalg import Mat, det, feasible, kernel_basis, rank
+from f1kit.linalg import Mat, _signed_perm, det, feasible, kernel_basis, rank
 
 
 def test_matrix_shapes_are_checked():
@@ -276,10 +276,13 @@ def test_rank_matches_minor_rank_property(m):
 
 
 @st.composite
-def _signed_perms(draw, n):
-    """A signed permutation matrix of size n."""
+def _signed_perms(draw, n, formed=False):
+    """A signed permutation matrix of size n; formed ones carry their
+    signed-permutation form, as the type-A theta blocks do."""
     perm = draw(st.permutations(range(n)))
     signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+    if formed:
+        return _signed_perm(tuple(perm), tuple(signs))
     return Mat.from_rows(n, n, [[signs[i] if j == perm[i] else 0 for j in range(n)]
                                 for i in range(n)])
 
@@ -304,6 +307,37 @@ def _factor_pairs(draw):
 def test_sparse_product_matches_dense_reference(pair):
     a, b = pair
     assert a * b == _dense_mul(a, b)
+
+
+@st.composite
+def _formed_pairs(draw):
+    """Two composable factors: signed permutations that carry their form,
+    dense integer matrices, or one of each."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    kind = draw(st.sampled_from(["forms", "form-left", "form-right", "dense"]))
+    left = draw(_signed_perms(k, True) if kind in ("forms", "form-left") else _sparse_mats(r, k))
+    right = draw(_signed_perms(k, True) if kind in ("forms", "form-right") else _sparse_mats(k, c))
+    return left, right
+
+
+def _without_form(m: Mat) -> Mat:
+    """The same entries as a plain dense Mat, which det reduces by Bareiss."""
+    return Mat(m.rows, m.cols, m.data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_formed_pairs())
+def test_signed_permutation_forms_match_dense_references(pair):
+    a, b = pair
+    product = a * b
+    assert product == _dense_mul(a, b)
+    # two forms compose into the product's form; any other factor pair is dense
+    assert (product._perm is not None) == (a._perm is not None and b._perm is not None and a.rows > 0)
+    for m in (a, b, product):
+        plain = _without_form(m)
+        assert (m == plain, hash(m), repr(m)) == (True, hash(plain), repr(plain))
+        if m.rows == m.cols:
+            assert det(m) == det(plain)
 
 
 def test_sparse_product_edge_cases():

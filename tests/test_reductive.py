@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import f1kit.cli as cli
 import f1kit.groups as groups
@@ -88,6 +89,31 @@ def test_symmetric_table_orders():
         assert t.order() == math.factorial(n)
         e = t.elements[t.identity]
         assert e == tuple(range(1, n + 1))
+
+
+COMPOSITIONS = [(n, parts) for n in range(1, 6) for parts in all_compositions(n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(COMPOSITIONS))
+def test_generator_built_tables_match_label_products(case):
+    # the Cayley-graph walk against the table of every label product
+    n, parts = case
+    t = parabolic_model(n, parts).w
+    reference = FiniteGroupTable.build(block_perms(n, parts), perm_compose)
+    assert t == reference
+    assert (t.generators, t.violation) == (reference.generators, reference.violation)
+
+
+def test_generator_built_s6_matches_label_products():
+    assert symmetric_table(6) == FiniteGroupTable.build(one_line_perms(6), perm_compose)
+
+
+def test_gl_model_multiplies_no_labels(monkeypatch):
+    composed = _counting(monkeypatch, reductive, "perm_compose")
+    for n in (4, 6):
+        gl_model(n)
+    assert composed == []
 
 
 def test_length_generating_function():
@@ -353,31 +379,36 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_universality_composition_count(monkeypatch):
-    # the square's two compositions, one factorization per family member
-    # (20 on gl:4), and the control's two; explicit coinvariance took 62
+    # the square's two compositions, one factorization per distinct family
+    # member (14 of 20 on gl:4: a second variant without a -1 to place is
+    # the first one again), and the control's two; explicit coinvariance took 62
     calls = _counting(monkeypatch, reductive, "compose_weak")
     assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
-    assert len(calls) == 2 + 20 + 2
+    assert len(calls) == 2 + 14 + 2
 
 
 def test_factorizations_share_their_blocks(monkeypatch):
     # compose_weak(h, proj) forms each product, comap composition and sign
     # push once per distinct input objects: proj and h each share one
-    # block and one comap, and h carries one sign object per quotient
-    # component (on rank 0 targets every sign vector is the empty tuple)
+    # block and one comap, and h carries f's sign objects, +1 and -1 (on
+    # rank 0 targets every sign vector is the empty tuple)
     real, shares = reductive.compose_weak, []
 
     def composed(g, f):
         out = real(g, f)
-        shares.append(tuple(len({id(x) for x in xs})
-                            for xs in (out.z_side.exponents, out.mo_side.comaps, out.z_side.signs)))
+        shares.append((len(out.z_side.targets),) + tuple(
+            len({id(x) for x in xs})
+            for xs in (out.z_side.exponents, out.mo_side.comaps, out.z_side.signs)))
         return out
 
     monkeypatch.setattr(reductive, "compose_weak", composed)
     assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
-    # the square's two, then 20 factorizations over 24 components: targets
-    # of rank 0 (4 maps), then of rank 1 to 4
-    assert shares[2:22] == [(1, 1, 1)] * 4 + [(1, 1, 6)] * 16
+    # the square's two over 4 x 24 components, then 14 factorizations over
+    # one element per quotient component (6): targets of rank 0 (2 maps),
+    # then of rank 1 to 4, where only the second variant on six target
+    # components puts -1 on some of them, and the control's two
+    assert [s[0] for s in shares] == [96, 96] + [6] * 14 + [96, 96]
+    assert shares[2:16] == [(6, 1, 1, 1)] * 2 + ([(6, 1, 1, 1)] * 2 + [(6, 1, 1, 2)]) * 4
 
 
 def test_self_action_work_counts(monkeypatch):
@@ -445,8 +476,20 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     assert (sum(map(len, squares)), len(lambdas), len(pr2s)) == (1, 1, 1)
     # universality reads k off the quotient's labels
     assert len(recognitions) == 1
-    # the square's two, one factorization per family member, the control's two
-    assert len(compositions) == 2 + 20 + 2
+    # the square's two, one factorization per distinct family member, the control's two
+    assert len(compositions) == 2 + 14 + 2
+
+
+def test_quotient_suite_lookups_and_products(monkeypatch):
+    # universality composes each factorization on one element per coset
+    # (6 of 24 components), the compositions read target positions straight
+    # from the label dictionary, and the shape checks look each label
+    # object's stalk up once
+    sel = cli.parse_selector("gl:4")
+    lookups = _counting(monkeypatch, schemes.RankScheme, "index")
+    products = _counting(monkeypatch, Mat, "__mul__")
+    assert cli._run_check("quotient:2", sel).ok
+    assert len(lookups) <= 3000 and len(products) <= 222
 
 
 def test_tau_check_reads_the_component_table(monkeypatch):
