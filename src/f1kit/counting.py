@@ -62,11 +62,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ZeroPolynomial("degree of the zero polynomial")
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
@@ -338,9 +333,6 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
             if good:
                 total += 1
     return total
-
-
-BRUTE_KINDS = ("subspaces", "gl", "monoid_homs")
 
 
 def brute_count(kind: str, params: dict, q: int) -> int:

@@ -25,9 +25,10 @@ act(x x', y) = act(x, act(x', y)) only for x' in the components of the
 generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
-morphism data only when a check asks for it.  check_action reads each row
-pair (i, j) once, and compares exponents and signs once per distinct tuple
-of block objects.
+morphism data only when a check asks for it.  check_action reads an
+action's components by position in G x Y, numbers each distinct (block,
+signs) object pair once, reads each row pair (i, j) once, and compares
+exponents and signs once per distinct tuple of operands.
 """
 
 from dataclasses import dataclass
@@ -285,7 +286,9 @@ class Cocycle:
     def value(self, i: int, j: int) -> tuple[int, ...]:
         return self.table[i][j]
 
+    @cached_property
     def is_trivial(self) -> bool:
+        """Is every value +1?  Computed once per cocycle."""
         ones = ((1,) * self.r,) * self.w.order()
         return all(row == ones for row in self.table)
 
@@ -310,7 +313,7 @@ def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
     normalization, and for (1, s) it is the identity at (a, s, b), so
     Light's test gives associativity.  A trivial table is skipped.
     """
-    if cocycle.is_trivial():
+    if cocycle.is_trivial:
         return None
     w = cocycle.w
     n = w.order()
@@ -376,8 +379,7 @@ class GroupModel:
         self.law = law
         self.cells = cells
         self.mo_law = mo_law
-        self.kind = "strong" if (law.cocycle.is_trivial() and mo_law == TWISTED) else "weak"
-        self._rank_scheme = None
+        self.kind = "strong" if (law.cocycle.is_trivial and mo_law == TWISTED) else "weak"
 
     @property
     def w(self) -> FiniteGroupTable:
@@ -387,14 +389,10 @@ class GroupModel:
     def r(self) -> int:
         return self.law.theta.r
 
-    @property
+    @cached_property
     def rank_scheme(self) -> RankScheme:
-        if self._rank_scheme is None:
-            free = FgAbelianGroup.free(self.r)
-            self._rank_scheme = RankScheme(
-                tuple((label, free) for label in self.w.elements)
-            )
-        return self._rank_scheme
+        free = FgAbelianGroup.free(self.r)
+        return RankScheme(tuple((label, free) for label in self.w.elements))
 
     def scheme(self) -> F1Scheme:
         return from_torification(self.cells)
@@ -610,42 +608,30 @@ def sigma_check(g: GroupModel) -> Report:
     which table_violation verified when the table was built; checks
     still counts those |W| instances after the |W|^2 pairs.
     """
-    w = g.w
+    w, cocycle = g.w, g.law.cocycle
     n = w.order()
-    one = (1,) * g.r
     checks = n * n + n
-    bad = next(((i, j) for i in range(n) for j in range(n) if g.law.cocycle.value(i, j) != one), None)
-    if bad is not None:
-        i, j = bad
-        witness = {"pair": [w.elements[i], w.elements[j]], "cocycle": list(g.law.cocycle.value(i, j))}
-        return Report.failed(checks, witness, ("section-not-homomorphism",))
-    return Report.passed(checks, ("section-splits",))
-
-
-def split_action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: str, i: int, yc: int,
-                        slices: dict | None = None):
-    """Exponent blocks [A | B] and signs of an action at ((i, yc)); slices,
-    kept for one check, splits each exponent or comap object once."""
-    half = act.z_side if side == "z" else act.mo_side
-    idx = half.source.index((g.w.elements[i], y.components[yc][0]))
-    block = half.exponents[idx] if side == "z" else half.comaps[idx]
-    slices = {} if slices is None else slices
-    if id(block) not in slices:
-        e = block if side == "z" else block.free_matrix.transpose()
-        slices[id(block)] = e.col_slice(0, g.r), e.col_slice(g.r, e.cols), (1,) * e.rows
-    a, b, ones = slices[id(block)]
-    return a, b, half.signs[idx] if side == "z" else ones, y.index(half.targets[idx])
+    if cocycle.is_trivial:
+        return Report.passed(checks, ("section-splits",))
+    one = (1,) * g.r
+    i, j = next((i, j) for i in range(n) for j in range(n) if cocycle.value(i, j) != one)
+    witness = {"pair": [w.elements[i], w.elements[j]], "cocycle": list(cocycle.value(i, j))}
+    return Report.failed(checks, witness, ("section-not-homomorphism",))
 
 
 def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     """Action diagrams for act: G x Y -> Y, both sides.
 
     Verifies act(e, -) = id and act(mu(g1,g2), -) = act(g1, act(g2, -))
-    with exact component, exponent-block and sign comparisons, reading
-    act's blocks from a table built once per side and each row pair (i, j)
-    once (blocks once per distinct operand tuple).  Associativity is
-    checked at every (i, y) but only for j in S = w.generators, which
-    suffices once g's law is a group law (require_group, first):
+    with exact component, exponent-block and sign comparisons.  Both
+    halves must map G x Y to Y, so component (i, y) of each sits at
+    i |Y| + y and is read by position.  One operand table numbers each
+    distinct (block, signs) object pair and splits its block into [A | B]
+    when first seen; each row pair (i, j) is read once, every component
+    compared, and exponents and signs once per distinct operand tuple.
+    Associativity is checked at every (i, y) but only for j in
+    S = w.generators, which suffices once g's law is a group law
+    (require_group, first):
 
     * Fix the scheme side or the monoid side.  The points x' with
       act(x x', y) = act(x, act(x', y)) for all x, y are closed under
@@ -672,14 +658,26 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     js = w.generators
     guard("action law", f"2 x {n} x {len(js)} generators x {m} instances",
           2 * n * len(js) * m, 1_000_000)
+    mo, z = act.mo_side, act.z_side
     expected_src = product_scheme(g.rank_scheme, y)
-    if act.z_side.source != expected_src or act.z_side.target != y:
+    if any(half.source != expected_src or half.target != y for half in (mo, z)):
         return Report.failed(1, {"reason": "action must map G x Y to Y"})
     require_group(g)
-    slices, triples, halves = {}, {}, {}
+    numbers, operands, halves = {}, [], {}
+
+    def operand(block, signs) -> int:
+        """The number of (block, signs) in the operand table; a comap
+        (signs None) is transposed and gets +1 signs."""
+        key = (id(block), id(signs))
+        if key not in numbers:
+            e = block if signs is not None else block.free_matrix.transpose()
+            numbers[key] = len(operands)
+            operands.append((e.col_slice(0, g.r), e.col_slice(g.r, e.cols),
+                             (1,) * e.rows if signs is None else signs))
+        return numbers[key]
 
     def operand_part(cj: int, ci: int, cm: int) -> str:
-        """The part (exponent, signs or "") failed at the current (i, j) by triples cj, ci, cm."""
+        """The part (exponent, signs or "") failed at the current (i, j) by operands cj, ci, cm."""
         # LHS: act after (mu x id), by cm and the law blocks; RHS: act after (id x act), by ci and cj
         lhs, rhs = (cm, id(lb), id(ls)), (ci, cj)
         if lhs not in halves:
@@ -693,29 +691,28 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
         return "exponent" if left != right else "signs" if left_signs != right_signs else ""
 
     per_side = m + n * n * m
-    for pos, side in ((0, "mo"), (per_side, "z")):
-        blk = [[split_action_blocks(g, y, act, side, i, yc, slices) for yc in range(m)]
-               for i in range(n)]
+    for pos, side, targets, blocks, signs in ((0, "mo", mo.targets, mo.comaps, [None] * (n * m)),
+                                              (per_side, "z", z.targets, z.exponents, z.signs)):
+        # row i: the target component and the operand number of each (i, y)
+        outs, nums = list(map(y.index, targets)), list(map(operand, blocks, signs))
+        rows = [(outs[i * m:(i + 1) * m], nums[i * m:(i + 1) * m]) for i in range(n)]
+        oe, ce = rows[w.identity]
         for yc in range(m):
             # composing with the unit kills the group block A, so only the
             # Y block and the signs are constrained
-            _, b, signs, out = blk[w.identity][yc]
-            ylabel = y.components[yc][0]
-            part = ("component" if out != yc else "exponent" if not b.is_identity()
-                    else "signs" if any(s != 1 for s in signs) else None)
+            _, b, s = operands[ce[yc]]
+            part = ("component" if oe[yc] != yc else "exponent" if not b.is_identity()
+                    else "signs" if any(x != 1 for x in s) else None)
             if part:
+                ylabel = y.components[yc][0]
                 return Report.failed(pos + yc + 1, _diagram_witness(side, "action-unit", [ylabel], part))
         pos += m
-        # each entry's target component, and its operand triple (A, B, signs) by number
-        outs = [[out for *_, out in row] for row in blk]
-        cls = [[triples.setdefault((id(a), id(b), id(s)), (len(triples), (a, b, s)))[0]
-                for a, b, s, _ in row] for row in blk]
-        operands = [t for _, t in triples.values()]
         for i in range(n):
+            oi, ci = rows[i]
             for j in js:
                 ij = w.mul(i, j)
                 _, lb, ls = g.law_blocks(side, i, j)
-                oi, ci, oj, cj, om, cm = outs[i], cls[i], outs[j], cls[j], outs[ij], cls[ij]
+                (oj, cj), (om, cm) = rows[j], rows[ij]
                 # every instance's component, each distinct operand tuple once; then find y
                 if list(map(oi.__getitem__, oj)) == om and not any(
                         operand_part(*key) for key in set(zip(cj, map(ci.__getitem__, oj), cm))):

@@ -20,6 +20,7 @@ multiply by composing tuples, and det reads the permutation's sign.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm, prod
 
 from .errors import ShapeMismatch
@@ -55,19 +56,14 @@ class Mat:
         return Mat(rows, cols, tuple(tuple(int(x) for x in row) for row in entries))
 
     @staticmethod
+    @cache      # one shared instance per shape; safe because Mat is frozen
     def identity(n: int) -> "Mat":
-        m = _IDENTITIES.get(n)
-        if m is None:
-            m = _IDENTITIES[n] = Mat(n, n, tuple(
-                tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-        return m
+        return Mat(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
+    @cache
     def zeros(rows: int, cols: int) -> "Mat":
-        m = _ZEROS.get((rows, cols))
-        if m is None:
-            m = _ZEROS[rows, cols] = Mat(rows, cols, ((0,) * cols,) * rows)
-        return m
+        return Mat(rows, cols, ((0,) * cols,) * rows)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -141,11 +137,6 @@ class Mat:
         return self.rows == self.cols and all(
             x == (1 if i == j else 0) for i, row in enumerate(self.data) for j, x in enumerate(row)
         )
-
-
-# one shared instance per shape; safe because Mat is frozen
-_IDENTITIES: dict[int, Mat] = {}
-_ZEROS: dict[tuple[int, int], Mat] = {}
 
 
 def _signed_perm(cols: tuple, signs: tuple) -> Mat:

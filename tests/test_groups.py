@@ -29,7 +29,6 @@ from f1kit.groups import (
     require_group,
     self_action,
     sigma_check,
-    split_action_blocks,
     table_violation,
     tables_isomorphic_by,
     theta_violation,
@@ -476,12 +475,22 @@ def test_group_axioms_agree_with_literal_diagrams(name):
 
 # -- exhaustive action oracle -------------------------------------------------
 
+def action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: str, i: int, yc: int):
+    """Exponent blocks [A | B], signs and target position of act's side at
+    the component labeled (i, yc), looked up by its label."""
+    half = act.z_side if side == "z" else act.mo_side
+    idx = half.source.index((g.w.elements[i], y.components[yc][0]))
+    e = half.exponents[idx] if side == "z" else half.comaps[idx].free_matrix.transpose()
+    signs = half.signs[idx] if side == "z" else (1,) * e.rows
+    return e.col_slice(0, g.r), e.col_slice(g.r, e.cols), signs, y.index(half.targets[idx])
+
+
 def exhaustive_action_failures(g: GroupModel, y: RankScheme, act: WeakMorphism):
     """Every action diagram instance of act, evaluated one by one.
 
     This is check_action's original exhaustive loop: instances run side
     (mo, z) > unit, then (i, j, y) over all of W x W x Y, and each reads
-    its three blocks with split_action_blocks.  An instance records its
+    its three blocks with action_blocks.  An instance records its
     first failing part (component, exponent, signs).  Returns the number
     of instances and a dict from each failing (side, diagram, labels,
     part) to its position.
@@ -492,7 +501,7 @@ def exhaustive_action_failures(g: GroupModel, y: RankScheme, act: WeakMorphism):
     for side in ("mo", "z"):
         for yc in range(m):
             pos += 1
-            a, b, signs, out = split_action_blocks(g, y, act, side, w.identity, yc)
+            a, b, signs, out = action_blocks(g, y, act, side, w.identity, yc)
             key = (side, "action-unit", (y.components[yc][0],))
             if out != yc:
                 failures[key + ("component",)] = pos
@@ -508,9 +517,9 @@ def exhaustive_action_failures(g: GroupModel, y: RankScheme, act: WeakMorphism):
                     pos += 1
                     key = (side, "action-associativity",
                            (w.elements[i], w.elements[j], y.components[yc][0]))
-                    aj, bj, sj, yj = split_action_blocks(g, y, act, side, j, yc)
-                    ai, bi, si, yi = split_action_blocks(g, y, act, side, i, yj)
-                    am, bm, sm, ym = split_action_blocks(g, y, act, side, ij, yc)
+                    aj, bj, sj, yj = action_blocks(g, y, act, side, j, yc)
+                    ai, bi, si, yi = action_blocks(g, y, act, side, i, yj)
+                    am, bm, sm, ym = action_blocks(g, y, act, side, ij, yc)
                     if ym != yi:
                         failures[key + ("component",)] = pos
                     elif (am * la, am * lb, bm) != (ai, bi * aj, bi * bj):
@@ -721,6 +730,24 @@ def test_action_check_agrees_with_exhaustive_scan(name):
         assert failures.get(key) == rep.checks, (key, rep.checks, failures)
 
 
+def test_action_halves_must_map_g_x_y_in_product_order_to_y():
+    # both halves are read by position, so a monoid side that lists the same
+    # components in another order is refused before any instance is checked
+    g, y, act = _self(gl_model(2))
+    mo, k = act.mo_side, len(y.components)
+    flip = list(range(k, 2 * k)) + list(range(k))       # the second row of components first
+    swapped = StrongMorphismRk(RankScheme(tuple(mo.source.components[x] for x in flip)), mo.target,
+                               tuple(mo.targets[x] for x in flip), tuple(mo.comaps[x] for x in flip))
+    # a monoid side into a larger target is refused too; neither pair is a weak morphism
+    larger = StrongMorphismRk(mo.source, RankScheme(y.components + (("extra", FgAbelianGroup.free(2)),)),
+                              mo.targets, mo.comaps)
+    for bad in (swapped, larger):
+        assert check_weak(WeakMorphism(bad, act.z_side)).witness["reason"] == "halves live on different schemes"
+        rep = check_action(g, y, WeakMorphism(bad, act.z_side))
+        assert not rep.ok and rep.checks == 1
+        assert rep.witness == {"reason": "action must map G x Y to Y"}
+
+
 def test_action_check_requires_a_group_law():
     g = ORACLE_MODELS["cochain-not-cocycle"]()
     with pytest.raises(AxiomsFailed, match="group axioms fail"):
@@ -728,17 +755,17 @@ def test_action_check_requires_a_group_law():
 
 
 def test_action_and_law_morphism_guards_refuse_before_work(monkeypatch, capsys):
-    import f1kit.groups as groups
-    lookups = []
-    monkeypatch.setattr(groups, "split_action_blocks", lambda *a: lookups.append(a))
     # caps 1,000,000 x 1/10000 = 100 and 100,000 x 3/10000 = 30; at 1/10000 the
     # law morphism (36 components, cap 10) would refuse first, so it is built before
     g = gl_model(3)
     act = self_action(g)
+    y = g.rank_scheme
+    lookups = []
+    monkeypatch.setattr(RankScheme, "index", lambda *a: lookups.append(a))
     monkeypatch.setenv("F1KIT_MAX_SCALE", "1/10000")
     with pytest.raises(OutOfScale, match=r"^action law guard: 2 x 6 x 2 generators x 6 instances "
                        r"= 144 exceeds cap 100 \(scale caps with F1KIT_MAX_SCALE\)$"):
-        check_action(g, g.rank_scheme, act)
+        check_action(g, y, act)
     assert lookups == []
     monkeypatch.setenv("F1KIT_MAX_SCALE", "3/10000")
     assert main(["check", "gl:3", "--suite", "strongweak"]) == 2

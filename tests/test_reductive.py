@@ -414,16 +414,24 @@ def test_factorizations_share_their_blocks(monkeypatch):
 def test_self_action_work_counts(monkeypatch):
     g = gl_model(3)
     y, act = g.rank_scheme, self_action(g)
-    lookups = _counting(monkeypatch, groups, "split_action_blocks")
+    lookups = _counting(monkeypatch, schemes.RankScheme, "index")
     products = _counting(monkeypatch, Mat, "__mul__")
     rep = check_action(g, y, act)
     assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
-    # one block lookup per (side, i, y)
+    # components are read by position: one target lookup per (side, i, y)
     assert len(lookups) == 2 * 6 * 6
     # gl_model verified theta already, and each product runs once per pair
     # of block objects (the law's identity block A is not multiplied): per
     # side, A(ij) theta_i, B_i A_j and B_i B_j for the 6 x 2 pairs (i, j)
     assert len(products) == 3 * 2 * 6 * 2
+
+
+def test_sigma_reads_the_cocycle_verdict(monkeypatch):
+    g = gl_model(4)
+    values = _counting(monkeypatch, groups.Cocycle, "value")
+    rep = sigma_check(g)
+    assert rep.ok and rep.checks == 24 * 24 + 24
+    assert values == []
 
 
 LAW_KERNELS = ("table_violation", "theta_violation", "cocycle_violation")
