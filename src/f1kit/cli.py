@@ -131,7 +131,7 @@ class Selection:
 
     def monoid(self) -> PointedMonoid:
         """The monoid presentation, built once per selection so that the
-        counting polynomial and every brute q share one face walk."""
+        counting polynomial and every brute q share one facet computation."""
         if self._monoid is None:
             self._monoid = self._build_monoid()
         return self._monoid

@@ -1,13 +1,13 @@
 """Exact linear algebra on small integer matrices.
 
 Everything here is loop-based and exact: integer matrices as immutable
-row tuples, no floats ever.  The three nontrivial kernels are Bareiss
+row tuples, no floats ever.  The nontrivial kernels are Bareiss
 determinants, integer kernel bases via unimodular column reduction (rank
-reads off the kernel), and Fourier-Motzkin feasibility for linear
-systems over the rationals, run on gcd-normalised integer rows
-(rational inputs are cleared of denominators once, on entry).  Sizes are
-desk scale (tens of rows, not thousands); clarity beats asymptotics
-throughout.
+reads off the kernel), the facets of a rational cone by double
+description, and Fourier-Motzkin feasibility for linear systems over the
+rationals, run on gcd-normalised integer rows (rational inputs are
+cleared of denominators once, on entry).  Sizes are desk scale (tens of
+rows, not thousands); clarity beats asymptotics throughout.
 
 Matrices are stored dense but multiplied sparsely: a product row sums
 the rows of the right factor picked out by the left row's nonzero
@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
+from operator import mul
 
-from .errors import ShapeMismatch
+from .errors import ShapeMismatch, guard
 
 
 @dataclass(frozen=True)
@@ -224,15 +225,69 @@ def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
     return [tuple(col[top:]) for col in cols[p:]]
 
 
+def _primitive(row) -> tuple[int, ...]:
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def double_description(gens, d: int):
+    """Yield the H-representation of cone(gens[:j]) in Q^d for j = 0 .. k:
+    (lin, rays), a basis of the dual lineality {u : u.g = 0 for all g} and
+    the extreme rays of {u : u.g >= 0 for all g} modulo it (the facet
+    normals), each primitive and paired with its mask {j : u.g_j = 0}.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996) adds one generator a at a time.  A lineality vector l
+    with a.l > 0 turns into a ray, and each other x into (a.l) x - (a.x) l,
+    which keeps its signs.  Else the rays with a.u >= 0 stay, and a pair
+    with a.p > 0 > a.n adds (a.p) n - (a.n) p when no third ray vanishes
+    on every generator both vanish on (adjacency; in dimension D they share
+    at least D - 2 zeros).  The double description guard counts the rays
+    and pairs before each such step.
+
+    >>> *_, (lin, rays) = double_description([(1, 0), (1, 1)], 2)
+    >>> lin, sorted(rays)
+    ([], [((0, 1), 1), ((1, -1), 2)])
+    """
+    lin = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+    yield lin, rays
+    for j, a in enumerate(gens):
+        bit = 1 << j
+        dots = [sum(map(mul, a, x)) for x in lin]
+        i = next((i for i, s in enumerate(dots) if s), None)
+        if i is not None:
+            s, pivot = abs(dots[i]), lin[i] if dots[i] > 0 else tuple(-x for x in lin[i])
+
+            def project(x):
+                t = sum(map(mul, a, x))
+                return _primitive([s * y - t * z for y, z in zip(x, pivot)]) if t else x
+
+            lin = [project(x) for m, x in enumerate(lin) if m != i]
+            rays = [(project(u), z | bit) for u, z in rays] + [(pivot, bit - 1)]
+        else:
+            dots = [sum(map(mul, a, u)) for u, _ in rays]
+            pos = [(u, z, t) for (u, z), t in zip(rays, dots) if t > 0]
+            neg = [(u, z, t) for (u, z), t in zip(rays, dots) if t < 0]
+            guard("double description", "rays + pos x neg pairs",
+                  len(rays) + len(pos) * len(neg), 1_000_000)
+            low = d - len(lin) - 2
+            new = [(u, z if t else z | bit) for (u, z), t in zip(rays, dots) if t >= 0]
+            for p, zp, tp in pos:
+                for n, zn, tn in neg:
+                    both = zp & zn
+                    if both.bit_count() >= low and \
+                            sum(z & both == both for _, z in rays) == 2:
+                        new.append((_primitive([tp * y - tn * x for x, y in zip(p, n)]),
+                                    both | bit))
+            rays = new
+        yield lin, rays
+
+
 # Linear constraints for the feasibility kernel: (coeffs, const, rel)
 # encodes  coeffs . x + const  REL  0  with rel one of "eq", "ge", "gt".
 # Internally a constraint is the integer row coeffs + (const,), divided by
 # the gcd of its entries; scaling by a positive number keeps its meaning.
-
-
-def _primitive(row) -> tuple[int, ...]:
-    g = gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _int_row(values) -> tuple[int, ...]:

@@ -18,8 +18,9 @@ the face spans the unit lattice, and the cone is pointed modulo it.
 """
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from math import gcd
+from operator import and_, mul
 
 from .errors import (
     InfiniteHomSet,
@@ -27,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     guard,
 )
-from .linalg import Mat, feasible, kernel_basis, rank
+from .linalg import Mat, double_description, kernel_basis, rank
 from .report import Report, json_ints
 
 
@@ -289,12 +290,18 @@ class PointedMonoid:
         return self.group.generator_count()
 
     @cached_property
+    def _facets(self):
+        """The cone's H-representation by linalg.double_description, kept on
+        the instance: the unit split and spectrum.face_ranks read it."""
+        *_, hrep = double_description(self.generators, self.ambient_dim)
+        return hrep
+
+    @cached_property
     def _unit_split(self):
-        """The generators on the minimal face of the cone, those off it, and
-        a lattice basis of the integer functionals vanishing on the face:
-        integer coordinates on Q^d / span(face).  Kept on the instance."""
-        from .spectrum import minimal_face     # spectrum imports this module
-        face = minimal_face(self.generators, self.ambient_dim)
+        """The generators on the minimal face (on every facet), those off
+        it, and a lattice basis of the integer functionals vanishing on the
+        face: integer coordinates on Q^d / span(face).  Kept on the instance."""
+        face = reduce(and_, (z for _, z in self._facets[1]), (1 << len(self.generators)) - 1)
         units = tuple(g for j, g in enumerate(self.generators) if face >> j & 1)
         rest = tuple(g for j, g in enumerate(self.generators) if not face >> j & 1)
         return units, rest, tuple(kernel_basis(Mat.from_rows(len(units), self.ambient_dim, units)))
@@ -312,6 +319,13 @@ class PointedMonoid:
         while rank(Mat.from_rows(len(rest) - s, len(funcs), images[s:])) < len(rest) - s:
             s += 1
         return quotient, images, s
+
+    @cached_property
+    def _level_cones(self):
+        """The H-representation of cone(images[start:]) for each level start:
+        one pass over the images from the last back meets every one."""
+        _, images, _ = self._tail
+        return list(double_description(images[::-1], len(self._unit_split[2])))[::-1]
 
     @cached_property
     def _period(self):
@@ -364,13 +378,14 @@ def member(m: PointedMonoid, target) -> bool:
 
     Levels 0 .. s - 1 are free: a depth-first search fixes c_j one
     generator of V at a time, raising it from 0 for as long as the
-    rational relaxation stays feasible: c >= 0 on v_j and the later
-    generators, whose images in Q^d / span(F) sum to the image of the
-    residual.  A witness keeps every relaxation on its path feasible up
-    to its own c_j, so the search cannot pass it.  Each loop ends:
-    C / span(F) is pointed and every v_j has a nonzero image there, so
-    the relaxation is a bounded polytope.  A failed (level, residual)
-    pair is remembered and not searched again.
+    rational relaxation holds: the residual's image in Q^d / span(F) lies
+    in the cone of the images of v_j and the later generators.  By
+    Farkas and Minkowski-Weyl that is: zero on the cone's dual lineality
+    and >= 0 on each facet normal (PointedMonoid._level_cones).  A
+    witness keeps every relaxation on its path true up to its own c_j,
+    so the search cannot pass it.  Each loop ends: C / span(F) is
+    pointed and every v_j has a nonzero image there.  A failed (level,
+    residual) pair is remembered and not searched again.
 
     Tail: from level s on, the images of V are linearly independent
     (PointedMonoid._tail), so their coefficients are the unique rational
@@ -410,15 +425,12 @@ def member(m: PointedMonoid, target) -> bool:
         return False
     units, rest, _ = m._unit_split
     quotient, images, s = m._tail
-    k = len(rest)
 
     def relax(start: int, residual: tuple[int, ...]) -> bool:
-        nvars = k - start
-        cons = [(tuple(img[i] for img in images[start:]), -y, "eq")
-                for i, y in enumerate(quotient.apply(residual))]
-        for j in range(nvars):
-            cons.append((tuple(1 if i == j else 0 for i in range(nvars)), 0, "ge"))
-        return feasible(cons, nvars)
+        lin, facets = m._level_cones[start]
+        y = quotient.apply(residual)
+        return not any(sum(map(mul, u, y)) for u in lin) and \
+            all(sum(map(mul, u, y)) >= 0 for u, _ in facets)
 
     def solve(residual: tuple[int, ...]) -> bool:
         relations = _relations(images[s:], quotient.apply(residual))
@@ -459,18 +471,17 @@ def units_of(m: PointedMonoid) -> FgAbelianGroup:
     """Unit group of the monoid.
 
     For a group with zero this is the group itself.  For an affine monoid
-    the units form the lattice spanned by the minimal face of the cone
-    (spectrum.minimal_face): the generators whose negatives lie in the
-    rational cone.  The result records its rank (the lattice is free),
-    d minus the number of functionals that vanish on the face.
-    Each such g is a unit: if -g = sum lambda_h h with rational
-    lambda >= 0, then -Ng is in the monoid for a common denominator N,
-    so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and -u are in the
-    monoid, their representations add up to 0, so every generator that
-    u uses is on the minimal face.  Always decided, with one feasibility
-    call on a pointed cone and 1 + k otherwise, each in d variables (the
-    Farkas dual of -g in the cone), once per instance.  member's search
-    data (PointedMonoid._tail, _period) is not computed here.
+    the units form the lattice spanned by the minimal face of the cone:
+    the generators whose negatives lie in the rational cone, which by
+    Farkas' lemma are those on every facet.  The result records its rank
+    (the lattice is free), d minus the number of functionals that vanish
+    on the face.  Each such g is a unit: if -g = sum lambda_h h with
+    rational lambda >= 0, then -Ng is in the monoid for a common
+    denominator N, so -g = (N - 1)g + (-Ng) is too.  Conversely, if u and
+    -u are in the monoid, their representations add up to 0, so every
+    generator that u uses is on the minimal face.  Always decided, from
+    the instance's one double description pass (PointedMonoid._facets).
+    member's search data (_tail, _level_cones, _period) is not computed.
 
     >>> units_of(PointedMonoid.affine(2, [(1, 0), (-1, 0), (0, 1)]))
     FgAbelianGroup(rank=1, torsion=())

@@ -7,26 +7,24 @@ monoid is therefore a finite poset of faces; a group with zero has the
 single empty face.  Each point carries the unit group of its stalk (the
 sublattice spanned by the face), whose rank is the local torus dimension.
 
-The faces are found by walking up the face lattice from the minimal face
-(Bruns-Gubeladze, Polytopes, Rings and K-Theory, ch. 1-2): the covers of
-a face F are rays of the pointed cone C/span(F), so each is F plus one
-class of generators whose images there are positive multiples of each
-other.  That costs about #faces * k feasibility calls, not one for each
-of the 2^k generator subsets.  The walk reads each face's rank off the
-same kernel computation (rank F = d - #functionals vanishing on F), and
-its {face: rank} map is kept on the monoid instance, so spec,
-point_count_poly, affine_toric and the brute hom counter walk once per
-instance between them.  monoids.units_of reads the unit group off the
-same minimal_face that the walk starts from.
+The faces are read off the cone's facets, which one double description
+pass finds with their incidence masks (Motzkin et al. 1953; Fukuda and
+Prodon 1996; linalg.double_description).  Every face is an intersection
+of facets, the whole cone the empty one (Ziegler, Lectures on Polytopes,
+ch. 2), so the face masks are the full mask closed under AND with each
+facet mask, and the minimal face is the AND of them all.  Ranks come from
+the lattice's grading (face_ranks).  The pass and the {face: rank} map
+are kept on the monoid instance: spec, point_count_poly, affine_toric,
+the brute hom counter and monoids.units_of share one pass.
 """
 
 from dataclasses import dataclass
-from math import gcd
-from operator import mul
+from functools import reduce
+from operator import and_
 
 from .counting import IntPolynomial, cell_dimension_guard
 from .errors import TooManyGenerators, guard
-from .linalg import Mat, feasible, kernel_basis, rank
+from .linalg import double_description, feasible
 from .monoids import GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
@@ -60,80 +58,26 @@ class MoSpace:
 
 
 def _is_face(gens, subset_mask: int, d: int) -> bool:
-    """Feasibility of: functional zero on the subset, >= 1 off it."""
+    """Feasibility of: functional zero on the subset, >= 1 off it.  The
+    one-subset reference that the facets' face lattice is tested against."""
     cons = [(g, 0, "eq") if subset_mask >> j & 1 else (g, -1, "ge")
             for j, g in enumerate(gens)]
     return feasible(cons, d)
 
 
-def _cover_classes(gens, face: int, d: int, cone_rank: int) -> tuple[list[int], int, bool]:
-    """Generators off the face grouped by ray in C/span(F), as masks, the
-    rank of F, and whether those rays are linearly independent.
-
-    Integer functionals vanishing on the face give coordinates on
-    Q^d/span(F); two generators share a class when their images have the
-    same primitive vector.  rank F = d - #functionals, and the rays span
-    the image of span(C), of dimension rank C - rank F.
-    """
-    rows = [g for j, g in enumerate(gens) if face >> j & 1]
-    funcs = kernel_basis(Mat.from_rows(len(rows), d, rows))
-    face_rank = d - len(funcs)
-    classes: dict[tuple[int, ...], int] = {}
-    for j, g in enumerate(gens):
-        if not face >> j & 1:
-            image = [sum(map(mul, u, g)) for u in funcs]
-            step = gcd(*image)
-            key = tuple(x // step for x in image)
-            classes[key] = classes.get(key, 0) | 1 << j
-    return list(classes.values()), face_rank, len(classes) == cone_rank - face_rank
+def _closure(facets, k: int) -> set[int]:
+    """The full mask of k generators closed under AND with each facet mask."""
+    faces = {(1 << k) - 1}
+    for _, z in facets:
+        faces |= {face & z for face in faces}
+    return faces
 
 
 def minimal_face(gens, d: int) -> int:
-    """The minimal face of the cone, as a generator mask.
-
-    It is the empty set when the cone is pointed and no generator is
-    zero (one feasibility call), otherwise the generators g_j whose
-    negatives lie in the cone (one more call per generator).  Each call
-    is in the d variables of a functional u.  By Farkas' lemma -g_j is
-    in the cone exactly when no u has u.g >= 0 on every generator and
-    u.(-g_j) < 0; scaling u, exactly when {u.g >= 0 for all g,
-    u.g_j >= 1} is infeasible.
-    """
-    if _is_face(gens, 0, d):
-        return 0
-    dual = [(g, 0, "ge") for g in gens]
-    return sum(1 << j for j, g in enumerate(gens) if not feasible(dual + [(g, -1, "ge")], d))
-
-
-def _walk(gens, d: int) -> dict[int, int]:
-    """{face mask: rank} for the generator subsets that span faces.
-
-    Starts at the minimal face.  F is a face, so F = C cap span(F): every
-    generator off F has a nonzero image in C/span(F), and that cone is
-    pointed.  Each class of F is tested once with one feasibility call,
-    unless the class rays are linearly independent: then C/span(F) is
-    simplicial, every class is a ray, and no call is needed.  Every face
-    found is expanded once, which is where its rank is read.
-    """
-    bottom = minimal_face(gens, d)
-    cone_rank = rank(Mat.from_rows(len(gens), d, gens))
-    ranks: dict[int, int] = {}
-    found = {bottom}
-    rejected = set()
-    todo = [bottom]
-    while todo:
-        face = todo.pop()
-        classes, ranks[face], simplicial = _cover_classes(gens, face, d, cone_rank)
-        for mask in classes:
-            up = face | mask
-            if up in found or up in rejected:
-                continue
-            if simplicial or _is_face(gens, up, d):
-                found.add(up)
-                todo.append(up)
-            else:
-                rejected.add(up)
-    return ranks
+    """The minimal face of the cone, as a generator mask: the generators
+    on every facet, or all of them when the cone is a linear space."""
+    *_, (_, facets) = double_description(gens, d)
+    return reduce(and_, (z for _, z in facets), (1 << len(gens)) - 1)
 
 
 def face_masks(gens, d: int) -> set[int]:
@@ -142,7 +86,8 @@ def face_masks(gens, d: int) -> set[int]:
     A pure function of the generator list, which need not be a valid
     monoid (zero or repeated generators are fine).
     """
-    return set(_walk(gens, d))
+    *_, (_, facets) = double_description(gens, d)
+    return _closure(facets, len(gens))
 
 
 def _subset(mask: int, k: int) -> tuple[int, ...]:
@@ -152,16 +97,25 @@ def _subset(mask: int, k: int) -> tuple[int, ...]:
 def face_ranks(m: PointedMonoid) -> tuple[tuple[int, int], ...]:
     """(face mask, rank) pairs of an affine monoid, lex by face subset.
 
-    The walk runs once per instance: its result is kept on the instance,
-    outside the dataclass fields, so ==, hash and repr do not see it and
-    a value-equal instance walks again.  Before it walks, the face guard
-    refuses a cone that may have more than 2^14 faces.
+    The faces come from the instance's facets (PointedMonoid._facets).
+    The lattice is graded by rank, and F's own facets are among its
+    proper intersections with the cone's facets, so F's height over the
+    minimal face is one more than the largest of theirs; the whole cone
+    has rank d minus the dual lineality.  Kept on the instance, outside
+    the dataclass fields, so ==, hash and repr do not see it.  First the
+    face guard refuses a cone that may have more than 2^14 faces.
     """
     faces = m.__dict__.get("_face_ranks")
     if faces is None:
         k = len(m.generators)
         guard("face enumeration", f"2^{k} faces", 1 << k, 1 << 14, TooManyGenerators)
-        faces = tuple(sorted(_walk(m.generators, m.ambient_dim).items(),
+        lin, facets = m._facets
+        height: dict[int, int] = {}
+        for face in sorted(_closure(facets, k), key=int.bit_count):
+            height[face] = 1 + max((height[face & z] for _, z in facets if face & z != face),
+                                   default=-1)
+        top = m.ambient_dim - len(lin) - height[(1 << k) - 1]
+        faces = tuple(sorted(((face, top + h) for face, h in height.items()),
                              key=lambda item: _subset(item[0], k)))
         object.__setattr__(m, "_face_ranks", faces)
     return faces

@@ -15,7 +15,7 @@ import f1kit.reductive
 from f1kit.cli import main, parse_selector
 from f1kit.errors import SelectorError
 from f1kit.spectrum import face_masks
-from test_spectrum import _feasible_calls
+from test_spectrum import _dd_passes
 
 
 def run_cli(*args):
@@ -156,11 +156,11 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     gens = [(1, 0), (1, 1), (1, 2), (2, 1), (3, 1), (0, 1)]
     mfile = tmp_path / "wedge.json"
     mfile.write_text(json.dumps({"kind": "affine", "ambient_dim": 2, "generators": gens}))
-    walk = _feasible_calls(monkeypatch, lambda: face_masks(gens, 2))
+    assert _dd_passes(monkeypatch, lambda: face_masks(gens, 2)) == 1
     sel = parse_selector(f"monoid:{mfile}")
     assert sel.monoid() is sel.monoid()
     oracle = ["oracle", f"monoid:{mfile}", "--q", "2,3,5"]
-    assert _feasible_calls(monkeypatch, lambda: main(oracle)) == walk > 0
+    assert _dd_passes(monkeypatch, lambda: main(oracle)) == 1
     assert json.loads(capsys.readouterr().out)["equal"] is True
 
 

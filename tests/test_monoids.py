@@ -13,7 +13,7 @@ from f1kit.errors import (
     MembershipUndecidedWithinBound,
     ShapeMismatch,
 )
-from f1kit.linalg import Mat, feasible, kernel_basis, rank
+from f1kit.linalg import Mat, double_description, feasible, kernel_basis, rank
 from f1kit.monoids import (
     AFFINE,
     GROUP_WITH_ZERO,
@@ -27,7 +27,8 @@ from f1kit.monoids import (
     units_of,
     validate_hom,
 )
-from test_spectrum import _feasible_calls, _is_monoid, _oracle_corpus
+from f1kit.spectrum import face_masks
+from test_spectrum import _dd_passes, _faces_by_subsets, _is_monoid, _oracle_corpus
 
 
 def test_group_invariant_factors():
@@ -184,15 +185,13 @@ def test_units_of_agrees_with_the_bounded_search():
 
 
 def test_units_of_feasibility_calls(monkeypatch):
-    # one call decides that a pointed cone has trivial units
-    for m in (PointedMonoid.orthant(3), PointedMonoid.affine(1, [[2], [3]])):
-        assert _feasible_calls(monkeypatch, lambda: units_of(m)) == 1
-    # with a line, one more call per generator finds the minimal face
-    for m in (PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 1]]),
+    # one double description pass finds the minimal face, pointed or not
+    for m in (PointedMonoid.orthant(3), PointedMonoid.affine(1, [[2], [3]]),
+              PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 1]]),
               PointedMonoid.affine(1, [[3], [-2]]),
               PointedMonoid.affine(2, [[2, 1], [-1, 0], [-1, -1], [1, 5]])):
-        calls = _feasible_calls(monkeypatch, lambda: units_of(m))
-        assert calls == 1 + len(m.generators)
+        assert _dd_passes(monkeypatch, lambda: units_of(m)) == 1
+        assert _dd_passes(monkeypatch, lambda: units_of(m)) == 0
 
 
 def test_membership_decisions_and_bound():
@@ -262,15 +261,16 @@ def _lambda_minimal_face(gens, d):
 
 
 def test_minimal_face_agrees_with_the_lambda_test(monkeypatch):
-    calls = []
-    monkeypatch.setattr(spectrum, "feasible", lambda cons, n: calls.append(n) or feasible(cons, n))
+    passes = []
+    monkeypatch.setattr(spectrum, "double_description",
+                        lambda gens, d: passes.append(d) or double_description(gens, d))
     shapes = [(m.ambient_dim, m.generators) for m in UNIT_CORPUS] + _oracle_corpus()
     for d, gens in shapes:
-        calls.clear()
+        passes.clear()
         face = spectrum.minimal_face(gens, d)
         assert face == _lambda_minimal_face(gens, d), gens
-        # one call on a pointed cone, 1 + k otherwise, each in d variables
-        assert calls == [d] * (1 if face == 0 else 1 + len(gens)), gens
+        # one pass in d variables, pointed or not
+        assert passes == [d], gens
 
 
 def _walk_member(m, target):
@@ -346,30 +346,26 @@ def test_member_agrees_with_the_coefficient_walk_on_oracle_shapes(m, data):
 
 
 def test_member_feasibility_calls(monkeypatch):
-    # member's own calls count together with the minimal face's
-    monkeypatch.setattr(monoids, "feasible", lambda cons, n: spectrum.feasible(cons, n))
     line = PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 2], [1, 3]])
     pinned = [
-        # pointed: 1 for the minimal face, 2 relaxations on level 0
-        (PointedMonoid.affine(1, [[2], [3]]), (1,), 3),
+        # one pass for the cone's facets, one through the cones of every
+        # level, read from the last level back
+        (PointedMonoid.affine(1, [[2], [3]]), (1,), 2),
         # off the lattice the generators span: the root test answers
         # before the minimal face is sought
         (PointedMonoid.affine(1, [[2], [-2]]), (1,), 0),
         (PointedMonoid.affine(2, [[1, 1], [-1, -1], [0, 2]]), (0, 1), 0),
-        # on the lattice: 1 + 4 for the minimal face, 2 relaxations on
-        # level 0, which P = 3 would stop at c = 3
-        (line, (0, 1), 7),
+        (line, (0, 1), 2),
     ]
-    for m, target, calls in pinned:
-        assert _feasible_calls(monkeypatch, lambda: member(m, target)) == calls
-    # the unit split is kept on the instance: a second call makes only
-    # its 2 relaxations
-    assert _feasible_calls(monkeypatch, lambda: member(line, (0, 1))) == 2
+    for m, target, passes in pinned:
+        assert _dd_passes(monkeypatch, lambda: member(m, target)) == passes
+    # the facets and the level cones are kept on the instance
+    assert _dd_passes(monkeypatch, lambda: member(line, (0, 1))) == 0
 
 
 def _work(monkeypatch, run):
-    """(feasible calls, kernel_basis calls) that run makes, wherever they
-    are called from (linalg.rank reads a kernel too)."""
+    """(double description passes, kernel_basis calls) that run makes,
+    wherever they are called from (linalg.rank reads a kernel too)."""
     counts = [0, 0]
 
     def counted(i, fn):
@@ -379,8 +375,8 @@ def _work(monkeypatch, run):
         return call
 
     for module in (monoids, spectrum):
-        monkeypatch.setattr(module, "feasible", counted(0, feasible))
-    for module in (monoids, spectrum, linalg):
+        monkeypatch.setattr(module, "double_description", counted(0, double_description))
+    for module in (monoids, linalg):
         monkeypatch.setattr(module, "kernel_basis", counted(1, kernel_basis))
     run()
     return tuple(counts)
@@ -398,24 +394,26 @@ PLANE = [(2, 0), (0, 2), (1, 1), (3, 1)]
 
 
 def test_member_work_on_large_targets(monkeypatch):
-    # (d, generators, target, answer, feasible calls, kernel_basis calls)
+    # (d, generators, target, answer, double description passes,
+    # kernel_basis calls); every search runs on the two passes a fresh
+    # instance makes, for the cone's facets and for the level cones
     rows = [
         # 29 is the Frobenius number of <6, 10, 15>; the walk on 6 ends at
         # c = 4, and each of its steps meets the bound P = 3 on 10
-        (1, NUMERICAL, (29,), False, 21, 15),
+        (1, NUMERICAL, (29,), False, 2, 15),
         # the same work at any size: found at c = 1 on 6
-        (1, NUMERICAL, (2001,), True, 7, 8),
-        (1, NUMERICAL, (20001,), True, 7, 8),
+        (1, NUMERICAL, (2001,), True, 2, 8),
+        (1, NUMERICAL, (20001,), True, 2, 8),
         # off the lattice x + y even: the root test alone
         (2, PLANE, (401, 200), False, 0, 1),
         (2, PLANE, (4001, 2000), False, 0, 1),
         # (0, 2) is outside the simplicial cone of the tail (1, 1), (3, 1),
         # so its level has no P and walks until the tail solve succeeds
-        (2, PLANE, (4000, 2000), True, 3, 4),
-        (2, PLANE, (1, 3), True, 4, 6),
+        (2, PLANE, (4000, 2000), True, 2, 4),
+        (2, PLANE, (1, 3), True, 2, 6),
     ]
-    for d, gens, target, answer, calls, kernels in rows:
-        assert _member_work(monkeypatch, d, gens, target) == (answer, (calls, kernels)), target
+    for d, gens, target, answer, passes, kernels in rows:
+        assert _member_work(monkeypatch, d, gens, target) == (answer, (passes, kernels)), target
 
 
 def test_member_work_at_ten_times_the_target_size(monkeypatch):
@@ -440,12 +438,68 @@ def test_member_work_at_ten_times_the_target_size(monkeypatch):
 
 
 def test_units_of_computes_no_search_data(monkeypatch):
-    # the minimal face's feasibility calls and one kernel for the
-    # functionals vanishing on it; member's tail and P are left alone
+    # the instance's one double description pass and one kernel for the
+    # functionals vanishing on the minimal face; member's tail, level
+    # cones and P are left alone
     for m in UNIT_CORPUS:
-        face_calls = 1 if units_of(m).rank == 0 else 1 + len(m.generators)
         fresh = PointedMonoid.affine(m.ambient_dim, m.generators)
-        assert _work(monkeypatch, lambda: units_of(fresh)) == (face_calls, 1), m
+        assert _work(monkeypatch, lambda: units_of(fresh)) == (1, 1), m
+
+
+@st.composite
+def _generator_lists(draw):
+    """d <= 5 and k <= 8 generators with entries in -3..3, among them
+    cones with a line, zero generators and repeated generators."""
+    d = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=7))
+    extra = draw(st.sampled_from(["line", "repeat", "zero", None]))
+    if gens and extra == "line":
+        gens.append(tuple(-x for x in gens[0]))
+    elif gens and extra == "repeat":
+        gens.append(gens[-1])
+    elif extra == "zero":
+        gens.append((0,) * d)
+    return d, draw(st.permutations(gens))
+
+
+def _dot(u, y):
+    return sum(a * b for a, b in zip(u, y))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_generator_lists(), st.data())
+def test_double_description_agrees_with_fourier_motzkin(cone, data):
+    d, gens = cone
+    assert face_masks(gens, d) == _faces_by_subsets(gens, d), gens
+    assert spectrum.minimal_face(gens, d) == _lambda_minimal_face(gens, d), gens
+    # each level's cone, as member reads it, against the relaxation it
+    # replaced: a rational c >= 0 on the images from that level on that
+    # sums to the residual's image
+    m = PointedMonoid.affine(d, dict.fromkeys(g for g in gens if any(g)))
+    quotient, images, _ = m._tail
+    coeffs = data.draw(st.lists(st.integers(-1, 2), min_size=len(m.generators),
+                                max_size=len(m.generators)))
+    targets = [data.draw(st.tuples(*[st.integers(-4, 4)] * d)),
+               tuple(sum(c * g[i] for c, g in zip(coeffs, m.generators)) for i in range(d))]
+    assert len(m._level_cones) == len(images) + 1
+    for start, (lin, facets) in enumerate(m._level_cones):
+        nvars = len(images) - start
+        nonneg = [(tuple(int(i == j) for i in range(nvars)), 0, "ge") for j in range(nvars)]
+        for target in targets:
+            y = quotient.apply(target)
+            inside = not any(_dot(u, y) for u in lin) and all(_dot(u, y) >= 0 for u, _ in facets)
+            cons = [(tuple(img[i] for img in images[start:]), -x, "eq") for i, x in enumerate(y)]
+            assert inside == feasible(cons + nonneg, nvars), (gens, start, target)
+
+
+def test_member_answers_do_not_depend_on_generator_order():
+    # the hole family: (2 + 3n, 1 + n) lies in the cone of <(3,1),(1,1),(0,1)>
+    # but not in the monoid, and (2 + 3n, 2 + n) = n (3,1) + 2 (1,1) does
+    orders = [PointedMonoid.affine(2, [(3, 1), (1, 1), (0, 1)]),
+              PointedMonoid.affine(2, [(0, 1), (1, 1), (3, 1)])]
+    for n in (10, 100):
+        for target, answer in (((2 + 3 * n, 1 + n), False), ((2 + 3 * n, 2 + n), True)):
+            assert [member(m, target) for m in orders] == [answer, answer], target
 
 
 def test_member_refuses_coordinates_that_are_not_ints():

@@ -5,12 +5,12 @@ from itertools import combinations
 
 import pytest
 
-from f1kit import spectrum
+from f1kit import monoids, spectrum
 from f1kit.counting import IntPolynomial, brute_count_monoid_homs
-from f1kit.errors import TooManyGenerators
+from f1kit.errors import OutOfScale, TooManyGenerators
 from f1kit.schemes import affine_toric
-from f1kit.linalg import Mat, feasible, kernel_basis, rank
-from f1kit.monoids import FgAbelianGroup, PointedMonoid
+from f1kit.linalg import Mat, double_description, feasible, kernel_basis, rank
+from f1kit.monoids import FgAbelianGroup, PointedMonoid, units_of
 from f1kit.spectrum import (
     disjoint_union,
     face_masks,
@@ -121,8 +121,8 @@ def test_space_report_shape():
 
 
 def _faces_by_subsets(gens, d):
-    """Every one of the 2^k generator subsets tested on its own: the
-    enumeration the face walk replaced, kept as its oracle."""
+    """Every one of the 2^k generator subsets tested on its own by
+    Fourier-Motzkin: the oracle for the faces read off the facets."""
     return {mask for mask in range(1 << len(gens)) if spectrum._is_face(gens, mask, d)}
 
 
@@ -208,16 +208,25 @@ def test_face_set_is_the_farkas_support_condition():
             assert (mask in faces) == _face_condition_reference(gens, subset), (gens, mask)
 
 
-def _feasible_calls(monkeypatch, run) -> int:
-    calls = []
+def _dd_work(monkeypatch, run) -> tuple[int, int]:
+    """(double description passes, rays summed over their steps) that run
+    makes, wherever spectrum or monoids start a pass."""
+    work = [0, 0]
 
-    def counted(constraints, nvars):
-        calls.append(nvars)
-        return feasible(constraints, nvars)
+    def counted(gens, d):
+        work[0] += 1
+        for lin, rays in double_description(gens, d):
+            work[1] += len(rays)
+            yield lin, rays
 
-    monkeypatch.setattr(spectrum, "feasible", counted)
+    for module in (spectrum, monoids):
+        monkeypatch.setattr(module, "double_description", counted)
     run()
-    return len(calls)
+    return tuple(work)
+
+
+def _dd_passes(monkeypatch, run) -> int:
+    return _dd_work(monkeypatch, run)[0]
 
 
 def test_face_walk_work_counts(monkeypatch):
@@ -227,21 +236,28 @@ def test_face_walk_work_counts(monkeypatch):
     line = PointedMonoid.affine(3, [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1),
                                     (1, 2, 0), (1, 3, 5), (2, 1, 1), (3, 1, -4)])
     wedge = PointedMonoid.affine(2, [(1, 0), (1, 1), (1, 2), (2, 1), (3, 1), (0, 1)])
+    # the cone over a cube after a zero generator, which is on every facet:
+    # pairs of rays that share enough zeros but are not adjacent are dropped
+    cube = [(0, 0, 0, 0)] + [(1, a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    # one pass each; the rays it holds, summed over its steps, stay far
+    # below the 2^k subsets a subset enumeration would test
     cases = [
-        (4, lambda: spec(PointedMonoid.orthant(4)), 1),
-        (12, lambda: spec(fan), 13),
-        (8, lambda: spec(line), 15),
-        (6, lambda: brute_count_monoid_homs(wedge, 2), 7),
+        (4, lambda: spec(PointedMonoid.orthant(4)), 10),
+        (12, lambda: spec(fan), 23),
+        (8, lambda: spec(line), 12),
+        (6, lambda: brute_count_monoid_homs(wedge, 2), 11),
+        (9, lambda: face_masks(cube, 4), 33),
     ]
-    for k, run, pinned in cases:
-        count = _feasible_calls(monkeypatch, run)
-        assert count == pinned
-        assert 4 * count <= 2 ** k
+    for k, run, rays in cases:
+        assert _dd_work(monkeypatch, run) == (1, rays)
+        assert rays < 2 ** k
 
 
 def test_walk_ranks_are_the_rank_of_each_face():
     for d, gens in _oracle_corpus():
-        ranks = spectrum._walk(gens, d)
+        if not _is_monoid(gens):
+            continue
+        ranks = dict(spectrum.face_ranks(PointedMonoid.affine(d, gens)))
         assert set(ranks) == face_masks(gens, d)
         for mask, r in ranks.items():
             rows = [g for j, g in enumerate(gens) if mask >> j & 1]
@@ -251,7 +267,7 @@ def test_walk_ranks_are_the_rank_of_each_face():
 def test_one_walk_per_instance(monkeypatch):
     gens = [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1),
             (1, 2, 0), (1, 3, 5), (2, 1, 1), (3, 1, -4)]
-    walk = _feasible_calls(monkeypatch, lambda: face_masks(gens, 3))
+    assert _dd_passes(monkeypatch, lambda: face_masks(gens, 3)) == 1
     m = PointedMonoid.affine(3, gens)
     fresh = PointedMonoid.affine(3, gens)
     before = (hash(m), repr(m))
@@ -262,13 +278,56 @@ def test_one_walk_per_instance(monkeypatch):
         affine_toric(m)
         brute_count_monoid_homs(m, 2)
         brute_count_monoid_homs(m, 3)
+        units_of(m)
 
-    assert _feasible_calls(monkeypatch, consumers) == walk > 0
-    assert _feasible_calls(monkeypatch, consumers) == 0
+    assert _dd_passes(monkeypatch, consumers) == 1
+    assert _dd_passes(monkeypatch, consumers) == 0
     # the memo is not part of the value: equality, hash and repr ignore it,
-    # and a value-equal instance walks on its own
+    # and a value-equal instance computes on its own
     assert m == fresh and (hash(m), repr(m)) == before == (hash(fresh), repr(fresh))
-    assert _feasible_calls(monkeypatch, lambda: spec(fresh)) == walk
+    assert _dd_passes(monkeypatch, lambda: spec(fresh)) == 1
+
+
+def _dense_cone(seed, d, k=14):
+    """k draws from 0..4 in Z^d, zero vectors dropped."""
+    rng = random.Random(seed)
+    gens = [tuple(rng.randint(0, 4) for _ in range(d)) for _ in range(k)]
+    return [g for g in gens if any(g)]
+
+
+def test_dense_cone_faces(monkeypatch):
+    # a dense pointed cone, on which a single Fourier-Motzkin face test
+    # can take seconds to come out infeasible
+    gens = _dense_cone(614, 6)
+    m = PointedMonoid.affine(6, gens)
+    ranks = {}
+    # one pass, which keeps only the adjacent combinations of its rays:
+    # 48 facets, and 267 rays held over its steps
+    assert _dd_work(monkeypatch, lambda: ranks.update(spectrum.face_ranks(m))) == (1, 267)
+    assert len(m._facets[1]) == 48
+    assert len(ranks) == 352
+    # each face spans a face (one Farkas test each), has the rank of its
+    # generators, and the f-vector of the pointed cone has Euler
+    # characteristic 0: sum over faces of (-1)^rank
+    for mask, r in ranks.items():
+        rows = [g for j, g in enumerate(gens) if mask >> j & 1]
+        assert r == rank(Mat.from_rows(len(rows), 6, rows))
+        assert spectrum._is_face(gens, mask, 6), mask
+    assert sum((-1) ** r for r in ranks.values()) == 0
+    assert face_masks(gens, 6) == set(ranks)
+
+
+def test_double_description_guard_names_estimate_cap_and_override(monkeypatch):
+    # the moment curve in Z^3: a polygon cone with 8 facets; with the caps
+    # scaled by 1/100000, the lattice guard lets d = 3 through and the
+    # double description cap is 10
+    polygon = [(1, t, t * t) for t in range(8)]
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/100000")
+    with pytest.raises(OutOfScale, match=r"^double description guard: rays \+ pos x neg pairs "
+                       r"= 11 exceeds cap 10 \(scale caps with F1KIT_MAX_SCALE\)$"):
+        units_of(PointedMonoid.affine(3, polygon))
+    monkeypatch.delenv("F1KIT_MAX_SCALE")
+    assert units_of(PointedMonoid.affine(3, polygon)).rank == 0
 
 
 def test_generator_guard_names_estimate_cap_and_override(monkeypatch):
