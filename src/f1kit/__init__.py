@@ -30,7 +30,7 @@ from .errors import (
     guard,
 )
 from .report import Report, jsonable
-from .linalg import Mat, det, feasible, kernel_basis, rank
+from .linalg import Mat, det, feasible, kernel_basis, rank, relations
 from .monoids import (
     AFFINE,
     GROUP_WITH_ZERO,

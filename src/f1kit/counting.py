@@ -17,9 +17,10 @@ counter against the q^k enumeration it replaced.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
 
 from .errors import NonDivisible, NotPrime, ZeroPolynomial, guard
-from .linalg import Mat, det, kernel_basis
+from .linalg import Mat, det, relations
 from .monoids import GROUP_WITH_ZERO, PointedMonoid
 
 
@@ -237,9 +238,10 @@ def cell_dimension_guard(dim: int) -> None:
 
 
 def _require_prime(q: int) -> None:
-    if q < 2 or any(q % d == 0 for d in range(2, int(q ** 0.5) + 1)):
+    if q >= 2:      # a huge q meets the guard before any trial division
+        guard("brute field", "q", q, 5)
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         raise NotPrime(f"brute counting needs a prime field size, got {q}")
-    guard("brute field", "q", q, 5)
 
 
 def brute_count_subspaces(k: int, n: int, q: int) -> int:
@@ -295,9 +297,11 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     S with one that meets the complement, by Farkas' lemma).  So the
     count runs face by face: every generator off F goes to 0, and every
     assignment of units in (F_q^*)^F is checked against a basis of the
-    integer relations among F's generators (the kernel of F's columns),
-    each of which must map to 1.  That is sum_F (q-1)^|F| assignments,
-    not the q^k of all generator images; the work guard still counts q^k.
+    integer relations among F's generators (linalg.relations), each of
+    which must map to 1.  That is sum_F (q-1)^|F| assignments, not the
+    q^k of all generator images; the work guard still counts q^k.  The
+    relation bases, which do not depend on q, are memoized per support on
+    the instance; every unit assignment is still visited.
     """
     _require_prime(q)
     if m.kind == GROUP_WITH_ZERO:
@@ -311,18 +315,18 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
 
     gens = m.generators
     k = len(gens)
-    d = m.ambient_dim
     guard("brute enumeration", f"{q}^{k} generator images", q ** k, 4_000_000)
     from .spectrum import face_ranks     # spectrum imports this module
 
+    memo = m.__dict__.setdefault("_support_relations", {})
     total = 0
     for face, _ in face_ranks(m):
         cols = [j for j in range(k) if face >> j & 1]
-        sub = Mat.from_rows(d, len(cols), [[gens[j][i] for j in cols] for i in range(d)])
-        relations = kernel_basis(sub)
+        if face not in memo:
+            memo[face] = relations([gens[j] for j in cols])
         for values in product(range(1, q), repeat=len(cols)):
             good = True
-            for rel in relations:
+            for rel in memo[face]:
                 acc = 1
                 for x, e in zip(values, rel):
                     if e:

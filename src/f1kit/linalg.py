@@ -2,8 +2,9 @@
 
 Everything here is loop-based and exact: integer matrices as immutable
 row tuples, no floats ever.  The nontrivial kernels are Bareiss
-determinants, integer kernel bases via unimodular column reduction (rank
-reads off the kernel), the facets of a rational cone by double
+determinants, lattice bases of the integer relations among vectors
+(relations, by unimodular column reduction; kernel_basis is its Mat form
+and rank reads off it), the facets of a rational cone by double
 description, and Fourier-Motzkin feasibility for linear systems over the
 rationals, run on gcd-normalised integer rows (rational inputs are
 cleared of denominators once, on entry).  Sizes are desk scale (tens of
@@ -193,36 +194,37 @@ def rank(m: Mat) -> int:
 
 
 def kernel_basis(m: Mat) -> list[tuple[int, ...]]:
-    """Basis of the full integer kernel {v in Z^cols : m v = 0}.
+    """Basis of the integer kernel {v in Z^cols : m v = 0}: the relations
+    among m's columns."""
+    return relations(list(zip(*m.data)) if m.rows else [()] * m.cols)
 
-    Column-reduces m with unimodular integer operations while carrying an
-    identity block underneath; the carried columns under the zeroed part
-    form a lattice basis of the kernel (saturated by construction).
 
-    >>> kernel_basis(Mat.from_rows(1, 2, [[2, -4]]))
+def relations(vectors) -> list[tuple[int, ...]]:
+    """Saturated lattice basis of {c in Z^k : sum c_j v_j = 0} for k
+    integer vectors of equal length, read as columns with an identity
+    block carried underneath.  Row by row, the live columns (nonzero in
+    that row) are all reduced by the one of least absolute value, in one
+    pass, until one is left, which leaves as a pivot.  Every step is
+    unimodular, so the carried parts of what remains form the basis.
+
+    >>> relations([(2,), (-4,)])
     [(2, 1)]
     """
-    n = m.cols
-    cols = [list(col) + [1 if i == j else 0 for i in range(n)]
-            for j, col in enumerate(zip(*m.data))] if m.rows else \
-           [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    top = m.rows
-    p = 0
-    for r in range(top):
-        # clear row r across columns p.. by gcd steps, leave one pivot
-        while True:
-            live = [j for j in range(p, len(cols)) if cols[j][r] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda j: abs(cols[j][r]))
-            a, b = live[0], live[1]
-            q = cols[b][r] // cols[a][r]
-            cols[b] = [x - q * y for x, y in zip(cols[b], cols[a])]
-        live = [j for j in range(p, len(cols)) if cols[j][r] != 0]
-        if live:
-            cols[p], cols[live[0]] = cols[live[0]], cols[p]
-            p += 1
-    return [tuple(col[top:]) for col in cols[p:]]
+    n, zeros = len(vectors[0]) if vectors else 0, [0] * len(vectors)
+    cols = [[*v, *zeros[:j], 1, *zeros[j + 1:]] for j, v in enumerate(vectors)]
+    for r in range(n):
+        live = [c for c in cols if c[r]]
+        cols = [c for c in cols if not c[r]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda c: abs(c[r]))
+            a, reduced = pivot[r], [pivot]
+            for b in live:
+                if b is not pivot:
+                    q = b[r] // a
+                    b = [x - q * y for x, y in zip(b, pivot)]
+                    (reduced if b[r] else cols).append(b)
+            live = reduced
+    return [tuple(c[n:]) for c in cols]
 
 
 def _primitive(row) -> tuple[int, ...]:

@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatch,
     guard,
 )
-from .linalg import Mat, double_description, kernel_basis, rank
+from .linalg import Mat, double_description, relations
 from .report import Report, json_ints
 
 
@@ -290,11 +290,19 @@ class PointedMonoid:
         return self.group.generator_count()
 
     @cached_property
+    def _passes(self):
+        """Every state of one linalg.double_description pass over the
+        generators from the last back, kept on the instance: state i is
+        cone(generators[k - i:]), its masks indexing the reversed list."""
+        return list(double_description(self.generators[::-1], self.ambient_dim))
+
+    @cached_property
     def _facets(self):
-        """The cone's H-representation by linalg.double_description, kept on
-        the instance: the unit split and spectrum.face_ranks read it."""
-        *_, hrep = double_description(self.generators, self.ambient_dim)
-        return hrep
+        """The cone's H-representation, _passes' last state with masks in
+        generator order: the unit split and spectrum.face_ranks read it."""
+        k = len(self.generators)
+        lin, rays = self._passes[-1]
+        return lin, [(u, int(f"{z:0{k}b}"[::-1], 2)) for u, z in rays]
 
     @cached_property
     def _unit_split(self):
@@ -304,7 +312,7 @@ class PointedMonoid:
         face = reduce(and_, (z for _, z in self._facets[1]), (1 << len(self.generators)) - 1)
         units = tuple(g for j, g in enumerate(self.generators) if face >> j & 1)
         rest = tuple(g for j, g in enumerate(self.generators) if not face >> j & 1)
-        return units, rest, tuple(kernel_basis(Mat.from_rows(len(units), self.ambient_dim, units)))
+        return units, rest, tuple(relations(list(zip(*units)) or [()] * self.ambient_dim))
 
     @cached_property
     def _tail(self):
@@ -316,16 +324,21 @@ class PointedMonoid:
         quotient = Mat.from_rows(len(funcs), self.ambient_dim, funcs)
         images = tuple(quotient.apply(v) for v in rest)
         s = max(0, len(rest) - len(funcs))
-        while rank(Mat.from_rows(len(rest) - s, len(funcs), images[s:])) < len(rest) - s:
+        while relations(images[s:]):
             s += 1
         return quotient, images, s
 
     @cached_property
     def _level_cones(self):
         """The H-representation of cone(images[start:]) for each level start:
-        one pass over the images from the last back meets every one."""
+        one pass over the images from the last back meets every one.  With
+        no units the quotient is the identity and the images are the
+        generators, so that pass is _passes; member reads no masks here."""
+        units, _, funcs = self._unit_split
+        if not units:
+            return self._passes[::-1]
         _, images, _ = self._tail
-        return list(double_description(images[::-1], len(self._unit_split[2])))[::-1]
+        return list(double_description(images[::-1], len(funcs)))[::-1]
 
     @cached_property
     def _period(self):
@@ -356,8 +369,7 @@ def _relations(columns, r: tuple[int, ...]) -> list[tuple[int, ...]]:
     are the multiples n with n r in the group the columns span; those of
     the basis generate them.  So r is in that group exactly when their
     gcd is 1."""
-    return kernel_basis(Mat.from_rows(len(r), len(columns) + 1,
-                                      [[col[i] for col in columns] + [x] for i, x in enumerate(r)]))
+    return relations([*columns, r])
 
 
 def _in_group(columns, r: tuple[int, ...]) -> bool:

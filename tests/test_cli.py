@@ -13,7 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import f1kit.counting
 import f1kit.reductive
 from f1kit.cli import main, parse_selector
+from f1kit.counting import brute_count_monoid_homs
 from f1kit.errors import SelectorError
+from f1kit.linalg import relations
+from f1kit.monoids import PointedMonoid
 from f1kit.spectrum import face_masks
 from test_spectrum import _dd_passes
 
@@ -162,12 +165,40 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     oracle = ["oracle", f"monoid:{mfile}", "--q", "2,3,5"]
     assert _dd_passes(monkeypatch, lambda: main(oracle)) == 1
     assert json.loads(capsys.readouterr().out)["equal"] is True
+    # one relation basis per face, not one per face per q: the bases are
+    # kept on the instance, and a fresh, equal instance starts empty
+    calls = []
+    monkeypatch.setattr(f1kit.counting, "relations", lambda vs: calls.append(vs) or relations(vs))
+    faces = len(face_masks(gens, 2))
+    assert main(oracle) == 0
+    assert len(calls) == faces
+    m = sel.monoid()
+    calls.clear()
+    brute_count_monoid_homs(m, 2)
+    assert len(calls) == faces
+    brute_count_monoid_homs(m, 3)
+    assert len(calls) == faces
+    brute_count_monoid_homs(PointedMonoid.affine(2, gens), 3)
+    assert len(calls) == 2 * faces
 
 
 def test_oracle_rejects_non_prime():
     r = run_cli("oracle", "gr:1,2", "--q", "4")
     assert r.returncode == 2
     assert b"prime" in r.stderr
+
+
+@pytest.mark.parametrize("q", ["1" + "0" * 400, "1000000000000000009"])
+def test_oracle_refuses_a_huge_q_at_once(q, capsys):
+    # the field guard answers before trial division, and no float square
+    # root of q is taken
+    start = time.perf_counter()
+    assert main(["oracle", "gr:2,4", "--q", q]) == 2
+    assert time.perf_counter() - start < 1
+    assert "brute field guard" in capsys.readouterr().err
+    r = run_cli("oracle", "gr:2,4", "--q", q)
+    assert r.returncode == 2
+    assert b"Traceback" not in r.stderr
 
 
 def test_const_group_file(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from f1kit.errors import ShapeMismatch
-from f1kit.linalg import Mat, _signed_perm, det, feasible, kernel_basis, rank
+from f1kit.linalg import Mat, _signed_perm, det, feasible, kernel_basis, rank, relations
 
 
 def test_matrix_shapes_are_checked():
@@ -76,6 +76,71 @@ def test_kernel_is_saturated():
     assert len(basis) == 1
     v = basis[0]
     assert v in ((1, 1), (-1, -1))
+
+
+def _pairwise_relations(vectors) -> list[tuple[int, ...]]:
+    """The integer relations among the vectors by the seed's column
+    reduction, kept as a reference: row by row, sort the live columns by
+    absolute value and reduce the second by the first, one pair per step."""
+    k = len(vectors)
+    n = len(vectors[0]) if k else 0
+    cols = [list(v) + [int(i == j) for i in range(k)] for j, v in enumerate(vectors)]
+    p = 0
+    for r in range(n):
+        while True:
+            live = [j for j in range(p, k) if cols[j][r]]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda j: abs(cols[j][r]))
+            a, b = live[0], live[1]
+            q = cols[b][r] // cols[a][r]
+            cols[b] = [x - q * y for x, y in zip(cols[b], cols[a])]
+        if live:
+            cols[p], cols[live[0]] = cols[live[0]], cols[p]
+            p += 1
+    return [tuple(c[n:]) for c in cols[p:]]
+
+
+def _spans(basis, vector) -> bool:
+    """Is the vector in the lattice the basis spans?  The multiples n
+    with n v in that lattice are the last coordinates of the relations
+    among [basis | v]; v is in it when their gcd is 1."""
+    return math.gcd(*(rel[-1] for rel in _pairwise_relations([*basis, vector]))) == 1
+
+
+@st.composite
+def _vector_lists(draw):
+    """0-8 vectors of length 0-5 with entries -6..6, among them zero
+    vectors, repeats and combinations of earlier ones."""
+    n = draw(st.integers(0, 5))
+    vectors = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            vectors.append((0,) * n)
+        elif kind == "repeat" and vectors:
+            vectors.append(draw(st.sampled_from(vectors)))
+        elif kind == "combination" and vectors:
+            a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            v = tuple(s * x + t * y for x, y in zip(a, b))
+            vectors.append(v if all(-6 <= x <= 6 for x in v) else tuple(-x for x in a))
+        else:
+            vectors.append(draw(st.tuples(*[st.integers(-6, 6)] * n)))
+    return vectors
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_vector_lists())
+def test_relations_match_the_pairwise_reduction(vectors):
+    got, want = relations(vectors), _pairwise_relations(vectors)
+    assert len(got) == len(want)
+    n = len(vectors[0]) if vectors else 0
+    for c in got:
+        assert len(c) == len(vectors)
+        assert all(sum(x * v[i] for x, v in zip(c, vectors)) == 0 for i in range(n)), c
+    assert all(_spans(want, c) for c in got)
+    assert all(_spans(got, c) for c in want)
 
 
 def test_feasibility_basics():

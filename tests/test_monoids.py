@@ -13,7 +13,7 @@ from f1kit.errors import (
     MembershipUndecidedWithinBound,
     ShapeMismatch,
 )
-from f1kit.linalg import Mat, double_description, feasible, kernel_basis, rank
+from f1kit.linalg import Mat, double_description, feasible, kernel_basis, rank, relations
 from f1kit.monoids import (
     AFFINE,
     GROUP_WITH_ZERO,
@@ -348,13 +348,14 @@ def test_member_agrees_with_the_coefficient_walk_on_oracle_shapes(m, data):
 def test_member_feasibility_calls(monkeypatch):
     line = PointedMonoid.affine(2, [[1, 0], [-1, 0], [0, 2], [1, 3]])
     pinned = [
-        # one pass for the cone's facets, one through the cones of every
-        # level, read from the last level back
-        (PointedMonoid.affine(1, [[2], [3]]), (1,), 2),
+        # pointed: one pass from the last generator back gives the cone's
+        # facets and the cones of every level
+        (PointedMonoid.affine(1, [[2], [3]]), (1,), 1),
         # off the lattice the generators span: the root test answers
         # before the minimal face is sought
         (PointedMonoid.affine(1, [[2], [-2]]), (1,), 0),
         (PointedMonoid.affine(2, [[1, 1], [-1, -1], [0, 2]]), (0, 1), 0),
+        # with units, the level cones take a second pass over the images
         (line, (0, 1), 2),
     ]
     for m, target, passes in pinned:
@@ -364,8 +365,9 @@ def test_member_feasibility_calls(monkeypatch):
 
 
 def _work(monkeypatch, run):
-    """(double description passes, kernel_basis calls) that run makes,
-    wherever they are called from (linalg.rank reads a kernel too)."""
+    """(double description passes, linalg.relations calls) that run
+    makes, wherever they are called from (linalg.kernel_basis and
+    linalg.rank read it too)."""
     counts = [0, 0]
 
     def counted(i, fn):
@@ -377,7 +379,7 @@ def _work(monkeypatch, run):
     for module in (monoids, spectrum):
         monkeypatch.setattr(module, "double_description", counted(0, double_description))
     for module in (monoids, linalg):
-        monkeypatch.setattr(module, "kernel_basis", counted(1, kernel_basis))
+        monkeypatch.setattr(module, "relations", counted(1, relations))
     run()
     return tuple(counts)
 
@@ -395,22 +397,22 @@ PLANE = [(2, 0), (0, 2), (1, 1), (3, 1)]
 
 def test_member_work_on_large_targets(monkeypatch):
     # (d, generators, target, answer, double description passes,
-    # kernel_basis calls); every search runs on the two passes a fresh
-    # instance makes, for the cone's facets and for the level cones
+    # relations calls); every search runs on the one pass a fresh pointed
+    # instance makes, for the cone's facets and the level cones alike
     rows = [
         # 29 is the Frobenius number of <6, 10, 15>; the walk on 6 ends at
         # c = 4, and each of its steps meets the bound P = 3 on 10
-        (1, NUMERICAL, (29,), False, 2, 15),
+        (1, NUMERICAL, (29,), False, 1, 15),
         # the same work at any size: found at c = 1 on 6
-        (1, NUMERICAL, (2001,), True, 2, 8),
-        (1, NUMERICAL, (20001,), True, 2, 8),
+        (1, NUMERICAL, (2001,), True, 1, 8),
+        (1, NUMERICAL, (20001,), True, 1, 8),
         # off the lattice x + y even: the root test alone
         (2, PLANE, (401, 200), False, 0, 1),
         (2, PLANE, (4001, 2000), False, 0, 1),
         # (0, 2) is outside the simplicial cone of the tail (1, 1), (3, 1),
         # so its level has no P and walks until the tail solve succeeds
-        (2, PLANE, (4000, 2000), True, 2, 4),
-        (2, PLANE, (1, 3), True, 2, 6),
+        (2, PLANE, (4000, 2000), True, 1, 4),
+        (2, PLANE, (1, 3), True, 1, 6),
     ]
     for d, gens, target, answer, passes, kernels in rows:
         assert _member_work(monkeypatch, d, gens, target) == (answer, (passes, kernels)), target
