@@ -339,7 +339,7 @@ def _run_check(name: str, sel: Selection) -> Report:
         return Report.merge([
             square,
             universality_check(p, g, square, maps),
-            tau_check(g, k),
+            tau_check(g, k, maps),
         ])
     raise SelectorError(f"unknown check {name!r}")
 

@@ -26,8 +26,8 @@ generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
 morphism data only when a check asks for it.  check_action reads an
-action's components by position in G x Y, numbers each distinct (block,
-signs) object pair once, reads each row pair (i, j) once, and compares
+action's components by position in G x Y, splits each block of the
+halves' tables (schemes) once, reads each row pair (i, j) once, and compares
 exponents and signs once per distinct tuple of operands.
 """
 
@@ -625,10 +625,11 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     Verifies act(e, -) = id and act(mu(g1,g2), -) = act(g1, act(g2, -))
     with exact component, exponent-block and sign comparisons.  Both
     halves must map G x Y to Y, so component (i, y) of each sits at
-    i |Y| + y and is read by position.  One operand table numbers each
-    distinct (block, signs) object pair and splits its block into [A | B]
-    when first seen; each row pair (i, j) is read once, every component
-    compared, and exponents and signs once per distinct operand tuple.
+    i |Y| + y and is read by position.  One operand table holds each
+    comap of the monoid half and each distinct (exponent, signs) pair of
+    the scheme half, split into [A | B]; each row pair (i, j) is read
+    once, every component compared, and exponents and signs once per
+    distinct operand tuple.
     Associativity is checked at every (i, y) but only for j in
     S = w.generators, which suffices once g's law is a group law
     (require_group, first):
@@ -663,18 +664,12 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
     if any(half.source != expected_src or half.target != y for half in (mo, z)):
         return Report.failed(1, {"reason": "action must map G x Y to Y"})
     require_group(g)
-    numbers, operands, halves = {}, [], {}
-
-    def operand(block, signs) -> int:
-        """The number of (block, signs) in the operand table; a comap
-        (signs None) is transposed and gets +1 signs."""
-        key = (id(block), id(signs))
-        if key not in numbers:
-            e = block if signs is not None else block.free_matrix.transpose()
-            numbers[key] = len(operands)
-            operands.append((e.col_slice(0, g.r), e.col_slice(g.r, e.cols),
-                             (1,) * e.rows if signs is None else signs))
-        return numbers[key]
+    halves = {}
+    # one operand [A | B] and signs per block of each half: comaps transposed, with +1 signs
+    blocks = [(h.free_matrix.transpose(), None) for (h,) in mo._blocks] + list(z._blocks)
+    operands = [(e.col_slice(0, g.r), e.col_slice(g.r, e.cols), (1,) * e.rows if s is None else s)
+                for e, s in blocks]
+    z_nums = [len(mo._blocks) + k for k in z._kinds]
 
     def operand_part(cj: int, ci: int, cm: int) -> str:
         """The part (exponent, signs or "") failed at the current (i, j) by operands cj, ci, cm."""
@@ -691,10 +686,8 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
         return "exponent" if left != right else "signs" if left_signs != right_signs else ""
 
     per_side = m + n * n * m
-    for pos, side, targets, blocks, signs in ((0, "mo", mo.targets, mo.comaps, [None] * (n * m)),
-                                              (per_side, "z", z.targets, z.exponents, z.signs)):
+    for pos, side, outs, nums in ((0, "mo", list(mo._at), mo._kinds), (per_side, "z", list(z._at), z_nums)):
         # row i: the target component and the operand number of each (i, y)
-        outs, nums = list(map(y.index, targets)), list(map(operand, blocks, signs))
         rows = [(outs[i * m:(i + 1) * m], nums[i * m:(i + 1) * m]) for i in range(n)]
         oe, ce = rows[w.identity]
         for yc in range(m):

@@ -291,13 +291,13 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
     return projection_to_quotient(g, k)
 
 
-def _pr2_weak(p: GroupModel, g: GroupModel) -> WeakMorphism:
-    """Second projection P x G -> G as a weak (indeed strong) morphism."""
+def _pr2_weak(p: GroupModel, g: GroupModel, source: RankScheme) -> WeakMorphism:
+    """Second projection P x G -> G as a weak (indeed strong) morphism,
+    source being P x G as lambda_action built it."""
     r = g.r
     e = Mat.zeros(r, r).hstack(Mat.identity(r))
     targets = g.w.elements * p.w.order()
-    return monomial_morphism(product_scheme(p.rank_scheme, g.rank_scheme), g.rank_scheme,
-                             targets, (e,) * len(targets))
+    return monomial_morphism(source, g.rank_scheme, targets, (e,) * len(targets))
 
 
 def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
@@ -309,7 +309,8 @@ def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorph
     guard("quotient square", f"{p.w.order()} x {g.w.order()} components",
           p.w.order() * g.w.order(), 86_400)
     _, proj = quotient_model(p, g)
-    return proj, lambda_action(p, g), _pr2_weak(p, g)
+    lam = lambda_action(p, g)
+    return proj, lam, _pr2_weak(p, g, lam.z_side.source)
 
 
 def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
@@ -391,8 +392,7 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     fibers = [[i for i, w in enumerate(g.w.elements) if coset_of[w] == s] for s in subsets]
     reps = [fiber[0] for fiber in fibers]
     rep_of = [reps[subsets.index(coset_of[w])] for w in g.w.elements]
-    source = RankScheme(tuple(g.rank_scheme.components[i] for i in reps))
-    proj_reps = _restrict(proj, reps, source)
+    proj_reps = _restrict(proj, reps)
     checks, prev = 0, None
     for f in _test_family(g, k, subsets):
         # coinvariance (from the square once f factors), factorization, uniqueness
@@ -430,31 +430,33 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     return Report.passed(checks)
 
 
-def tau_morphism(g: GroupModel, k: int) -> tuple[RankScheme, WeakMorphism]:
+def tau_morphism(g: GroupModel, k: int, qrk: RankScheme | None = None) -> tuple[RankScheme, WeakMorphism]:
     """Transported action of the model on the quotient components.
 
     Component (sigma, A) goes to sigma(A); all stalk data is trivial
-    because quotient components are rank 0.
+    because quotient components are rank 0.  qrk is the quotient's rank
+    part, built here when not given.
     """
     n = g.r
-    q = grassmannian_model(k, n)
-    qrk = rank_part(q)
+    qrk = qrk or rank_part(grassmannian_model(k, n))
     src = product_scheme(g.rank_scheme, qrk)
     label = {a: a for a in qrk.labels()}     # sigma(A) as the quotient's own label object
     targets = [label[tuple(sorted(sigma[a - 1] for a in subset))]
-               for sigma in g.w.elements for subset in qrk.labels()]
+               for sigma in g.w.elements for subset in label]
     return qrk, monomial_morphism(src, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
-def tau_check(g: GroupModel, k: int) -> Report:
+def tau_check(g: GroupModel, k: int, maps=None) -> Report:
     """Coset transport matches the subset action, and tau is an action.
 
     For every sigma and every w the coset of w sigma^(-1) must carry the
     subset sigma(subset(w)); on top of that the transported morphism
     satisfies the action diagrams on both sides.  w sigma^(-1) is read
     from g's verified component table, and sigma(A) from tau's targets.
+    A quotient suite passes in maps = quotient_maps(p, g), p of type
+    (k, n-k), whose projection already has the quotient's rank part.
     """
-    qrk, tau = tau_morphism(g, k)
+    qrk, tau = tau_morphism(g, k, maps and maps[0].z_side.target)
     wt, n = g.w, g.w.order()
     subsets, c = [coset_subset(w, k) for w in wt.elements], len(qrk.components)
     for s, sigma in enumerate(wt.elements):

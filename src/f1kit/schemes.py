@@ -12,15 +12,18 @@ dim-torus with an a-dimensional affine cell.  Counting and minimal-cell
 data read off families exactly, so nothing is lost, and catalog models
 whose explicit torus count is astronomical stay cheap.
 
-Catalog morphisms share a few block, comap and sign objects among many
-components, so each per-component kernel runs once per distinct tuple
-of input objects (_each and the shape checks, keyed by id() for one
-call), and the components sharing those inputs share the result object.
+Catalog morphisms repeat a few blocks, comaps and sign vectors over many
+components, so a morphism keeps its distinct blocks and each component's
+index into them (_Tabled).  Shapes are checked where data comes in, by
+the public constructors and monomial_morphism, once per distinct (block,
+source stalk, target stalk).  Composites are built unchecked (_Tabled._of
+has the proof), and composition, check_strong, check_weak and the action
+check run their kernels once per distinct block or pair of blocks.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Any
 
 from .counting import cell_dimension_guard
@@ -85,8 +88,10 @@ class RankScheme:
         positions = {l: i for i, (l, _) in enumerate(self.components)}
         if len(positions) != len(self.components):
             raise ShapeMismatch("component labels must be distinct")
-        # a lookup table, not a field: ==, hash and repr see components only
-        object.__setattr__(self, "_positions", positions)
+        # lookup tables, not fields: ==, hash and repr see components only;
+        # _stalks is the distinct stalks (as 1-tuples) and each component's
+        # index among them
+        vars(self).update(_positions=positions, _stalks=_table(map(itemgetter(1), self.components)))
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(l for l, _ in self.components)
@@ -108,18 +113,38 @@ def point_scheme() -> RankScheme:
     return RankScheme((("*", FgAbelianGroup.trivial()),))
 
 
-def _each(fn, *columns) -> tuple:
-    """fn over the rows of the columns, run once per distinct tuple of row
-    objects; the rows that share their objects share the result object."""
-    keys = list(zip(*(map(id, c) for c in columns)))
-    memo = {k: fn(*row) for k, row in dict(zip(keys, zip(*columns))).items()}
-    return tuple(map(memo.__getitem__, keys))
+def _table(*columns) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """The distinct rows of aligned columns, first seen first, and each
+    row's index among them.  Catalog columns often repeat one row
+    throughout, and otherwise come in runs of one object, so a row is
+    hashed only where it differs from the one before."""
+    rows = list(zip(*columns))
+    if rows and rows[-1] == rows[0] and rows.count(rows[0]) == len(rows):
+        return (rows[0],), (0,) * len(rows)
+    number: dict = {}
+    kinds, last, k = [], (), 0
+    for row in rows:
+        if row != last:
+            k, last = number.setdefault(row, len(number)), row
+        kinds.append(k)
+    return tuple(number), tuple(kinds)
+
+
+def _positions(target: "RankScheme", labels) -> tuple[int, ...] | None:
+    """Each label's component position in target, or None if one is unknown."""
+    try:
+        return tuple(map(target._positions.__getitem__, labels))
+    except (KeyError, TypeError):
+        return None
 
 
 def product_scheme(a: RankScheme, b: RankScheme) -> RankScheme:
-    pairs = [(ca, cb) for ca in a.components for cb in b.components]
-    sums = _each(FgAbelianGroup.direct_sum, [ca[1] for ca, _ in pairs], [cb[1] for _, cb in pairs])
-    return RankScheme(tuple(((ca[0], cb[0]), s) for (ca, cb), s in zip(pairs, sums)))
+    """a x b, components in (a, b) order; one direct sum per pair of
+    distinct stalks."""
+    (sa, ka), (sb, kb) = a._stalks, b._stalks
+    sums = [[x.direct_sum(y) for (y,) in sb] for (x,) in sa]
+    return RankScheme(tuple(((la, lb), sums[i][j]) for (la, _), i in zip(a.components, ka)
+                            for (lb, _), j in zip(b.components, kb)))
 
 
 class F1Scheme:
@@ -286,8 +311,64 @@ def _push_signs(e: Mat, outer: SignVec, inner: SignVec) -> SignVec:
     return mul_signs(outer, apply_exponent_to_signs(e, inner))
 
 
+def _align(source: RankScheme, *columns) -> None:
+    if set(map(len, columns)) != {len(source.components)}:
+        raise ShapeMismatch("per-component data must align with source components")
+
+
+class _Tabled:
+    """Per-component data kept as distinct blocks plus indices.
+
+    _blocks holds the distinct blocks, tuples of one value per name in the
+    subclass's _columns; _kinds holds each component's index into _blocks,
+    and _at its target position (None when a label names no component).
+    """
+
+    def __post_init__(self):
+        columns = [getattr(self, c) for c in self._columns]
+        _align(self.source, self.targets, *columns)
+        blocks, kinds = _table(*columns)
+        vars(self).update(_at=_positions(self.target, self.targets), _blocks=blocks, _kinds=kinds)
+        self._check()
+
+    @classmethod
+    def _of(cls, source: RankScheme, target: RankScheme, targets, at, blocks, kinds):
+        """The morphism with these blocks, built without the shape check.
+
+        Its callers build only shape-valid morphisms:
+        * compose_maps, compose_strong: component i of g . f goes where g
+          takes f's target, a component of g.source = f.target.  So g's
+          (t x s) block times f's (s x r) block is t x r, signs pushed
+          through g's block have length t, and a composed comap maps the
+          target stalk back to the source stalk through f's target stalk.
+        * _restrict: each kept component keeps its stalks and its block.
+        * induced_monomial: a checked comap maps the target stalk to the
+          source stalk, so its transpose is (target rank x source rank).
+        """
+        m = object.__new__(cls)
+        fields = vars(m)
+        fields.update(source=source, target=target, targets=targets, _at=at, _blocks=blocks, _kinds=kinds)
+        for name, column in zip(cls._columns, zip(*blocks) if blocks else [()] * len(cls._columns)):
+            fields[name] = (column[0],) * len(kinds) if len(column) == 1 else tuple(map(column.__getitem__, kinds))
+        return m
+
+    def _check(self):
+        """Raise ShapeMismatch at the first component whose block does not
+        fit its stalks.  Each distinct (block, source stalk, target stalk)
+        is tested once; only when one fails, or a label names no component,
+        are the components walked in order to name the first failure."""
+        (src, sk), (tgt, tk) = self.source._stalks, self.target._stalks
+        if self._at is not None and not any(
+                self._fault(*src[s], *tgt[t], *self._blocks[k])
+                for k, s, t in set(zip(self._kinds, sk, map(tk.__getitem__, self._at)))):
+            return self
+        for i, ((_, stalk), label, k) in enumerate(zip(self.source.components, self.targets, self._kinds)):
+            if fault := self._fault(stalk, self.target.stalk(label), *self._blocks[k]):
+                raise ShapeMismatch(f"component {i}: {fault}")
+
+
 @dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(_Tabled):
     """Componentwise monomial morphism between free rank schemes.
 
     Component i of the source maps to component targets[i]; on torus
@@ -301,36 +382,37 @@ class MonomialMap:
     exponents: tuple[Mat, ...]
     signs: tuple[SignVec, ...]
 
-    def __post_init__(self):
-        n = len(self.source.components)
-        if not (len(self.targets) == len(self.exponents) == len(self.signs) == n):
-            raise ShapeMismatch("per-component data must align with source components")
-        first, stalks = {}, {}
-        for i, ((_, src), label, e, s) in enumerate(zip(self.source.components, self.targets,
-                                                        self.exponents, self.signs)):
-            tgt = stalks.get(id(label)) or stalks.setdefault(id(label), self.target.stalk(label))
-            if first.setdefault((id(src), id(tgt), id(e), id(s)), i) != i:
-                continue    # an earlier component with these objects passed
-            if e.rows != tgt.rank or e.cols != src.rank:
-                raise ShapeMismatch(
-                    f"component {i}: exponent is {e.rows}x{e.cols}, needs {tgt.rank}x{src.rank}"
-                )
-            if len(s) != tgt.rank or any(v not in (1, -1) for v in s):
-                raise ShapeMismatch(f"component {i}: signs must be +-1 of length {tgt.rank}")
+    _columns = ("exponents", "signs")
+
+    @staticmethod
+    def _fault(src: FgAbelianGroup, tgt: FgAbelianGroup, e: Mat, s: SignVec) -> str | None:
+        if e.rows != tgt.rank or e.cols != src.rank:
+            return f"exponent is {e.rows}x{e.cols}, needs {tgt.rank}x{src.rank}"
+        if len(s) != tgt.rank or any(v not in (1, -1) for v in s):
+            return f"signs must be +-1 of length {tgt.rank}"
+        return None
 
 
 def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
-    """g after f; target components, exponents and signs all compose."""
+    """g after f; target components, exponents and signs all compose, once
+    per distinct pair of blocks: each product once per pair of exponents,
+    each sign push once per (g exponent, g signs, f signs)."""
     if f.target != g.source:
         raise ShapeMismatch("compose_maps needs f.target == g.source")
-    js = list(map(g.source._positions.__getitem__, f.targets))    # f's targets are g's source labels
-    ges, gss = (list(map(x.__getitem__, js)) for x in (g.exponents, g.signs))
-    return MonomialMap(f.source, g.target, tuple(map(g.targets.__getitem__, js)),
-                       _each(mul, ges, f.exponents), _each(_push_signs, ges, gss, f.signs))
+    pairs, kinds = _table(map(g._kinds.__getitem__, f._at), f._kinds)
+    products, pushes, blocks = {}, {}, []
+    for (ge, gs), (fe, fs) in ((g._blocks[a], f._blocks[b]) for a, b in pairs):
+        if (ge, fe) not in products:
+            products[ge, fe] = ge * fe
+        if (ge, gs, fs) not in pushes:
+            pushes[ge, gs, fs] = _push_signs(ge, gs, fs)
+        blocks.append((products[ge, fe], pushes[ge, gs, fs]))
+    return MonomialMap._of(f.source, g.target, tuple(map(g.targets.__getitem__, f._at)),
+                           tuple(map(g._at.__getitem__, f._at)), tuple(blocks), kinds)
 
 
 @dataclass(frozen=True)
-class StrongMorphismRk:
+class StrongMorphismRk(_Tabled):
     """Rank-part morphism with genuine stalk comaps.
 
     comaps[i] maps the unit group of the target component hit by source
@@ -343,49 +425,48 @@ class StrongMorphismRk:
     targets: tuple[Label, ...]
     comaps: tuple[GroupHom, ...]
 
-    def __post_init__(self):
-        n = len(self.source.components)
-        if len(self.targets) != n or len(self.comaps) != n:
-            raise ShapeMismatch("per-component data must align with source components")
-        first, stalks = {}, {}
-        for i, ((_, src), label, h) in enumerate(zip(self.source.components, self.targets, self.comaps)):
-            tgt = stalks.get(id(label)) or stalks.setdefault(id(label), self.target.stalk(label))
-            if first.setdefault((id(tgt), id(src), id(h)), i) != i:
-                continue    # an earlier component with these objects passed
-            if h.source != tgt:
-                raise ShapeMismatch(f"component {i}: comap source is not the target stalk")
-            if h.target != src:
-                raise ShapeMismatch(f"component {i}: comap target is not the source stalk")
+    _columns = ("comaps",)
+
+    @staticmethod
+    def _fault(src: FgAbelianGroup, tgt: FgAbelianGroup, h: GroupHom) -> str | None:
+        if h.source is not tgt and h.source != tgt:
+            return "comap source is not the target stalk"
+        if h.target is not src and h.target != src:
+            return "comap target is not the source stalk"
+        return None
 
 
 def check_strong(f: StrongMorphismRk) -> Report:
     """Validate each stalk comap; shapes were enforced at construction.
 
-    Components that share one comap object share its report, so each
-    distinct comap is validated once; checks still counts every component.
+    Each distinct comap is validated once, and the components that share
+    it share its report; checks still counts every component.
     """
-    reports = _each(validate_hom, f.comaps)
-    if all(reports):
-        return Report.merge(list(reports))
-    i = next(i for i, r in enumerate(reports) if not r)
+    table = tuple(validate_hom(h) for (h,) in f._blocks)
+    reports = list(map(table.__getitem__, f._kinds))
+    i = None if all(table) else next((i for i, r in enumerate(reports) if not r), None)
+    if i is None:
+        return Report.merge(reports)
     return Report.failed(i + 1, {"component": i, "hom": reports[i].witness})
 
 
 def compose_strong(g: StrongMorphismRk, f: StrongMorphismRk) -> StrongMorphismRk:
+    """g after f, each comap composition once per distinct pair of comaps."""
     if f.target != g.source:
         raise ShapeMismatch("compose_strong needs f.target == g.source")
-    js = list(map(g.source._positions.__getitem__, f.targets))
-    return StrongMorphismRk(f.source, g.target, tuple(map(g.targets.__getitem__, js)),
-                            _each(compose_hom, f.comaps, list(map(g.comaps.__getitem__, js))))
+    pairs, kinds = _table(f._kinds, map(g._kinds.__getitem__, f._at))
+    blocks = tuple((compose_hom(f._blocks[a][0], g._blocks[b][0]),) for a, b in pairs)
+    return StrongMorphismRk._of(f.source, g.target, tuple(map(g.targets.__getitem__, f._at)),
+                                tuple(map(g._at.__getitem__, f._at)), blocks, kinds)
 
 
 def induced_monomial(f: StrongMorphismRk) -> MonomialMap:
     """Torus-coordinate map of a strong morphism: transposed comaps, +1 signs."""
     if not (f.source.is_free() and f.target.is_free()):
         raise ShapeMismatch("monomial coordinates need free stalks")
-    exps = tuple(h.free_matrix.transpose() for h in f.comaps)
-    signs = tuple((1,) * e.rows for e in exps)
-    return MonomialMap(f.source, f.target, f.targets, exps, signs)
+    exps = (h.free_matrix.transpose() for (h,) in f._blocks)
+    return MonomialMap._of(f.source, f.target, f.targets, f._at, tuple((e, (1,) * e.rows) for e in exps),
+                           f._kinds)
 
 
 @dataclass(frozen=True)
@@ -412,19 +493,31 @@ def monomial_morphism(source: RankScheme, target: RankScheme, targets, exponents
     Component i goes to targets[i]; signs default to +1.  The monoid
     side's comaps are the transposed blocks of mo_exponents, for a monoid
     law that differs from the scheme side's, else of exponents.
-    Components that share one block object share one comap.
+    Components with equal blocks share one comap.  The monoid side is
+    checked first.  Without mo_exponents its check covers the exponents'
+    shapes, since a comap free(e.rows) -> free(e.cols) that maps the
+    target stalk to the source stalk makes e fit them; then only signs
+    that are not +-1 of length e.rows send the scheme side to its check.
     """
     targets, exponents = tuple(targets), tuple(exponents)
     mo_exponents = exponents if mo_exponents is None else tuple(mo_exponents)
-    comaps = {k: GroupHom.on_free(FgAbelianGroup.free(e.rows), FgAbelianGroup.free(e.cols), e.transpose())
-              for k, e in dict(zip(map(id, mo_exponents), mo_exponents)).items()}
+    at = _positions(target, targets)
+    _align(source, targets, mo_exponents)
+    exps, kinds = _table(mo_exponents)
+    comaps = tuple((GroupHom.on_free(FgAbelianGroup.free(e.rows), FgAbelianGroup.free(e.cols),
+                                     e.transpose()),) for (e,) in exps)
+    mo = StrongMorphismRk._of(source, target, targets, at, comaps, kinds)._check()
     if signs is None:
-        ones = {}
-        signs = (ones.setdefault(e.rows, (1,) * e.rows) for e in exponents)
-    return WeakMorphism(
-        StrongMorphismRk(source, target, targets, tuple(map(comaps.__getitem__, map(id, mo_exponents)))),
-        MonomialMap(source, target, targets, exponents, tuple(signs)),
-    )
+        _align(source, exponents)
+        exps, kinds = (exps, kinds) if mo_exponents is exponents else _table(exponents)
+        blocks = tuple((e, (1,) * e.rows) for (e,) in exps)
+    else:
+        _align(source, exponents, signs := tuple(signs))
+        blocks, kinds = _table(exponents, signs)
+    z = MonomialMap._of(source, target, targets, at, blocks, kinds)
+    if mo_exponents is not exponents or any(len(s) != e.rows or {*s} - {1, -1} for e, s in blocks):
+        z._check()
+    return WeakMorphism(mo, z)
 
 
 def check_weak(w: WeakMorphism) -> Report:
@@ -433,22 +526,22 @@ def check_weak(w: WeakMorphism) -> Report:
     ok means the pair is a valid weak morphism; the notes record
     "strong" or "not-strong" according to whether the scheme side is the
     transposed comap with trivial signs, compared once per distinct
-    (exponent, comap, signs) triple of objects.
+    pair of blocks.
     """
     f, z = w.mo_side, w.z_side
     if f.source != z.source or f.target != z.target:
         return Report.failed(1, {"reason": "halves live on different schemes"})
     checks = len(f.source.components)
-    if tuple(f.targets) != tuple(z.targets):
-        i = next(i for i, (a, b) in enumerate(zip(f.targets, z.targets)) if a != b)
+    if f._at != z._at:
+        i = next(i for i, (a, b) in enumerate(zip(f._at, z._at)) if a != b)
         return Report.failed(i + 1, {
             "component": i, "reason": "component maps disagree", "mo": f.targets[i], "z": z.targets[i],
         })
     hom_ok = check_strong(f)
     if not hom_ok.ok:
         return Report.failed(checks + hom_ok.checks, hom_ok.witness)
-    is_strong = all(_each(lambda e, h, s: _is_transpose(e, h.free_matrix) and all(x == 1 for x in s),
-                          z.exponents, f.comaps, z.signs))
+    is_strong = all(_is_transpose(z._blocks[a][0], f._blocks[b][0].free_matrix)
+                    and all(x == 1 for x in z._blocks[a][1]) for a, b in set(zip(z._kinds, f._kinds)))
     note = "strong" if is_strong else "not-strong"
     return Report(True, checks + hom_ok.checks, None, (note,))
 
@@ -466,12 +559,15 @@ def compose_weak(g: WeakMorphism, f: WeakMorphism) -> WeakMorphism:
     )
 
 
-def _restrict(f: WeakMorphism, keep, source: RankScheme) -> WeakMorphism:
-    """f on its source components at the positions keep (two or more), which
-    source lists in that order."""
-    mo, z, pick = f.mo_side, f.z_side, itemgetter(*keep)
-    return WeakMorphism(StrongMorphismRk(source, mo.target, pick(mo.targets), pick(mo.comaps)),
-                        MonomialMap(source, z.target, pick(z.targets), pick(z.exponents), pick(z.signs)))
+def _restrict(f: WeakMorphism, keep) -> WeakMorphism:
+    """f on its source components at the positions keep, in that order,
+    with a source built from f's (both halves share it)."""
+    def take(column) -> tuple:
+        return tuple(map(column.__getitem__, keep))
+
+    source = RankScheme(take(f.mo_side.source.components))
+    return WeakMorphism(*(type(h)._of(source, h.target, take(h.targets), take(h._at), h._blocks,
+                                      take(h._kinds)) for h in (f.mo_side, f.z_side)))
 
 
 def match_components(a: RankScheme, b: RankScheme) -> dict | None:

@@ -142,16 +142,25 @@ def spec(m: PointedMonoid) -> MoSpace:
         points.append(MoPoint(i, 0, _subset(mask, k), free[r]))
         mask_to_id[mask] = i
 
+    return MoSpace((m,), tuple(points), tuple(sorted(_specializations(mask_to_id))))
+
+
+def _specializations(faces: dict[int, int]) -> list[tuple[int, int]]:
+    """(i, j) for every face j inside face i of faces (mask -> point id),
+    per face by the shorter of its 2^|F| submasks and the face list."""
     pairs = []
-    for mask, i in mask_to_id.items():
+    for mask, i in faces.items():
+        if 1 << mask.bit_count() > len(faces):
+            pairs += [(i, faces[sub]) for sub in faces if sub & mask == sub]
+            continue
         sub = mask
         while True:
-            if sub in mask_to_id:
-                pairs.append((i, mask_to_id[sub]))
+            if sub in faces:
+                pairs.append((i, faces[sub]))
             if sub == 0:
                 break
             sub = (sub - 1) & mask
-    return MoSpace((m,), tuple(points), tuple(sorted(pairs)))
+    return pairs
 
 
 def disjoint_union(spaces) -> MoSpace:

@@ -336,7 +336,8 @@ UNIVERSALITY_CHECKS = {(2, 1): 36, (3, 1): 49, (3, 2): 49, (4, 1): 61, (4, 2): 6
 def test_universality_family_is_coinvariant_by_explicit_composition():
     for (n, k), checks in UNIVERSALITY_CHECKS.items():
         g, p = gl_model(n), parabolic_model(n, (k, n - k))
-        lam, pr2 = lambda_action(p, g), _pr2_weak(p, g)
+        lam = lambda_action(p, g)
+        pr2 = _pr2_weak(p, g, lam.z_side.source)
         subsets = quotient_model(p, g)[1].z_side.target.labels()
         family = list(_test_family(g, k, subsets))
         assert len(family) == 4 * (n + 1)
@@ -418,8 +419,9 @@ def test_self_action_work_counts(monkeypatch):
     products = _counting(monkeypatch, Mat, "__mul__")
     rep = check_action(g, y, act)
     assert rep.ok and rep.checks == 2 * (6 + 6 * 6 * 6)
-    # components are read by position: one target lookup per (side, i, y)
-    assert len(lookups) == 2 * 6 * 6
+    # components are read by position, targets from each half's stored
+    # target positions: no label lookup
+    assert lookups == []
     # gl_model verified theta already, and each product runs once per pair
     # of block objects (the law's identity block A is not multiplied): per
     # side, A(ij) theta_i, B_i A_j and B_i B_j for the 6 x 2 pairs (i, j)
@@ -479,9 +481,13 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     pr2s = _counting(monkeypatch, reductive, "_pr2_weak")
     compositions = _counting(monkeypatch, reductive, "compose_weak")
     recognitions = _counting(monkeypatch, reductive, "_recognize_two_block")
+    products = _counting(monkeypatch, reductive, "product_scheme")
+    grassmannians = _counting(monkeypatch, reductive, "grassmannian_model")
     rep = cli._run_check("quotient:2", sel)
     assert rep.ok
     assert (sum(map(len, squares)), len(lambdas), len(pr2s)) == (1, 1, 1)
+    # P x G once for lambda and pr2, G x Q once for tau; the quotient once
+    assert (len(products), len(grassmannians)) == (2, 1)
     # universality reads k off the quotient's labels
     assert len(recognitions) == 1
     # the square's two, one factorization per distinct family member, the control's two

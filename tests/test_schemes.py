@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from f1kit import schemes
 from f1kit.counting import torification_poly
 from f1kit.errors import InfiniteHomSet, OutOfScale, ShapeMismatch
 from f1kit.groups import law_weak_morphism
@@ -19,6 +20,7 @@ from f1kit.schemes import (
     StrongMorphismRk,
     Torification,
     WeakMorphism,
+    _restrict,
     additive_chain,
     affine_toric,
     apply_exponent_to_signs,
@@ -217,9 +219,10 @@ def test_monomial_morphism_shares_one_comap_per_block_object():
     a = RankScheme(tuple((f"p{i}", free(2)) for i in range(4)))
     b = RankScheme((("r", free(1)),))
     e = Mat.from_rows(1, 2, [[3, 5]])
-    f = monomial_morphism(a, b, ("r",) * 4, (e, e, Mat.from_rows(1, 2, [[3, 5]]), e))
+    f = monomial_morphism(a, b, ("r",) * 4, (e, e, Mat.from_rows(1, 2, [[3, 5]]), Mat.zeros(1, 2)))
     c = f.mo_side.comaps
-    assert c[0] is c[1] is c[3] and c[2] is not c[0] and c[2] == c[0]
+    # equal blocks share one comap, whether or not they are one object
+    assert c[0] is c[1] is c[2] and c[3] is not c[0] and c[3].free_matrix == Mat.zeros(2, 1)
     # the law morphism reads its blocks once per left factor: |W| comaps, not |W|^2
     law = law_weak_morphism(gl_model(3))
     assert len(law.mo_side.comaps) == 36
@@ -236,6 +239,69 @@ def test_shape_checks_see_each_component_stalk():
     h = GroupHom.on_free(free(1), free(1), e)
     with pytest.raises(ShapeMismatch, match="^component 1: comap source is not the target stalk$"):
         StrongMorphismRk(a, b, ("r", "s"), (h, h))
+
+
+def test_shape_checks_name_the_first_failing_component():
+    # components 0 and 1 share every object and pass; component 2 reuses
+    # the objects it can and fails, so the message must name component 2
+    a = RankScheme((("p", free(1)), ("q", free(1)), ("u", free(2))))
+    b = RankScheme((("r", free(1)), ("s", free(2))))
+    e, e12, one = Mat.identity(1), Mat.from_rows(1, 2, [[1, 0]]), (1,)
+    h, h21 = GroupHom.on_free(free(1), free(1), e), GroupHom.on_free(free(1), free(2), e12.transpose())
+    monomial = {
+        "^no component labeled 'x'$": (("r", "r", "x"), (e, e, e12), (one, one, one)),
+        "^component 2: exponent is 1x1, needs 1x2$": (("r", "r", "r"), (e, e, e), (one, one, one)),
+        "^component 2: signs must be \\+-1 of length 1$": (("r", "r", "r"), (e, e, e12), (one, one, (2,))),
+        "^component 2: signs must be \\+-1 of length 2$": (("r", "r", "s"), (e, e, Mat.identity(2)),
+                                                          (one, one, one)),
+        # the first failure in component order wins over a later unknown label
+        "^component 1: exponent is 1x2, needs 1x1$": (("r", "r", "x"), (e, e12, e12), (one, one, one)),
+    }
+    for message, (targets, exps, signs) in monomial.items():
+        with pytest.raises(ShapeMismatch, match=message):
+            MonomialMap(a, b, targets, exps, signs)
+    # monomial_morphism checks the monoid side first (the comaps of the
+    # blocks), then the signs
+    for message, mo_message in zip(monomial, ("^no component labeled 'x'$",
+                                              "^component 2: comap target is not the source stalk$")):
+        targets, exps, signs = monomial[message]
+        with pytest.raises(ShapeMismatch, match=mo_message):
+            monomial_morphism(a, b, targets, exps, signs)
+    for message in ("^component 2: signs must be \\+-1 of length 1$", "^component 2: signs must be \\+-1 of length 2$"):
+        targets, exps, signs = monomial[message]
+        with pytest.raises(ShapeMismatch, match=message):
+            monomial_morphism(a, b, targets, exps, signs)
+    strong = {
+        "^no component labeled 'x'$": (("r", "r", "x"), (h, h, h21)),
+        "^component 2: comap source is not the target stalk$": (("r", "r", "s"), (h, h, h21)),
+        "^component 2: comap target is not the source stalk$": (("r", "r", "r"), (h, h, h)),
+        "^component 1: comap target is not the source stalk$": (("r", "r", "x"), (h, h21, h21)),
+    }
+    for message, (targets, comaps) in strong.items():
+        with pytest.raises(ShapeMismatch, match=message):
+            StrongMorphismRk(a, b, targets, comaps)
+    # monomial_morphism checks the monoid side first, as its own blocks
+    with pytest.raises(ShapeMismatch, match="^component 2: comap target is not the source stalk$"):
+        monomial_morphism(a, b, ("r", "r", "r"), (e, e, e12), mo_exponents=(e, e, e))
+    with pytest.raises(ShapeMismatch, match="^per-component data must align with source components$"):
+        monomial_morphism(a, b, ("r", "r", "r"), (e, e12), mo_exponents=(e, e, e12))
+
+
+def test_composites_run_no_shape_check(monkeypatch):
+    checks = []
+    real = schemes._Tabled._check
+    monkeypatch.setattr(schemes._Tabled, "_check", lambda self: checks.append(self) or real(self))
+    g = gl_model(3)
+    law = law_weak_morphism(g)
+    assert len(checks) == 2     # the boundary checks both sides
+    # with +1 signs and one set of blocks the monoid side's check covers both
+    f = monomial_morphism(g.rank_scheme, g.rank_scheme, g.w.elements, (Mat.identity(3),) * 6)
+    assert len(checks) == 3
+    checks.clear()
+    compose_weak(f, compose_weak(f, f))
+    _restrict(law, [0, 3, 5])
+    strong_to_weak(f.mo_side)
+    assert checks == []
 
 
 # -- composition against the per-component reference -------------------------
@@ -335,6 +401,29 @@ def test_compositions_agree_with_the_per_component_reference(rng):
                     assert out.z_side.signs[i] is out.z_side.signs[k]
             if g.mo_side.comaps[j] is g.mo_side.comaps[l] and f.mo_side.comaps[i] is f.mo_side.comaps[k]:
                 assert out.mo_side.comaps[i] is out.mo_side.comaps[k]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_unchecked_composites_equal_checked_constructions(rng):
+    # compose_maps, compose_strong and _restrict build without the shape
+    # check; the public constructors, which check, must accept the same
+    # per-component data and give equal morphisms
+    g, f = _weak_pair(rng)
+    z, mo = compose_maps(g.z_side, f.z_side), compose_strong(g.mo_side, f.mo_side)
+    z_ref, mo_ref = _compose_maps_reference(g.z_side, f.z_side), _compose_strong_reference(g.mo_side, f.mo_side)
+    assert MonomialMap(z.source, z.target, z.targets, z.exponents, z.signs) == z == z_ref
+    assert StrongMorphismRk(mo.source, mo.target, mo.targets, mo.comaps) == mo == mo_ref
+    n = len(f.z_side.source.components)
+    keep = rng.sample(range(n), rng.randint(1, n))
+    part = _restrict(WeakMorphism(mo, z), keep)
+    source = RankScheme(tuple(z.source.components[i] for i in keep))
+
+    def pick(column):
+        return tuple(column[i] for i in keep)
+
+    assert part.z_side == MonomialMap(source, z.target, pick(z.targets), pick(z.exponents), pick(z.signs))
+    assert part.mo_side == StrongMorphismRk(source, mo.target, pick(mo.targets), pick(mo.comaps))
 
 
 def random_scheme(rng):

@@ -253,6 +253,35 @@ def test_face_walk_work_counts(monkeypatch):
         assert rays < 2 ** k
 
 
+class _Steps(dict):
+    """Face masks to point ids, counting the steps of _specializations: one
+    per submask the walk looks up, one per face a scan reads."""
+    steps = 0
+
+    def __contains__(self, mask):
+        self.steps += 1
+        return super().__contains__(mask)
+
+    def __iter__(self):
+        for mask in super().__iter__():
+            self.steps += 1
+            yield mask
+
+
+def test_specialization_steps():
+    # the fan <(1, i) : i < 14> has 4 faces; its full face alone would walk
+    # 2^14 submasks, where a scan of the faces reads 4: 1 + 2 + 2 + 4 steps.
+    # An orthant keeps the walk: 3^4 submasks over its 2^4 faces.
+    fan = PointedMonoid.affine(2, [(1, i) for i in range(14)])
+    for m, steps, count in ((fan, 9, 9), (PointedMonoid.orthant(4), 81, 81)):
+        faces = _Steps({mask: i for i, (mask, _) in enumerate(spectrum.face_ranks(m))})
+        pairs = spectrum._specializations(faces)
+        assert faces.steps == steps
+        assert sorted(pairs) == sorted((i, j) for a, i in faces.items() for b, j in faces.items()
+                                       if a & b == b)
+        assert tuple(sorted(pairs)) == spec(m).specialization and len(pairs) == count
+
+
 def test_walk_ranks_are_the_rank_of_each_face():
     for d, gens in _oracle_corpus():
         if not _is_monoid(gens):
