@@ -46,6 +46,7 @@ from .schemes import (
     Torification,
     WeakMorphism,
     _push_signs,
+    _table,
     apply_exponent_to_signs,
     from_torification,
     monomial_morphism,
@@ -279,7 +280,7 @@ class Cocycle:
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise ShapeMismatch("cocycle table must be |W| x |W|")
         # a table usually holds |W|^2 references to a few rows and vectors; test each once
-        for v in {v for row in {id(row): row for row in self.table}.values() for v in row}:
+        for v in {v for (row,) in _table(self.table)[0] for v in row}:
             if len(v) != self.r or any(s not in (1, -1) for s in v):
                 raise ShapeMismatch("cocycle values must be +-1 vectors of length r")
 
@@ -673,8 +674,9 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
 
     def operand_part(cj: int, ci: int, cm: int) -> str:
         """The part (exponent, signs or "") failed at the current (i, j) by operands cj, ci, cm."""
-        # LHS: act after (mu x id), by cm and the law blocks; RHS: act after (id x act), by ci and cj
-        lhs, rhs = (cm, id(lb), id(ls)), (ci, cj)
+        # LHS: act after (mu x id), by cm and the law blocks at (i, j) of cm's
+        # side, where lb depends on i alone; RHS: act after (id x act), by ci and cj
+        lhs, rhs = (cm, i, ls), (ci, cj)
         if lhs not in halves:
             am, bm, sm = operands[cm]
             # the law's group block A is always the identity, so am * A = am

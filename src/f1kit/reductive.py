@@ -10,8 +10,8 @@ subgroup and pad every cell by the dimension of the unipotent radical.
 Grassmannian cells are indexed by k-subsets of {1..n}; the projection
 from GL(n) collapses each component w to the subset of positions sent
 into {1..k}.  universality_check gets coinvariance of its test maps from
-the coequalizing square and their factorizations, composed once per
-quotient component (see its docstring); a quotient suite builds the
+the coequalizing square and their factorizations f = h . proj (see its
+docstring); a quotient suite builds the
 projection, lambda and pr2 once (quotient_maps) and shares them and the
 square's report between the two checks.
 """
@@ -31,7 +31,6 @@ from .schemes import (
     RankScheme,
     Torification,
     WeakMorphism,
-    _restrict,
     compose_weak,
     from_torification,
     monomial_morphism,
@@ -195,20 +194,26 @@ def grassmannian_model(k: int, n: int) -> F1Scheme:
 
 
 def _require_subgroup(p: GroupModel, g: GroupModel) -> None:
+    """Raise NotASubgroup unless p's whole law is g's on p's components:
+    rank, monoid law, labels, theta, the table and the cocycle (skipped
+    when both are trivial)."""
     if p.r != g.r:
         raise NotASubgroup("subgroup model must share the torus rank")
-    glabels = set(g.w.elements)
-    for label in p.w.elements:
-        if label not in glabels:
-            raise NotASubgroup(f"component {label!r} not in the ambient model")
-    for i, u in enumerate(p.w.elements):
-        gi = g.w.index(u)
+    if p.mo_law != g.mo_law:
+        raise NotASubgroup("subgroup model must share the monoid law")
+    at = [g.w._positions.get(u) for u in p.w.elements]
+    if None in at:
+        raise NotASubgroup(f"component {p.w.elements[at.index(None)]!r} not in the ambient model")
+    pc, gc = p.law.cocycle, g.law.cocycle
+    signed = not (pc.is_trivial and gc.is_trivial)
+    for i, (u, gi) in enumerate(zip(p.w.elements, at)):
         if p.law.theta.matrix(i) != g.law.theta.matrix(gi):
             raise NotASubgroup(f"theta differs from the ambient model at {u!r}")
-        for j, v in enumerate(p.w.elements):
-            gj = g.w.index(v)
+        for j, (v, gj) in enumerate(zip(p.w.elements, at)):
             if p.w.elements[p.w.mul(i, j)] != g.w.elements[g.w.mul(gi, gj)]:
                 raise NotASubgroup(f"law differs from the ambient model at ({u!r}, {v!r})")
+            if signed and pc.value(i, j) != gc.value(gi, gj):
+                raise NotASubgroup(f"cocycle differs from the ambient model at ({u!r}, {v!r})")
 
 
 def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
@@ -258,9 +263,9 @@ def coset_subset_bijection(k: int, n: int) -> dict[Perm, tuple[int, ...]]:
 
 
 def _recognize_two_block(p: GroupModel, g: GroupModel) -> int:
-    """The k with components(p) = embedded S_k x S_(n-k), else raise."""
+    """The k with components(p) = embedded S_k x S_(n-k), else raise; the
+    callers require p to be a subgroup of g."""
     n = g.r
-    _require_subgroup(p, g)
     have = set(p.w.elements)
     for k in range(1, n):
         if set(block_perms(n, (k, n - k))) == have:
@@ -287,8 +292,8 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
     model together with the projection.  Any other parabolic type raises
     TypeNotMaximal.
     """
-    k = _recognize_two_block(p, g)
-    return projection_to_quotient(g, k)
+    _require_subgroup(p, g)
+    return projection_to_quotient(g, _recognize_two_block(p, g))
 
 
 def _pr2_weak(p: GroupModel, g: GroupModel, source: RankScheme) -> WeakMorphism:
@@ -305,11 +310,12 @@ def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorph
 
     The quotient checks take these as an argument so that one quotient
     suite builds each morphism once, after guarding their size.
+    lambda_action requires p to be a subgroup of g, so it comes first.
     """
     guard("quotient square", f"{p.w.order()} x {g.w.order()} components",
           p.w.order() * g.w.order(), 86_400)
-    _, proj = quotient_model(p, g)
     lam = lambda_action(p, g)
+    _, proj = projection_to_quotient(g, _recognize_two_block(p, g))
     return proj, lam, _pr2_weak(p, g, lam.z_side.source)
 
 
@@ -375,9 +381,9 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     non-coinvariant control must be rejected by explicit composition.
     A quotient suite passes in maps = quotient_maps(p, g) and the square's
     report, so that neither is built twice; both are built when not given.
-    f = h . proj is composed and compared on one element per fiber: the
-    square makes proj's target, its only datum into rank-0 components,
-    constant on each fiber (a coset), and f must be constant there too.
+    h reads f's targets and signs at one element per fiber (a coset, from
+    coset_subset, not from proj), and f = h . proj is one comparison of
+    whole morphisms, both halves at every component of G.
     """
     maps = maps or quotient_maps(p, g)
     if square is None:
@@ -388,11 +394,10 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     qrk = proj.z_side.target
     subsets = qrk.labels()
     k = len(subsets[0])     # quotient_maps recognized the parabolic
-    coset_of = {w: coset_subset(w, k) for w in g.w.elements}
-    fibers = [[i for i, w in enumerate(g.w.elements) if coset_of[w] == s] for s in subsets]
-    reps = [fiber[0] for fiber in fibers]
-    rep_of = [reps[subsets.index(coset_of[w])] for w in g.w.elements]
-    proj_reps = _restrict(proj, reps)
+    fibers = {s: [] for s in subsets}
+    for i, w in enumerate(g.w.elements):
+        fibers[coset_subset(w, k)].append(i)
+    reps = [fiber[0] for fiber in fibers.values()]
     checks, prev = 0, None
     for f in _test_family(g, k, subsets):
         # coinvariance (from the square once f factors), factorization, uniqueness
@@ -401,16 +406,10 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
             continue    # the same test map again, which passed just above
         prev, z = f, f.z_side
         m = z.target.components[0][1].rank
-        # factor through the quotient: forced on each fiber, where all of f's data agree
-        data = list(zip(z.targets, z.signs, z.exponents, f.mo_side.targets, f.mo_side.comaps))
-        if list(map(data.__getitem__, rep_of)) != data:
-            subset = next(s for s, fb in zip(subsets, fibers) if any(data[i] != data[fb[0]] for i in fb))
-            return Report.failed(checks - 2, {"subset": list(subset), "reason": "fiber not constant"})
-        h = monomial_morphism(qrk, z.target, [data[i][0] for i in reps],
-                              (Mat.zeros(m, 0),) * len(subsets), [data[i][1] for i in reps])
-        hp = compose_weak(h, proj_reps)
-        got = zip(hp.z_side.targets, hp.z_side.signs, hp.z_side.exponents, hp.mo_side.targets, hp.mo_side.comaps)
-        if [*got, hp.mo_side.target] != [*map(data.__getitem__, reps), f.mo_side.target]:
+        # factor through the quotient: h is forced by f on each fiber
+        h = monomial_morphism(qrk, z.target, [z.targets[i] for i in reps],
+                              (Mat.zeros(m, 0),) * len(subsets), [z.signs[i] for i in reps])
+        if compose_weak(h, proj) != f:
             return Report.failed(checks - 1, {"target_rank": m, "reason": "factorization does not recover the map"})
         # uniqueness: component and sign data on each quotient component
         # are pinned by any single fiber element, and exponents out of a
@@ -420,7 +419,7 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     # element, i.e. when the parabolic has nontrivial components
     if p.w.order() > 1:
         n = g.r
-        marked = next(fiber[0] for fiber in fibers if len(fiber) > 1)
+        marked = next(fiber[0] for fiber in fibers.values() if len(fiber) > 1)
         target = RankScheme((("t0", FgAbelianGroup.trivial()), ("t1", FgAbelianGroup.trivial())))
         targets = ["t1" if i == marked else "t0" for i in range(g.w.order())]
         f_bad = monomial_morphism(g.rank_scheme, target, targets, (Mat.zeros(0, n),) * len(targets))
@@ -449,24 +448,31 @@ def tau_morphism(g: GroupModel, k: int, qrk: RankScheme | None = None) -> tuple[
 def tau_check(g: GroupModel, k: int, maps=None) -> Report:
     """Coset transport matches the subset action, and tau is an action.
 
-    For every sigma and every w the coset of w sigma^(-1) must carry the
-    subset sigma(subset(w)); on top of that the transported morphism
-    satisfies the action diagrams on both sides.  w sigma^(-1) is read
-    from g's verified component table, and sigma(A) from tau's targets.
-    A quotient suite passes in maps = quotient_maps(p, g), p of type
-    (k, n-k), whose projection already has the quotient's rank part.
+    The coset of w sigma^(-1), read from g's verified component table,
+    must carry sigma(subset(w)), read from tau's targets, and tau must pass
+    check_action.  The transport is compared at sigma in S = w.generators,
+    |S| |W| pairs, which gives it at every sigma:
+    * check_action proves tau's unit and associativity laws;
+    * so the sigma at which it holds for every w contain e and are closed
+      under products: the coset of w (sigma rho)^(-1) = (w rho^(-1)) sigma^(-1)
+      carries sigma(rho(subset(w))) = (sigma rho)(subset(w));
+    * S generates W.
+    checks counts all |W|^2 pairs, then the action's instances; a transport
+    failure is its pair's position among the |W|^2.  A quotient suite
+    passes in maps = quotient_maps(p, g), p of type (k, n-k), whose
+    projection already has the quotient's rank part.
     """
     qrk, tau = tau_morphism(g, k, maps and maps[0].z_side.target)
     wt, n = g.w, g.w.order()
     subsets, c = [coset_subset(w, k) for w in wt.elements], len(qrk.components)
-    for s, sigma in enumerate(wt.elements):
+    for s in wt.generators:
         acted = dict(zip(qrk.labels(), tau.z_side.targets[s * c:(s + 1) * c]))
         s_inv = wt.inv(s)
         moved = [subsets[row[s_inv]] for row in wt.mult]    # the coset of w sigma^(-1), per w
         i = next((i for i, a in enumerate(subsets) if moved[i] != acted[a]), None)
         if i is not None:
             return Report.failed(s * n + i + 1, {
-                "sigma": list(sigma), "w": list(wt.elements[i]),
+                "sigma": list(wt.elements[s]), "w": list(wt.elements[i]),
                 "transported": list(moved[i]), "subset_action": list(acted[subsets[i]]),
             })
     action = check_action(g, qrk, tau)

@@ -341,7 +341,6 @@ class _Tabled:
           (t x s) block times f's (s x r) block is t x r, signs pushed
           through g's block have length t, and a composed comap maps the
           target stalk back to the source stalk through f's target stalk.
-        * _restrict: each kept component keeps its stalks and its block.
         * induced_monomial: a checked comap maps the target stalk to the
           source stalk, so its transpose is (target rank x source rank).
         """
@@ -557,17 +556,6 @@ def compose_weak(g: WeakMorphism, f: WeakMorphism) -> WeakMorphism:
         compose_strong(g.mo_side, f.mo_side),
         compose_maps(g.z_side, f.z_side),
     )
-
-
-def _restrict(f: WeakMorphism, keep) -> WeakMorphism:
-    """f on its source components at the positions keep, in that order,
-    with a source built from f's (both halves share it)."""
-    def take(column) -> tuple:
-        return tuple(map(column.__getitem__, keep))
-
-    source = RankScheme(take(f.mo_side.source.components))
-    return WeakMorphism(*(type(h)._of(source, h.target, take(h.targets), take(h._at), h._blocks,
-                                      take(h._kinds)) for h in (f.mo_side, f.z_side)))
 
 
 def match_components(a: RankScheme, b: RankScheme) -> dict | None:

@@ -1,6 +1,8 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Static checks on the package source: every name a module imports is
+read somewhere in that module, and no value is keyed by object identity."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,11 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_no_module_keys_by_object_identity():
+    # a memo keyed by id() can hit a dead object's reused address; key by value or position
+    calls = [f"{p.name}:{n}" for p in sorted((Path(__file__).parent.parent / "src" / "f1kit").glob("*.py"))
+             for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\bid\(", line)]
+    assert calls == []

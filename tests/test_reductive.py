@@ -14,7 +14,11 @@ import f1kit.schemes as schemes
 from f1kit.counting import IntPolynomial, gauss_binomial, torification_poly, vanishing_order_and_limit
 from f1kit.errors import InvalidComposition, NotASubgroup, OutOfScale, TypeNotMaximal
 from f1kit.groups import (
+    PRODUCT,
+    Cocycle,
+    ExtensionLaw,
     FiniteGroupTable,
+    GroupModel,
     check_action,
     check_group_axioms,
     constant_group,
@@ -48,7 +52,16 @@ from f1kit.reductive import (
     tau_check,
     universality_check,
 )
-from f1kit.schemes import WeakMorphism, check_strong, check_weak, compose_weak, f1_points
+from f1kit.schemes import (
+    WeakMorphism,
+    apply_exponent_to_signs,
+    check_strong,
+    check_weak,
+    compose_weak,
+    f1_points,
+    monomial_morphism,
+    mul_signs,
+)
 
 
 def all_compositions(n):
@@ -195,7 +208,8 @@ def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
     def admitted(*args):
         raise Admitted
 
-    monkeypatch.setattr(reductive, "quotient_model", admitted)
+    # lambda_action is the first morphism quotient_maps builds
+    monkeypatch.setattr(reductive, "lambda_action", admitted)
     with pytest.raises(Admitted):
         reductive.quotient_maps(parabolic_model(6, (1, 5)), gl_model(6))
 
@@ -404,12 +418,12 @@ def test_factorizations_share_their_blocks(monkeypatch):
 
     monkeypatch.setattr(reductive, "compose_weak", composed)
     assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
-    # the square's two over 4 x 24 components, then 14 factorizations over
-    # one element per quotient component (6): targets of rank 0 (2 maps),
-    # then of rank 1 to 4, where only the second variant on six target
-    # components puts -1 on some of them, and the control's two
-    assert [s[0] for s in shares] == [96, 96] + [6] * 14 + [96, 96]
-    assert shares[2:16] == [(6, 1, 1, 1)] * 2 + ([(6, 1, 1, 1)] * 2 + [(6, 1, 1, 2)]) * 4
+    # the square's two over 4 x 24 components, then 14 factorizations h . proj
+    # over the 24 components of G: targets of rank 0 (2 maps), then of rank
+    # 1 to 4, where only the second variant on six target components puts -1
+    # on some of them, and the control's two
+    assert [s[0] for s in shares] == [96, 96] + [24] * 14 + [96, 96]
+    assert shares[2:16] == [(24, 1, 1, 1)] * 2 + ([(24, 1, 1, 1)] * 2 + [(24, 1, 1, 2)]) * 4
 
 
 def test_self_action_work_counts(monkeypatch):
@@ -495,10 +509,9 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
 
 
 def test_quotient_suite_lookups_and_products(monkeypatch):
-    # universality composes each factorization on one element per coset
-    # (6 of 24 components), the compositions read target positions straight
-    # from the label dictionary, and the shape checks look each label
-    # object's stalk up once
+    # each composition forms one product per distinct pair of blocks, the
+    # compositions read target positions straight from the label dictionary,
+    # and the shape checks look each label object's stalk up once
     sel = cli.parse_selector("gl:4")
     lookups = _counting(monkeypatch, schemes.RankScheme, "index")
     products = _counting(monkeypatch, Mat, "__mul__")
@@ -513,3 +526,98 @@ def test_tau_check_reads_the_component_table(monkeypatch):
     assert tau_check(g, 2).ok
     assert composed == []
     assert len(subsets) == g.w.order()
+
+
+def test_quotient_suite_requires_the_subgroup_once(monkeypatch):
+    sel = cli.parse_selector("gl:4")
+    for suite in ("quotient:1", "quotient:2"):
+        calls = _counting(monkeypatch, reductive, "_require_subgroup")
+        assert cli._run_check(suite, sel).ok
+        assert len(calls) == 1, suite
+
+
+def test_subgroup_test_compares_the_cocycle_and_the_monoid_law():
+    g, p = gl_model(4), parabolic_model(4, (2, 2))
+    # the coboundary c(u, v) = s_u theta_u(s_v) s_uv of s, s_e = +1 and
+    # s_u = (-1, 1, 1, 1) elsewhere: a group law, but not gl:4's restricted
+    s = [(1,) * 4 if u == p.w.identity else (-1, 1, 1, 1) for u in range(p.w.order())]
+    table = tuple(tuple(mul_signs(mul_signs(s[u], apply_exponent_to_signs(p.law.theta.matrix(u), s[v])),
+                                  s[p.w.mul(u, v)])
+                        for v in range(p.w.order())) for u in range(p.w.order()))
+    signed = GroupModel(ExtensionLaw(p.law.theta, Cocycle(p.w, p.r, table)), p.cells)
+    assert not signed.law.cocycle.is_trivial
+    assert check_group_axioms(signed).ok
+    with pytest.raises(NotASubgroup, match="cocycle differs"):
+        reductive._require_subgroup(signed, g)
+    with pytest.raises(NotASubgroup, match="cocycle differs"):
+        quotient_model(signed, g)
+    with pytest.raises(NotASubgroup, match="cocycle differs"):
+        reductive.quotient_maps(signed, g)
+    # the same cocycle on both sides is a subgroup again
+    reductive._require_subgroup(signed, signed)
+    with pytest.raises(NotASubgroup, match="monoid law"):
+        reductive._require_subgroup(GroupModel(p.law, p.cells, PRODUCT), g)
+
+
+def test_universality_fails_where_a_test_map_is_not_constant_on_a_fiber(monkeypatch):
+    # one family member is changed at the second element of the first
+    # element's fiber: its target where it has several target components,
+    # else its signs; h reads the first element, so h . proj differs from f
+    real = reductive._test_family
+
+    def changed_at(member):
+        def family(g, k, subsets):
+            for number, f in enumerate(real(g, k, subsets)):
+                if number != member:
+                    yield f
+                    continue
+                z, first = f.z_side, coset_subset(g.w.elements[0], k)
+                at = next(i for i, w in enumerate(g.w.elements) if i and coset_subset(w, k) == first)
+                targets, signs, labels = list(z.targets), list(z.signs), z.target.labels()
+                if len(labels) > 1:
+                    targets[at] = next(t for t in labels if t != targets[at])
+                else:
+                    signs[at] = tuple(-x for x in signs[at])
+                yield monomial_morphism(z.source, z.target, targets, z.exponents, signs)
+        return family
+
+    p, g = parabolic_model(4, (2, 2)), gl_model(4)
+    # member 2: rank 0 targets on six components; member 4: one rank-1 target
+    for member in (2, 4):
+        monkeypatch.setattr(reductive, "_test_family", changed_at(member))
+        rep = universality_check(p, g)
+        checks = 3 * (member + 1)
+        assert not rep.ok and rep.checks == checks - 1, (member, rep)
+        assert rep.witness["reason"] == "factorization does not recover the map"
+
+
+def test_tau_transport_reads_the_generators_only(monkeypatch):
+    g = gl_model(4)
+    seen = []
+    real = FiniteGroupTable.inv
+    monkeypatch.setattr(FiniteGroupTable, "inv", lambda self, i: seen.append(i) or real(self, i))
+    rep = tau_check(g, 2)
+    # one row of |W| = 24 cosets w sigma^(-1) per generator sigma: 3 x 24 pairs
+    assert seen == list(g.w.generators) and len(seen) == 3
+    assert rep.ok and rep.checks == 24 * 24 + check_action(g, *reductive.tau_morphism(g, 2)).checks
+
+
+def test_tau_wrong_off_the_generators_fails_the_action_check(monkeypatch):
+    real = reductive.tau_morphism
+    g, k = gl_model(4), 2
+    n = g.w.order()
+    sigma = g.w.elements.index((4, 3, 2, 1))    # the longest element, no generator
+    assert sigma not in g.w.generators
+
+    def skewed(g, k, qrk=None):
+        # sigma moves the first subset to a wrong one; every other pair is right
+        qrk, tau = real(g, k, qrk)
+        c, z = len(qrk.components), tau.z_side
+        targets = list(z.targets)
+        targets[sigma * c] = next(a for a in qrk.labels() if a != targets[sigma * c])
+        return qrk, monomial_morphism(z.source, qrk, targets, z.exponents)
+
+    monkeypatch.setattr(reductive, "tau_morphism", skewed)
+    rep = tau_check(g, k)
+    assert not rep.ok and rep.checks > n * n, rep
+    assert rep.witness["diagram"] == "action-associativity"

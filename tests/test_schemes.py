@@ -20,7 +20,6 @@ from f1kit.schemes import (
     StrongMorphismRk,
     Torification,
     WeakMorphism,
-    _restrict,
     additive_chain,
     affine_toric,
     apply_exponent_to_signs,
@@ -299,7 +298,6 @@ def test_composites_run_no_shape_check(monkeypatch):
     assert len(checks) == 3
     checks.clear()
     compose_weak(f, compose_weak(f, f))
-    _restrict(law, [0, 3, 5])
     strong_to_weak(f.mo_side)
     assert checks == []
 
@@ -406,24 +404,14 @@ def test_compositions_agree_with_the_per_component_reference(rng):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.randoms(use_true_random=True))
 def test_unchecked_composites_equal_checked_constructions(rng):
-    # compose_maps, compose_strong and _restrict build without the shape
-    # check; the public constructors, which check, must accept the same
-    # per-component data and give equal morphisms
+    # compose_maps and compose_strong build without the shape check; the
+    # public constructors, which check, must accept the same per-component
+    # data and give equal morphisms
     g, f = _weak_pair(rng)
     z, mo = compose_maps(g.z_side, f.z_side), compose_strong(g.mo_side, f.mo_side)
     z_ref, mo_ref = _compose_maps_reference(g.z_side, f.z_side), _compose_strong_reference(g.mo_side, f.mo_side)
     assert MonomialMap(z.source, z.target, z.targets, z.exponents, z.signs) == z == z_ref
     assert StrongMorphismRk(mo.source, mo.target, mo.targets, mo.comaps) == mo == mo_ref
-    n = len(f.z_side.source.components)
-    keep = rng.sample(range(n), rng.randint(1, n))
-    part = _restrict(WeakMorphism(mo, z), keep)
-    source = RankScheme(tuple(z.source.components[i] for i in keep))
-
-    def pick(column):
-        return tuple(column[i] for i in keep)
-
-    assert part.z_side == MonomialMap(source, z.target, pick(z.targets), pick(z.exponents), pick(z.signs))
-    assert part.mo_side == StrongMorphismRk(source, mo.target, pick(mo.targets), pick(mo.comaps))
 
 
 def random_scheme(rng):
