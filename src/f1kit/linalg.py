@@ -95,13 +95,6 @@ class Mat:
                 out.append(tuple(acc))
         return Mat(self.rows, other.cols, tuple(out))
 
-    def __add__(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        return Mat(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)
-        ))
-
     def __neg__(self) -> "Mat":
         return Mat(self.rows, self.cols, tuple(tuple(-x for x in row) for row in self.data))
 
@@ -119,11 +112,6 @@ class Mat:
             raise ShapeMismatch("vstack needs equal col counts")
         return Mat(self.rows + other.rows, self.cols, self.data + other.data)
 
-    def block_diag(self, other: "Mat") -> "Mat":
-        top = self.hstack(Mat.zeros(self.rows, other.cols))
-        bottom = Mat.zeros(other.rows, self.cols).hstack(other)
-        return top.vstack(bottom)
-
     def col_slice(self, start: int, stop: int) -> "Mat":
         return Mat(self.rows, stop - start, tuple(row[start:stop] for row in self.data))
 
@@ -131,9 +119,6 @@ class Mat:
         if len(vector) != self.cols:
             raise ShapeMismatch(f"vector of length {len(vector)} for {self.rows}x{self.cols}")
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.data)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(

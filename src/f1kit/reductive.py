@@ -9,11 +9,10 @@ inversion count.  Parabolic models restrict the components to a block
 subgroup and pad every cell by the dimension of the unipotent radical.
 Grassmannian cells are indexed by k-subsets of {1..n}; the projection
 from GL(n) collapses each component w to the subset of positions sent
-into {1..k}.  universality_check gets coinvariance of its test maps from
-the coequalizing square and their factorizations f = h . proj (see its
-docstring); a quotient suite builds the
-projection, lambda and pr2 once (quotient_maps) and shares them and the
-square's report between the two checks.
+into {1..k}.  A quotient suite builds the projection, and lambda and pr2
+on S_P x G only, S_P the parabolic's generators, once (quotient_maps);
+quotient_square_check and universality_check say why S_P suffices, and
+the suite shares the maps and the square's report between the checks.
 """
 
 from itertools import accumulate, combinations, permutations, product
@@ -45,6 +44,7 @@ from .groups import (
     ThetaRep,
     check_action,
     extension_model,
+    require_group,
 )
 
 Perm = tuple[int, ...]
@@ -223,14 +223,19 @@ def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
     permutation action of u, with no signs, so the morphism is strong.
     """
     _require_subgroup(p, g)
+    return _left_translation(g, p.rank_scheme)
+
+
+def _left_translation(g: GroupModel, rows: RankScheme) -> WeakMorphism:
+    """rows x G -> G, rows labeled by elements of g: (u, w) goes to uw,
+    read from g's table, with exponent (1 | theta(u))."""
     r = g.r
     targets, exps = [], []
-    for u in p.w.elements:
+    for u in rows.labels():
         gi = g.w.index(u)
         targets += map(g.w.elements.__getitem__, g.w.mult[gi])
         exps += [Mat.identity(r).hstack(g.law.theta.matrix(gi))] * g.w.order()
-    return monomial_morphism(product_scheme(p.rank_scheme, g.rank_scheme), g.rank_scheme,
-                             targets, exps)
+    return monomial_morphism(product_scheme(rows, g.rank_scheme), g.rank_scheme, targets, exps)
 
 
 def coset_subset(w: Perm, k: int) -> tuple[int, ...]:
@@ -296,49 +301,53 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
     return projection_to_quotient(g, _recognize_two_block(p, g))
 
 
-def _pr2_weak(p: GroupModel, g: GroupModel, source: RankScheme) -> WeakMorphism:
-    """Second projection P x G -> G as a weak (indeed strong) morphism,
-    source being P x G as lambda_action built it."""
+def _pr2_weak(g: GroupModel, source: RankScheme) -> WeakMorphism:
+    """Second projection rows x G -> G as a weak (indeed strong) morphism,
+    source being rows x G as _left_translation built it."""
     r = g.r
     e = Mat.zeros(r, r).hstack(Mat.identity(r))
-    targets = g.w.elements * p.w.order()
+    targets = g.w.elements * (len(source.components) // g.w.order())
     return monomial_morphism(source, g.rank_scheme, targets, (e,) * len(targets))
 
 
 def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
-    """The projection to the quotient, lambda and pr2, built once.
+    """The projection to the quotient, and lambda and pr2 on S_P x G,
+    S_P = p.w.generators, each built once after guarding their size.
 
-    The quotient checks take these as an argument so that one quotient
-    suite builds each morphism once, after guarding their size.
-    lambda_action requires p to be a subgroup of g, so it comes first.
+    quotient_model requires p to be a subgroup of g before it recognizes
+    the parabolic's type; the square's argument reads g's verified law.
     """
-    guard("quotient square", f"{p.w.order()} x {g.w.order()} components",
-          p.w.order() * g.w.order(), 86_400)
-    lam = lambda_action(p, g)
-    _, proj = projection_to_quotient(g, _recognize_two_block(p, g))
-    return proj, lam, _pr2_weak(p, g, lam.z_side.source)
+    gens = p.w.generators
+    guard("quotient square", f"{len(gens)} x {g.w.order()} generator pairs",
+          len(gens) * g.w.order(), 86_400)
+    _, proj = quotient_model(p, g)
+    require_group(g)
+    lam = _left_translation(g, RankScheme(tuple(map(p.rank_scheme.components.__getitem__, gens))))
+    return proj, lam, _pr2_weak(g, lam.z_side.source)
 
 
 def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
-    """proj after lambda equals proj after pr2, as entire morphisms.
+    """proj after lambda equals proj after pr2 on all of P x G.
 
-    This is the exhaustive coequalizer square over all |W_P| x |W|
-    component pairs, compared with exact matrices and signs.  maps is
-    quotient_maps(p, g), built here when not given.
+    maps is quotient_maps(p, g), built here when not given.  Its lambda
+    and pr2 have source S_P x G, S_P = p.w.generators, where the two
+    composites are compared with exact matrices and signs.  That suffices:
+    * lambda's targets are products in g's verified table, so for u a word
+      s1 ... sk in S_P, proj(u w) = proj(s1 (s2 ... sk w)) = proj(s2 ... sk w)
+      = ... = proj(w); at u = e, e w = w by the verified unit;
+    * every block composes with proj's 0 x n blocks to an empty one.
+    On a pass checks counts all |W_P| |W| pairs; a failure is its
+    generator pair's position among the |S_P| |W|.
     """
     proj, lam, pr2 = maps or quotient_maps(p, g)
-    left = compose_weak(proj, lam)
-    right = compose_weak(proj, pr2)
-    pairs = len(left.z_side.targets)
-    for i in range(pairs):
-        if left.z_side.targets[i] != right.z_side.targets[i]:
-            return Report.failed(i + 1, {
-                "pair": list(left.z_side.source.components[i][0]),
-                "left": left.z_side.targets[i], "right": right.z_side.targets[i],
-            })
-    if left == right:
-        return Report.passed(pairs)
-    return Report.failed(pairs, {"reason": "coordinate data differs"})
+    left, right = compose_weak(proj, lam), compose_weak(proj, pr2)
+    for i, (a, b) in enumerate(zip(left.z_side.targets, right.z_side.targets)):
+        if a != b:
+            return Report.failed(i + 1, {"pair": list(left.z_side.source.components[i][0]),
+                                         "left": a, "right": b})
+    if left != right:
+        return Report.failed(len(left.z_side.targets), {"reason": "coordinate data differs"})
+    return Report.passed(p.w.order() * g.w.order())
 
 
 def _test_family(g: GroupModel, k: int, subsets):
@@ -377,8 +386,9 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     counts one check for coinvariance, which the square and the
     factorization discharge together: f . lambda = h . (proj . lambda)
     = h . (proj . pr2) = f . pr2, since composition is componentwise
-    function composition and so associative.  A deliberately
-    non-coinvariant control must be rejected by explicit composition.
+    function composition and so associative.  A non-coinvariant control,
+    separating one w of a coset from the rest, must be rejected by explicit
+    composition with lambda and pr2 on S_P x G: s w != w at each s in S_P.
     A quotient suite passes in maps = quotient_maps(p, g) and the square's
     report, so that neither is built twice; both are built when not given.
     h reads f's targets and signs at one element per fiber (a coset, from

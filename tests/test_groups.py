@@ -349,7 +349,9 @@ def literal_diagram_failures(g: GroupModel):
         return outer[0] * inner[0], mul_signs(outer[1], apply_exponent_to_signs(outer[0], inner[1]))
 
     def times(f, h):
-        return f[0].block_diag(h[0]), f[1] + h[1]
+        a, b = f[0], h[0]
+        return (a.hstack(Mat.zeros(a.rows, b.cols)).vstack(Mat.zeros(b.rows, a.cols).hstack(b)),
+                f[1] + h[1])
 
     failures, pos = {}, 0
 
@@ -603,6 +605,12 @@ def _borrowed(side):
     return g, y, WeakMorphism(replace(act.mo_side, comaps=tuple(comaps)), act.z_side)
 
 
+def _raised(m, j):
+    """m with its entry (0, j) raised by 2, as a new object."""
+    row = m.data[0]
+    return Mat(m.rows, m.cols, (row[:j] + (row[j] + 2,) + row[j + 1:],) + m.data[1:])
+
+
 def _odd_entry(side, part, row):
     """gl:3's self-action, whose rows share one block and one sign object
     per element, with one entry (x, y) changed to a new object of another
@@ -620,11 +628,11 @@ def _odd_entry(side, part, row):
         return g, y, WeakMorphism(act.mo_side, replace(act.z_side, signs=tuple(signs)))
     if side == "z":
         exps = list(act.z_side.exponents)
-        exps[k] = exps[k] + Mat.from_rows(3, 6, [[0, 0, 0, 0, 0, 2]] + [[0] * 6] * 2)
+        exps[k] = _raised(exps[k], 5)
         return g, y, WeakMorphism(act.mo_side, replace(act.z_side, exponents=tuple(exps)))
     comaps = list(act.mo_side.comaps)
     h = comaps[k]
-    comaps[k] = replace(h, free_matrix=h.free_matrix + Mat.from_rows(6, 3, [[0, 0, 2]] + [[0] * 3] * 5))
+    comaps[k] = replace(h, free_matrix=_raised(h.free_matrix, 2))
     return g, y, WeakMorphism(replace(act.mo_side, comaps=tuple(comaps)), act.z_side)
 
 

@@ -17,30 +17,24 @@ def test_matrix_shapes_are_checked():
         Mat(2, 2, ((1, 2),))
     with pytest.raises(ShapeMismatch):
         Mat.identity(2) * Mat.identity(3)
-    with pytest.raises(ShapeMismatch):
-        Mat.identity(2) + Mat.zeros(2, 3)
 
 
 def test_matrix_algebra_basics():
     a = Mat.from_rows(2, 2, [[1, 2], [3, 4]])
     b = Mat.from_rows(2, 2, [[0, 1], [1, 0]])
     assert a * b == Mat.from_rows(2, 2, [[2, 1], [4, 3]])
-    assert (a + (-a)).is_zero()
     assert a.transpose().transpose() == a
     assert a.hstack(b).col_slice(2, 4) == b
     assert a.vstack(b).data[2:] == b.data
     assert Mat.identity(3).is_identity()
     assert a.apply((1, 1)) == (3, 7)
-    d = a.block_diag(b)
-    assert d.rows == 4 and d.cols == 4
-    assert d.col_slice(0, 2).data[:2] == a.data
 
 
 def test_empty_matrices_compose():
     e = Mat.zeros(0, 3)
     f = Mat.zeros(3, 0)
     assert (e * f).rows == 0 and (e * f).cols == 0
-    assert (f * e).is_zero() and (f * e).rows == 3
+    assert f * e == Mat.zeros(3, 3)
     assert Mat.zeros(0, 0).is_identity()
     assert e.transpose() == f
 

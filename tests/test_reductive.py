@@ -12,13 +12,14 @@ import f1kit.groups as groups
 import f1kit.reductive as reductive
 import f1kit.schemes as schemes
 from f1kit.counting import IntPolynomial, gauss_binomial, torification_poly, vanishing_order_and_limit
-from f1kit.errors import InvalidComposition, NotASubgroup, OutOfScale, TypeNotMaximal
+from f1kit.errors import AxiomsFailed, InvalidComposition, NotASubgroup, OutOfScale, TypeNotMaximal
 from f1kit.groups import (
     PRODUCT,
     Cocycle,
     ExtensionLaw,
     FiniteGroupTable,
     GroupModel,
+    ThetaRep,
     check_action,
     check_group_axioms,
     constant_group,
@@ -191,15 +192,23 @@ def test_catalog_guard_messages_name_request_cap_and_override(monkeypatch):
 def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
     compositions = []
     monkeypatch.setattr(reductive, "compose_weak", lambda *a: compositions.append(a))
-    # cap 86,400 x 1/8000 = 10 < 2 x 6 square components of gl:3 quotient:1,
-    # while gl:3's own table (36 <= 64) and theta (162 <= 1000) still fit
-    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/8000")
+    # the guard counts |S_P| x |W| generator pairs; a scale that refuses
+    # gl:N's pairs refuses its |W|^2 component table first, as 6 |S_P| <= |W|,
+    # so both models are built at the default caps before the cap drops to
+    # 86,400 x 1/17,280 = 5 < 1 x 6 pairs of gl:3 quotient:1
+    g, p = gl_model(3), parabolic_model(3, (1, 2))
+    monkeypatch.setattr(cli.Selection, "group", lambda self: g)
+    monkeypatch.setattr(cli, "parabolic_model", lambda n, parts: p)
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/17280")
+    message = ("quotient square guard: 1 x 6 generator pairs = 6 exceeds cap 5 "
+               "(scale caps with F1KIT_MAX_SCALE)")
     assert cli.main(["check", "gl:3", "--suite", "quotient:1"]) == 2
-    assert capsys.readouterr().err == (
-        "error: quotient square guard: 2 x 6 components = 12 exceeds cap 10 "
-        "(scale caps with F1KIT_MAX_SCALE)\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(OutOfScale) as refused:
+        reductive.quotient_maps(p, g)
+    assert str(refused.value) == message
     assert compositions == []
-    # the default cap admits the largest square: gl:6 quotient:1, 120 x 720
+    # the default cap admits the largest square: gl:6 quotient:1, 4 x 720
     monkeypatch.delenv("F1KIT_MAX_SCALE")
 
     class Admitted(Exception):
@@ -208,8 +217,8 @@ def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
     def admitted(*args):
         raise Admitted
 
-    # lambda_action is the first morphism quotient_maps builds
-    monkeypatch.setattr(reductive, "lambda_action", admitted)
+    # quotient_model is the first thing quotient_maps builds after the guard
+    monkeypatch.setattr(reductive, "quotient_model", admitted)
     with pytest.raises(Admitted):
         reductive.quotient_maps(parabolic_model(6, (1, 5)), gl_model(6))
 
@@ -351,7 +360,7 @@ def test_universality_family_is_coinvariant_by_explicit_composition():
     for (n, k), checks in UNIVERSALITY_CHECKS.items():
         g, p = gl_model(n), parabolic_model(n, (k, n - k))
         lam = lambda_action(p, g)
-        pr2 = _pr2_weak(p, g, lam.z_side.source)
+        pr2 = _pr2_weak(g, lam.z_side.source)
         subsets = quotient_model(p, g)[1].z_side.target.labels()
         family = list(_test_family(g, k, subsets))
         assert len(family) == 4 * (n + 1)
@@ -379,6 +388,66 @@ def test_universality_fails_when_the_projection_is_not_coset_constant(monkeypatc
         square = quotient_square_check(p, g)
         assert not square.ok
         assert universality_check(p, g) == square
+        # the witness is the first generator pair (s, w) where the skewed
+        # projection tells s w from w, at its position among |S_P| x |W|
+        proj = reductive.projection_to_quotient(g, k)[1].z_side.targets
+        gens = [g.w.index(p.w.elements[s]) for s in p.w.generators]
+        pairs = [(s, w) for s in gens for w in range(g.w.order())]
+        at = next(i for i, (s, w) in enumerate(pairs) if proj[g.w.mul(s, w)] != proj[w])
+        s, w = pairs[at]
+        assert square.checks == at + 1 <= len(gens) * g.w.order()
+        assert square.witness == {"pair": [g.w.elements[s], g.w.elements[w]],
+                                  "left": proj[g.w.mul(s, w)], "right": proj[w]}
+
+
+def test_square_reads_every_generator(monkeypatch):
+    # a projection constant on the cosets of the first generator of gl:4's
+    # (2, 2) parabolic, (1, 2, 4, 3), but not of the second, (2, 1, 3, 4):
+    # only the second generator's pairs can catch it
+    real = reductive.projection_to_quotient
+
+    def skewed(g, k):
+        q, proj = real(g, k)
+        subsets = proj.z_side.target.labels()
+        targets = tuple(subsets[(subsets.index(t) + (w.index(1) < w.index(2))) % len(subsets)]
+                        for w, t in zip(g.w.elements, proj.z_side.targets))
+        return q, WeakMorphism(replace(proj.mo_side, targets=targets),
+                               replace(proj.z_side, targets=targets))
+
+    monkeypatch.setattr(reductive, "projection_to_quotient", skewed)
+    p, g = parabolic_model(4, (2, 2)), gl_model(4)
+    assert [p.w.elements[s] for s in p.w.generators] == [(1, 2, 4, 3), (2, 1, 3, 4)]
+    rep = quotient_square_check(p, g)
+    assert not rep.ok and 24 < rep.checks <= 48
+    assert rep.witness["pair"][0] == (2, 1, 3, 4)
+
+
+def test_quotient_maps_require_the_ambient_group_law():
+    # the square is checked on P's generators only, which needs g's law to
+    # be a group law; here g's table breaks the unit in a row outside P, so
+    # p still passes the subgroup test
+    g, p = gl_model(3), parabolic_model(3, (1, 2))
+    rows = [list(row) for row in g.w.mult]
+    rows[-1][:2] = rows[-1][1::-1]
+    w = FiniteGroupTable(g.w.elements, tuple(map(tuple, rows)), g.w.identity, g.w.inverses)
+    bad = GroupModel(ExtensionLaw(ThetaRep(w, 3, g.law.theta.matrices), Cocycle.trivial(w, 3)), g.cells)
+    reductive._require_subgroup(p, bad)
+    with pytest.raises(AxiomsFailed):
+        reductive.quotient_maps(p, bad)
+
+
+def test_universality_control_is_live():
+    # with pr2 replaced by lambda the square holds trivially and every
+    # test map factors, so only the control can fail, and it must
+    for (n, k), checks in UNIVERSALITY_CHECKS.items():
+        g, p = gl_model(n), parabolic_model(n, (k, n - k))
+        proj, lam, _ = reductive.quotient_maps(p, g)
+        rep = universality_check(p, g, maps=(proj, lam, lam))
+        if p.w.order() == 1:
+            assert rep.ok, (n, k)       # no coset to separate, no control
+        else:
+            assert not rep.ok and rep.checks == checks, (n, k, rep)
+            assert rep.witness == {"reason": "non-coinvariant control passed"}
 
 
 def _counting(monkeypatch, owner, name):
@@ -418,11 +487,11 @@ def test_factorizations_share_their_blocks(monkeypatch):
 
     monkeypatch.setattr(reductive, "compose_weak", composed)
     assert universality_check(parabolic_model(4, (2, 2)), gl_model(4)).ok
-    # the square's two over 4 x 24 components, then 14 factorizations h . proj
-    # over the 24 components of G: targets of rank 0 (2 maps), then of rank
-    # 1 to 4, where only the second variant on six target components puts -1
-    # on some of them, and the control's two
-    assert [s[0] for s in shares] == [96, 96] + [24] * 14 + [96, 96]
+    # the square's two over 2 generators x 24 components, then 14
+    # factorizations h . proj over the 24 components of G: targets of rank
+    # 0 (2 maps), then of rank 1 to 4, where only the second variant on six
+    # target components puts -1 on some of them, and the control's two
+    assert [s[0] for s in shares] == [48, 48] + [24] * 14 + [48, 48]
     assert shares[2:16] == [(24, 1, 1, 1)] * 2 + ([(24, 1, 1, 1)] * 2 + [(24, 1, 1, 2)]) * 4
 
 
@@ -491,7 +560,9 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     # cli calls the square itself; universality_check would call it through reductive
     squares = [_counting(monkeypatch, cli, "quotient_square_check"),
                _counting(monkeypatch, reductive, "quotient_square_check")]
-    lambdas = _counting(monkeypatch, reductive, "lambda_action")
+    lambdas = _counting(monkeypatch, reductive, "_left_translation")
+    whole_lambdas = _counting(monkeypatch, reductive, "lambda_action")
+    quotients = _counting(monkeypatch, reductive, "quotient_model")
     pr2s = _counting(monkeypatch, reductive, "_pr2_weak")
     compositions = _counting(monkeypatch, reductive, "compose_weak")
     recognitions = _counting(monkeypatch, reductive, "_recognize_two_block")
@@ -500,8 +571,10 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     rep = cli._run_check("quotient:2", sel)
     assert rep.ok
     assert (sum(map(len, squares)), len(lambdas), len(pr2s)) == (1, 1, 1)
-    # P x G once for lambda and pr2, G x Q once for tau; the quotient once
-    assert (len(products), len(grassmannians)) == (2, 1)
+    # lambda on S_P x G only, never on all of P x G
+    assert whole_lambdas == []
+    # S_P x G once for lambda and pr2, G x Q once for tau; the quotient once
+    assert (len(products), len(grassmannians), len(quotients)) == (2, 1, 1)
     # universality reads k off the quotient's labels
     assert len(recognitions) == 1
     # the square's two, one factorization per distinct family member, the control's two
@@ -509,14 +582,30 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
 
 
 def test_quotient_suite_lookups_and_products(monkeypatch):
-    # each composition forms one product per distinct pair of blocks, the
-    # compositions read target positions straight from the label dictionary,
-    # and the shape checks look each label object's stalk up once
+    # each composition forms one product per distinct pair of blocks, and
+    # no step looks a label up: compositions and shape checks read stored
+    # target positions
     sel = cli.parse_selector("gl:4")
     lookups = _counting(monkeypatch, schemes.RankScheme, "index")
     products = _counting(monkeypatch, Mat, "__mul__")
     assert cli._run_check("quotient:2", sel).ok
-    assert len(lookups) <= 3000 and len(products) <= 222
+    assert lookups == [] and len(products) <= 192
+
+
+def test_quotient_suite_composes_on_the_generators(monkeypatch):
+    # lambda and pr2 live on S_P x G: no composite of the gl:5 quotient:1
+    # suite exceeds 3 generators of S_1 x S_4 x 120 components (the whole
+    # P x G had 24 x 120 = 2,880)
+    real, sizes = reductive.compose_weak, []
+
+    def composed(g, f):
+        out = real(g, f)
+        sizes.append(len(out.z_side.targets))
+        return out
+
+    monkeypatch.setattr(reductive, "compose_weak", composed)
+    assert cli._run_check("quotient:1", cli.parse_selector("gl:5")).ok
+    assert max(sizes) == 360 and sizes.count(360) == 4
 
 
 def test_tau_check_reads_the_component_table(monkeypatch):
