@@ -15,45 +15,17 @@ Output is deterministic JSON on stdout: keys sorted, compact separators,
 no timestamps, one trailing newline.  --pretty switches to indented form.
 Exit status: 0 success, 1 a requested check or oracle comparison failed,
 2 bad selector, bad arguments, or an out-of-scale request.
+
+Each command imports the library modules it uses when it runs:
+``import f1kit.cli`` loads only ``errors``, and ``spec``, or ``count`` and
+``oracle`` on a ``monoid:`` file, load no schemes, groups or reductive code.
 """
 
 import argparse
 import json
 import sys
 
-from .counting import compare_counts, torification_poly, vanishing_order_and_limit
 from .errors import F1KitError, SelectorError
-from .groups import (
-    Cocycle,
-    ExtensionLaw,
-    FiniteGroupTable,
-    GroupModel,
-    ThetaRep,
-    check_action,
-    check_group_axioms,
-    constant_group,
-    extension_model,
-    law_weak_morphism,
-    inversion_weak_morphism,
-    self_action,
-    sigma_check,
-    torus_group,
-    unit_weak_morphism,
-)
-from .linalg import Mat
-from .monoids import FgAbelianGroup, PointedMonoid, monoid_from_json
-from .report import Report, json_ints, jsonable
-from .reductive import (
-    gl_model,
-    grassmannian_model,
-    parabolic_model,
-    quotient_maps,
-    quotient_square_check,
-    tau_check,
-    universality_check,
-)
-from .schemes import F1Scheme, affine_toric, additive_chain, check_weak, f1_points, h_points_count
-from .spectrum import point_count_poly, spec as monoid_spec, space_report
 
 
 def _load_json(path: str) -> dict:
@@ -70,7 +42,8 @@ def _is_str_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 
-def _table_from_json(data: dict) -> FiniteGroupTable:
+def _table_from_json(data: dict) -> "FiniteGroupTable":
+    from .groups import FiniteGroupTable
     try:
         labels, table = data["labels"], data["table"]
     except (KeyError, TypeError) as e:
@@ -90,7 +63,10 @@ def _table_from_json(data: dict) -> FiniteGroupTable:
     return FiniteGroupTable.build(labels, mul)
 
 
-def _extension_from_json(data: dict) -> GroupModel:
+def _extension_from_json(data: dict) -> "GroupModel":
+    from .groups import Cocycle, ExtensionLaw, ThetaRep, extension_model
+    from .linalg import Mat
+    from .report import json_ints
     w = _table_from_json(data)
     try:
         r = json_ints(data["r"], "r")
@@ -129,14 +105,15 @@ class Selection:
         self._monoid = None
         self._group = None
 
-    def monoid(self) -> PointedMonoid:
+    def monoid(self) -> "PointedMonoid":
         """The monoid presentation, built once per selection so that the
         counting polynomial and every brute q share one facet computation."""
         if self._monoid is None:
             self._monoid = self._build_monoid()
         return self._monoid
 
-    def _build_monoid(self) -> PointedMonoid:
+    def _build_monoid(self) -> "PointedMonoid":
+        from .monoids import PointedMonoid, monoid_from_json
         if self.kind == "monoid":
             return monoid_from_json(_load_json(self.params["path"]))
         if self.kind == "torus":
@@ -146,43 +123,52 @@ class Selection:
         raise SelectorError(f"{self.text!r} has no monoid presentation; "
                             f"use monoid:FILE, torus:R or additive:N")
 
-    def group(self) -> GroupModel:
+    def group(self) -> "GroupModel":
         """The group model, built once per selection so that the checks of
         one suite share it."""
         if self._group is None:
             self._group = self._build_group()
         return self._group
 
-    def _build_group(self) -> GroupModel:
+    def _build_group(self) -> "GroupModel":
         k = self.kind
         if k == "gl":
+            from .reductive import gl_model
             return gl_model(self.params["n"])
         if k == "parabolic":
+            from .reductive import parabolic_model
             return parabolic_model(self.params["n"], self.params["parts"])
         if k == "torus":
+            from .groups import torus_group
             return torus_group(self.params["r"])
         if k == "const":
+            from .groups import constant_group
             return constant_group(_table_from_json(_load_json(self.params["path"])))
         if k == "ext":
             return _extension_from_json(_load_json(self.params["path"]))
         raise SelectorError(f"{self.text!r} is not a group model selector")
 
-    def scheme(self) -> F1Scheme:
+    def scheme(self) -> "F1Scheme":
         k = self.kind
         if k == "gr":
+            from .reductive import grassmannian_model
             return grassmannian_model(self.params["k"], self.params["n"])
         if k == "additive":
+            from .schemes import additive_chain
             return additive_chain(self.params["n"])
         if k == "monoid":
             m = self.monoid()
             if m.kind != "affine":
                 raise SelectorError("points of a group-with-zero need the affine presentation")
+            from .schemes import affine_toric
             return affine_toric(m)
         return self.group().scheme()
 
     def counting_poly(self):
         if self.kind == "monoid":
+            from .spectrum import point_count_poly
             return point_count_poly(self.monoid())
+        from .counting import torification_poly
         return torification_poly(self.scheme().cells)
 
     def oracle_spec(self) -> tuple[str, dict]:
@@ -235,6 +221,7 @@ def parse_selector(text: str) -> Selection:
 
 
 def _emit(obj, pretty: bool) -> None:
+    from .report import jsonable
     if pretty:
         text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
     else:
@@ -242,7 +229,8 @@ def _emit(obj, pretty: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _report_json(r: Report) -> dict:
+def _report_json(r: "Report") -> dict:
+    from .report import jsonable
     return {
         "pass": r.ok,
         "checks": r.checks,
@@ -254,11 +242,12 @@ def _report_json(r: Report) -> dict:
 def cmd_spec(args) -> int:
     sel = parse_selector(args.selector)
     m = sel.monoid()
-    _emit(space_report(monoid_spec(m)), args.pretty)
+    from .spectrum import space_report, spec
+    _emit(space_report(spec(m)), args.pretty)
     return 0
 
 
-def _parse_over(text: str) -> FgAbelianGroup | None:
+def _parse_over(text: str) -> "FgAbelianGroup | None":
     if text == "f1":
         return None
     if text.startswith("h:"):
@@ -268,6 +257,7 @@ def _parse_over(text: str) -> FgAbelianGroup | None:
             raise SelectorError(f"bad --over {text!r}: {e}") from e
         if any(t <= 0 for t in orders):
             raise SelectorError("--over torsion orders must be positive")
+        from .monoids import FgAbelianGroup
         return FgAbelianGroup.from_orders(orders)
     raise SelectorError(f"--over must be 'f1' or 'h:T1,T2,...', got {text!r}")
 
@@ -276,6 +266,7 @@ def cmd_points(args) -> int:
     sel = parse_selector(args.selector)
     x = sel.scheme()
     h = _parse_over(args.over)
+    from .schemes import f1_points, h_points_count
     if h is None:
         labels = f1_points(x)
         _emit({"count": len(labels), "labels": list(labels)}, args.pretty)
@@ -293,6 +284,7 @@ def cmd_count(args) -> int:
         "pretty": poly.pretty(),
     }
     if args.limit:
+        from .counting import vanishing_order_and_limit
         res = vanishing_order_and_limit(poly)
         out["rho"] = res.rho
         out["limit"] = res.limit
@@ -306,15 +298,24 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _run_check(name: str, sel: Selection) -> Report:
+def _run_check(name: str, sel: Selection) -> "Report":
+    # each branch imports what it calls: an import statement costs about a
+    # microsecond even when the module is loaded, and small suites are run
+    # in process by the thousand
     if name == "group":
+        from .groups import check_group_axioms
         return check_group_axioms(sel.group())
     if name == "sigma":
+        from .groups import sigma_check
         return sigma_check(sel.group())
     if name == "action":
+        from .groups import check_action, self_action
         g = sel.group()
         return check_action(g, g.rank_scheme, self_action(g))
     if name == "strongweak":
+        from .groups import inversion_weak_morphism, law_weak_morphism, unit_weak_morphism
+        from .report import Report
+        from .schemes import check_weak
         g = sel.group()
         parts = [check_weak(law_weak_morphism(g)),
                  check_weak(unit_weak_morphism(g)),
@@ -333,6 +334,9 @@ def _run_check(name: str, sel: Selection) -> Report:
         n = sel.params["n"]
         if not 0 < k < n:
             raise SelectorError(f"quotient:k needs 0 < k < {n}")
+        from .reductive import (parabolic_model, quotient_maps, quotient_square_check,
+                                tau_check, universality_check)
+        from .report import Report
         p = parabolic_model(n, (k, n - k))
         maps = quotient_maps(p, g)
         square = quotient_square_check(p, g, maps)
@@ -366,6 +370,7 @@ def cmd_oracle(args) -> int:
         qs = [int(t) for t in args.q.split(",")]
     except ValueError as e:
         raise SelectorError(f"bad --q: {e}") from e
+    from .counting import compare_counts
     rep = compare_counts(sel.counting_poly(), kind, params, qs)
     rep["kind"] = kind
     _emit(rep, args.pretty)

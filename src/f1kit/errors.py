@@ -6,7 +6,6 @@ derive from F1KitError.
 """
 
 import os
-from fractions import Fraction
 
 
 class F1KitError(Exception):
@@ -93,6 +92,7 @@ def guard(name: str, what: str, estimate: int, cap: int, error: type = OutOfScal
     raw = os.environ.get(_SCALE_ENV)
     limit = cap
     if raw is not None:
+        from fractions import Fraction
         try:
             scale = Fraction(raw)
         except (ValueError, ZeroDivisionError):
