@@ -11,13 +11,17 @@ enumeration over an actual prime field, with no shared formulas, so they
 can serve as oracles for the polynomial calculus.  The one shared piece
 is the face set of a cone, which the monoid-hom counter enumerates as
 its supports; the tests check it against a 2^k subset loop, and the
-counter against the q^k enumeration it replaced.
+counter against the q^k enumeration it replaced.  It visits every unit
+assignment in exponent form (F_q^* is cyclic, so a relation holds on g^a
+exactly when r.a = 0 mod q-1), and asks for no relation basis on a face
+inside a relation-free face.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
+from operator import mul
 
 from .errors import NonDivisible, NotPrime, ZeroPolynomial, guard
 from .linalg import Mat, det, relations
@@ -299,9 +303,15 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     assignment of units in (F_q^*)^F is checked against a basis of the
     integer relations among F's generators (linalg.relations), each of
     which must map to 1.  That is sum_F (q-1)^|F| assignments, not the
-    q^k of all generator images; the work guard still counts q^k.  The
-    relation bases, which do not depend on q, are memoized per support on
-    the instance; every unit assignment is still visited.
+    q^k of all generator images; the work guard still counts q^k.
+    Every unit assignment is still visited, in exponent form: the units
+    are g^a for a primitive root g, so a in {0..q-2}^|F| passes when
+    r.a = 0 mod q-1 for each relation r, reduced mod q-1 once per face
+    (rows that vanish drop out; at q = 2 all do).  The relation bases do
+    not depend on q and are memoized on the instance, filled once with
+    the faces in decreasing size: a face inside a relation-free face gets
+    [] with no linalg.relations call, since F inside G puts F's relations
+    among G's.  So an orthant makes one call.
     """
     _require_prime(q)
     if m.kind == GROUP_WITH_ZERO:
@@ -318,23 +328,24 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     guard("brute enumeration", f"{q}^{k} generator images", q ** k, 4_000_000)
     from .spectrum import face_ranks     # spectrum imports this module
 
-    memo = m.__dict__.setdefault("_support_relations", {})
+    memo = m.__dict__.get("_support_relations")
+    if memo is None:
+        memo, free = {}, []       # free: the maximal relation-free faces so far
+        for face in sorted((face for face, _ in face_ranks(m)), key=int.bit_count, reverse=True):
+            covered = any(face & g == face for g in free)
+            memo[face] = [] if covered else relations([gens[j] for j in range(k) if face >> j & 1])
+            if not (covered or memo[face]):
+                free.append(face)
+        m.__dict__["_support_relations"] = memo
+    n = q - 1
     total = 0
     for face, _ in face_ranks(m):
-        cols = [j for j in range(k) if face >> j & 1]
-        if face not in memo:
-            memo[face] = relations([gens[j] for j in cols])
-        for values in product(range(1, q), repeat=len(cols)):
-            good = True
-            for rel in memo[face]:
-                acc = 1
-                for x, e in zip(values, rel):
-                    if e:
-                        acc = (acc * pow(x, e, q)) % q
-                if acc != 1:
-                    good = False
+        rows = [r for r in ([e % n for e in rel] for rel in memo[face]) if any(r)]
+        for a in product(range(n), repeat=face.bit_count()):
+            for r in rows:
+                if sum(map(mul, r, a)) % n:
                     break
-            if good:
+            else:
                 total += 1
     return total
 

@@ -31,7 +31,7 @@ from .errors import InfiniteHomSet, ShapeMismatch, guard
 from .linalg import Mat
 from .monoids import FgAbelianGroup, GroupHom, PointedMonoid, compose_hom, validate_hom
 from .report import Report
-from .spectrum import MoSpace, disjoint_union, spec
+from .spectrum import MoSpace, _subset, disjoint_union, face_ranks, spec
 
 Label = Any
 
@@ -154,7 +154,8 @@ class F1Scheme:
     is the discrete union of one group-with-zero patch per torus, which
     for family-compressed catalogs can be astronomically large.  The
     rank part, F1-points and counting never force it; accessing .mo or
-    .eval_pairs materializes it under a point budget.
+    .eval_pairs materializes it under a point budget.  affine_toric's
+    schemes build their spectrum the same way, on first use.
     """
 
     def __init__(self, cells: Torification,
@@ -238,8 +239,25 @@ def additive_chain(n: int) -> F1Scheme:
     return from_torification(Torification((Cell(0, "e", n),)))
 
 
+class _Toric(F1Scheme):
+    """affine_toric's scheme, whose monoid side is spec(m), built on first use."""
+
+    def __init__(self, cells: Torification, m: PointedMonoid):
+        super().__init__(cells)
+        self._monoid = m
+
+    def _materialize(self) -> None:
+        s = spec(self._monoid)
+        checked = F1Scheme(self.cells, s, tuple((p.id, p.face) for p in s.points))
+        self._mo, self._eval = checked._mo, checked._eval
+
+
 def affine_toric(m: PointedMonoid) -> F1Scheme:
     """Scheme of an affine monoid: one cell per face, labeled by the face.
+
+    The cells come from the face ranks alone; the monoid side, spec(m)
+    with each point matched to its face's cell, is built and checked on
+    first use, so F1-points and point counts build no specialization pair.
 
     >>> x = affine_toric(PointedMonoid.orthant(2))
     >>> [c.dim for c in x.cells.cells]
@@ -247,10 +265,8 @@ def affine_toric(m: PointedMonoid) -> F1Scheme:
     """
     if m.kind != "affine":
         raise ShapeMismatch("affine_toric needs an affine monoid")
-    s = spec(m)
-    cells = tuple(Cell(p.unit_group.rank, p.face, 0) for p in s.points)
-    pairs = tuple((p.id, p.face) for p in s.points)
-    return F1Scheme(Torification(cells), s, pairs)
+    k = len(m.generators)
+    return _Toric(Torification(tuple(Cell(r, _subset(face, k)) for face, r in face_ranks(m))), m)
 
 
 def rank_part(x: F1Scheme) -> RankScheme:

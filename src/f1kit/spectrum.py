@@ -91,7 +91,7 @@ def face_masks(gens, d: int) -> set[int]:
 
 
 def _subset(mask: int, k: int) -> tuple[int, ...]:
-    return tuple(j for j in range(k) if mask >> j & 1)
+    return tuple([j for j in range(k) if mask >> j & 1])
 
 
 def face_ranks(m: PointedMonoid) -> tuple[tuple[int, int], ...]:
@@ -205,6 +205,6 @@ def space_report(s: MoSpace) -> dict:
             {"patch": p.patch, "face": list(p.face), "rank": p.unit_group.rank}
             for p in s.points
         ],
-        "specialization": [[i, j] for i, j in s.specialization],
+        "specialization": list(map(list, s.specialization)),
         "min_rank": s.min_rank(),
     }

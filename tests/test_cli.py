@@ -165,21 +165,27 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     oracle = ["oracle", f"monoid:{mfile}", "--q", "2,3,5"]
     assert _dd_passes(monkeypatch, lambda: main(oracle)) == 1
     assert json.loads(capsys.readouterr().out)["equal"] is True
-    # one relation basis per face, not one per face per q: the bases are
-    # kept on the instance, and a fresh, equal instance starts empty
+    # one relation basis per face outside every relation-free face, not one
+    # per face per q: the bases are kept on the instance, and a fresh, equal
+    # instance starts empty.  Of the wedge's 4 faces, the empty face lies in
+    # the relation-free ray <(1, 0)>, so 3 calls
     calls = []
     monkeypatch.setattr(f1kit.counting, "relations", lambda vs: calls.append(vs) or relations(vs))
-    faces = len(face_masks(gens, 2))
+    assert len(face_masks(gens, 2)) == 4
     assert main(oracle) == 0
-    assert len(calls) == faces
+    assert len(calls) == 3
     m = sel.monoid()
     calls.clear()
     brute_count_monoid_homs(m, 2)
-    assert len(calls) == faces
+    assert len(calls) == 3
     brute_count_monoid_homs(m, 3)
-    assert len(calls) == faces
+    assert len(calls) == 3
     brute_count_monoid_homs(PointedMonoid.affine(2, gens), 3)
-    assert len(calls) == 2 * faces
+    assert len(calls) == 6
+    # an orthant's full face has no relation, so it is the one call of 2^7
+    calls.clear()
+    assert brute_count_monoid_homs(PointedMonoid.orthant(7), 3) == 3 ** 7
+    assert len(calls) == 1
 
 
 def test_oracle_rejects_non_prime():

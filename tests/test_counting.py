@@ -19,9 +19,10 @@ from f1kit.counting import (
     vanishing_order_and_limit,
 )
 from f1kit.errors import NonDivisible, NotPrime, OutOfScale, ZeroPolynomial
+from f1kit.linalg import relations
 from f1kit.monoids import FgAbelianGroup, PointedMonoid
 from f1kit.schemes import Cell, Torification
-from f1kit.spectrum import face_masks
+from f1kit.spectrum import face_masks, minimal_face
 from test_linalg import _pairwise_relations
 from test_spectrum import _is_monoid, _oracle_corpus
 
@@ -197,14 +198,35 @@ def _character(values, rel, q: int) -> int:
 
 
 def test_face_by_face_brute_matches_full_enumeration():
-    # q^k kept to 3^8 so the reference enumeration stays quick
+    # the counter tests r.a = 0 mod q-1 on exponent vectors, the reference
+    # multiplies field elements with pow.  q^k kept to 3^8 so the reference
+    # enumeration stays quick, plus q = 5 on the cones with a line and k = 6
     cases = 0
     for d, gens in _oracle_corpus():
         if not _is_monoid(gens):
             continue
         m = PointedMonoid.affine(d, gens)
+        line = len(gens) <= 6 and minimal_face(gens, d)
         for q in (2, 3, 5):
-            if q ** len(gens) <= 3 ** 8:
+            if q ** len(gens) <= 3 ** 8 or q == 5 and line:
                 assert brute_count_monoid_homs(m, q) == _brute_by_assignments(m, q), (gens, q)
                 cases += 1
-    assert cases >= 90
+    assert cases >= 95
+
+
+def test_relation_free_rule_is_exact():
+    # a face inside a face whose generators satisfy no relation is given
+    # [] unasked; a direct call agrees on every such face
+    skipped = 0
+    for d, gens in _oracle_corpus():
+        if not _is_monoid(gens):
+            continue
+        m = PointedMonoid.affine(d, gens)
+        brute_count_monoid_homs(m, 2)
+        memo = m.__dict__["_support_relations"]
+        assert set(memo) == face_masks(gens, d)
+        for face, basis in memo.items():
+            if not basis:
+                assert relations([g for j, g in enumerate(gens) if face >> j & 1]) == [], (gens, face)
+                skipped += 1
+    assert skipped >= 500

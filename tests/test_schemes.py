@@ -40,6 +40,7 @@ from f1kit.schemes import (
     rank_part,
     strong_to_weak,
 )
+from f1kit.spectrum import MoPoint, MoSpace, point_count_poly, space_report
 
 
 def free(r):
@@ -86,6 +87,41 @@ def test_affine_toric_matches_spectrum():
     assert torification_poly(x.cells)(5) == 25
     # eval pairs link every monoid point to its cell with equal rank
     assert len(x.eval_pairs) == x.mo.point_count()
+
+
+def test_affine_toric_builds_its_spectrum_on_first_use(monkeypatch):
+    real = schemes.spec
+    calls = []
+    monkeypatch.setattr(schemes, "spec", lambda m: calls.append(m) or real(m))
+    # a line through +-e3 under a pointed cone, and an orthant
+    line = [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1), (1, 2, 0), (2, 1, 1)]
+    for m in (PointedMonoid.affine(3, line), PointedMonoid.orthant(3)):
+        eager = real(m)
+        x = affine_toric(m)
+        assert x.cells.cells == tuple(Cell(p.unit_group.rank, p.face) for p in eager.points)
+        minimal = tuple(p.face for p in eager.points if p.unit_group.rank == eager.min_rank())
+        assert f1_points(x) == rank_part(x).labels() == minimal
+        assert h_points_count(x, FgAbelianGroup.from_orders([3])) == point_count_poly(m)(4)
+        assert calls == []
+        assert space_report(x.mo) == space_report(eager) and len(calls) == 1
+        assert x.eval_pairs == tuple((p.id, p.face) for p in eager.points)
+        assert x.mo is x.mo and len(calls) == 1
+        y = affine_toric(m)
+        assert y.eval_pairs == x.eval_pairs and len(calls) == 2
+        calls.clear()
+
+    # the pairing is still checked when the spectrum is built
+    def wrong_rank(m):
+        s = real(m)
+        p = s.points[0]
+        bad = MoPoint(p.id, p.patch, p.face, FgAbelianGroup.free(p.unit_group.rank + 1))
+        return MoSpace(s.patches, (bad, *s.points[1:]), s.specialization)
+
+    monkeypatch.setattr(schemes, "spec", wrong_rank)
+    x = affine_toric(PointedMonoid.orthant(2))
+    for _ in range(2):
+        with pytest.raises(ShapeMismatch, match="point 0 has rank 1, cell"):
+            x.mo
 
 
 def test_lazy_monoid_side_budget():
