@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "report": ("Report", "jsonable"),
+    "report": ("Report",),
     "linalg": ("Mat", "det", "feasible", "kernel_basis", "rank", "relations"),
     "monoids": ("AFFINE", "GROUP_WITH_ZERO", "FgAbelianGroup", "GroupHom", "PointedMonoid",
                 "compose_hom", "hom_count", "member", "monoid_from_json", "units_of",

@@ -24,6 +24,7 @@ Each command imports the library modules it uses when it runs:
 import argparse
 import json
 import sys
+from functools import cached_property
 
 from .errors import F1KitError, SelectorError
 
@@ -102,17 +103,11 @@ class Selection:
         self.kind = kind
         self.text = text
         self.params = params
-        self._monoid = None
-        self._group = None
 
+    @cached_property
     def monoid(self) -> "PointedMonoid":
         """The monoid presentation, built once per selection so that the
         counting polynomial and every brute q share one facet computation."""
-        if self._monoid is None:
-            self._monoid = self._build_monoid()
-        return self._monoid
-
-    def _build_monoid(self) -> "PointedMonoid":
         from .monoids import PointedMonoid, monoid_from_json
         if self.kind == "monoid":
             return monoid_from_json(_load_json(self.params["path"]))
@@ -123,14 +118,10 @@ class Selection:
         raise SelectorError(f"{self.text!r} has no monoid presentation; "
                             f"use monoid:FILE, torus:R or additive:N")
 
+    @cached_property
     def group(self) -> "GroupModel":
         """The group model, built once per selection so that the checks of
         one suite share it."""
-        if self._group is None:
-            self._group = self._build_group()
-        return self._group
-
-    def _build_group(self) -> "GroupModel":
         k = self.kind
         if k == "gl":
             from .reductive import gl_model
@@ -157,17 +148,17 @@ class Selection:
             from .schemes import additive_chain
             return additive_chain(self.params["n"])
         if k == "monoid":
-            m = self.monoid()
+            m = self.monoid
             if m.kind != "affine":
                 raise SelectorError("points of a group-with-zero need the affine presentation")
             from .schemes import affine_toric
             return affine_toric(m)
-        return self.group().scheme()
+        return self.group.scheme()
 
     def counting_poly(self):
         if self.kind == "monoid":
             from .spectrum import point_count_poly
-            return point_count_poly(self.monoid())
+            return point_count_poly(self.monoid)
         from .counting import torification_poly
         return torification_poly(self.scheme().cells)
 
@@ -178,7 +169,7 @@ class Selection:
         if k == "gl":
             return "gl", {"n": self.params["n"]}
         if k in ("monoid", "torus", "additive"):
-            return "monoid_homs", {"monoid": self.monoid()}
+            return "monoid_homs", {"monoid": self.monoid}
         raise SelectorError(f"no brute-force oracle for {self.text!r}")
 
 
@@ -221,27 +212,23 @@ def parse_selector(text: str) -> Selection:
 
 
 def _emit(obj, pretty: bool) -> None:
-    from .report import jsonable
-    if pretty:
-        text = json.dumps(jsonable(obj), sort_keys=True, indent=2)
-    else:
-        text = json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(obj, sort_keys=True, indent=2 if pretty else None,
+                      separators=None if pretty else (",", ":"))
     sys.stdout.write(text + "\n")
 
 
 def _report_json(r: "Report") -> dict:
-    from .report import jsonable
     return {
         "pass": r.ok,
         "checks": r.checks,
-        "witness": jsonable(r.witness),
+        "witness": r.witness,
         "notes": list(r.notes),
     }
 
 
 def cmd_spec(args) -> int:
     sel = parse_selector(args.selector)
-    m = sel.monoid()
+    m = sel.monoid
     from .spectrum import space_report, spec
     _emit(space_report(spec(m)), args.pretty)
     return 0
@@ -304,19 +291,19 @@ def _run_check(name: str, sel: Selection) -> "Report":
     # in process by the thousand
     if name == "group":
         from .groups import check_group_axioms
-        return check_group_axioms(sel.group())
+        return check_group_axioms(sel.group)
     if name == "sigma":
         from .groups import sigma_check
-        return sigma_check(sel.group())
+        return sigma_check(sel.group)
     if name == "action":
         from .groups import check_action, self_action
-        g = sel.group()
+        g = sel.group
         return check_action(g, g.rank_scheme, self_action(g))
     if name == "strongweak":
         from .groups import inversion_weak_morphism, law_weak_morphism, unit_weak_morphism
         from .report import Report
         from .schemes import check_weak
-        g = sel.group()
+        g = sel.group
         parts = [check_weak(law_weak_morphism(g)),
                  check_weak(unit_weak_morphism(g)),
                  check_weak(inversion_weak_morphism(g))]
@@ -330,7 +317,7 @@ def _run_check(name: str, sel: Selection) -> "Report":
             raise SelectorError(f"bad check {name!r}: {e}") from e
         if sel.kind != "gl":
             raise SelectorError("quotient checks need a gl:N selector")
-        g = sel.group()
+        g = sel.group
         n = sel.params["n"]
         if not 0 < k < n:
             raise SelectorError(f"quotient:k needs 0 < k < {n}")

@@ -219,19 +219,16 @@ def gauss_binomial(n: int, k: int) -> IntPolynomial:
     return gauss_factorial(n).divexact(gauss_factorial(k) * gauss_factorial(n - k))
 
 
-def torification_poly(t) -> IntPolynomial:
+def torification_poly(t: "Torification") -> IntPolynomial:
     """Counting polynomial of a torification: sum (q-1)^dim q^affine.
 
-    Accepts anything with a .cells attribute or a bare iterable of cells;
-    each cell contributes (q-1)^dim, and a cell standing for a refined
+    Each cell contributes (q-1)^dim, and a cell standing for a refined
     affine family of extra dimension a contributes (q-1)^dim q^a, which
     equals the sum over its 2^a subset tori.
     """
-    cells = getattr(t, "cells", t)
     out = IntPolynomial.zero()
-    for c in cells:
-        affine = getattr(c, "affine", 0)
-        out = out + IntPolynomial.qminus1_power(c.dim) * IntPolynomial.q_power(affine)
+    for c in t.cells:
+        out = out + IntPolynomial.qminus1_power(c.dim) * IntPolynomial.q_power(c.affine)
     return out
 
 
@@ -316,9 +313,7 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     _require_prime(q)
     if m.kind == GROUP_WITH_ZERO:
         g = m.group
-        count = 1
-        for _ in range(g.rank):
-            count *= q - 1
+        count = (q - 1) ** g.rank
         for t in g.torsion:
             count *= sum(1 for y in range(1, q) if pow(y, t, q) == 1)
         return count

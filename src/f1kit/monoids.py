@@ -19,7 +19,7 @@ the face spans the unit lattice, and the cone is pointed modulo it.
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from math import gcd
+from math import gcd, lcm, prod
 from operator import and_, mul
 
 from .errors import (
@@ -67,32 +67,21 @@ class FgAbelianGroup:
 
     @staticmethod
     def from_orders(orders) -> "FgAbelianGroup":
-        """Normalize a list of cyclic orders into invariant factors."""
-        primes: dict[int, list[int]] = {}
+        """Normalize a list of cyclic orders into invariant factors.
+
+        Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so each order m merges into
+        the chain from the smallest factor up: t becomes gcd(t, m) and m
+        carries on as lcm(t, m).  The chain stays a divisibility chain, and
+        no order is factored, so a large prime costs one gcd per factor.
+        """
+        chain: list[int] = []
         for m in orders:
             if m < 1:
                 raise ShapeMismatch("cyclic orders must be positive")
-            d = 2
-            while d * d <= m:
-                e = 0
-                while m % d == 0:
-                    m //= d
-                    e += 1
-                if e:
-                    primes.setdefault(d, []).append(e)
-                d += 1
-            if m > 1:
-                primes.setdefault(m, []).append(1)
-        if not primes:
-            return FgAbelianGroup(0, ())
-        depth = max(len(v) for v in primes.values())
-        factors = [1] * depth
-        for p, exps in primes.items():
-            exps = sorted(exps)
-            exps = [0] * (depth - len(exps)) + exps
-            for i, e in enumerate(exps):
-                factors[i] *= p ** e
-        return FgAbelianGroup(0, tuple(f for f in factors if f > 1))
+            for i, t in enumerate(chain):
+                chain[i], m = gcd(t, m), lcm(t, m)
+            chain.append(m)
+        return FgAbelianGroup(0, tuple(t for t in chain if t > 1))
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -100,10 +89,7 @@ class FgAbelianGroup:
     def order(self) -> int:
         if self.rank > 0:
             raise InfiniteHomSet("group has positive rank")
-        n = 1
-        for t in self.torsion:
-            n *= t
-        return n
+        return prod(self.torsion)
 
     def generator_count(self) -> int:
         return self.rank + len(self.torsion)
@@ -356,24 +342,19 @@ class PointedMonoid:
         """
         units, rest, _ = self._unit_split
         s = self._tail[2]
-        relations = _relations(units + rest[s:], rest[s - 1])
-        some = next(rel for rel in relations if rel[-1])
+        basis = relations([*units, *rest[s:], rest[s - 1]])
+        some = next(rel for rel in basis if rel[-1])
         if any(x * some[-1] > 0 for x in some[len(units):-1]):
             return None
-        return gcd(*(rel[-1] for rel in relations))
-
-
-def _relations(columns, r: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """A lattice basis of the integer relations among the columns and r,
-    the kernel of [columns | r].  The last coordinates of all relations
-    are the multiples n with n r in the group the columns span; those of
-    the basis generate them.  So r is in that group exactly when their
-    gcd is 1."""
-    return relations([*columns, r])
+        return gcd(*(rel[-1] for rel in basis))
 
 
 def _in_group(columns, r: tuple[int, ...]) -> bool:
-    return gcd(*(rel[-1] for rel in _relations(columns, r))) == 1
+    """Is r in the group the columns span?  The last coordinates of the
+    integer relations among [columns | r] are the multiples n with n r in
+    that group, and those of a lattice basis of the relations generate
+    them.  So r is in the group exactly when their gcd is 1."""
+    return gcd(*(rel[-1] for rel in relations([*columns, r]))) == 1
 
 
 def member(m: PointedMonoid, target) -> bool:
@@ -445,11 +426,11 @@ def member(m: PointedMonoid, target) -> bool:
             all(sum(map(mul, u, y)) >= 0 for u, _ in facets)
 
     def solve(residual: tuple[int, ...]) -> bool:
-        relations = _relations(images[s:], quotient.apply(residual))
-        if not relations or relations[0][-1] not in (1, -1):
+        basis = relations([*images[s:], quotient.apply(residual)])
+        if not basis or basis[0][-1] not in (1, -1):
             return False
-        sign = relations[0][-1]
-        for x, v in zip(relations[0], rest[s:]):
+        sign = basis[0][-1]
+        for x, v in zip(basis[0], rest[s:]):
             if x * sign > 0:
                 return False
             residual = tuple(y + x * sign * z for y, z in zip(residual, v))

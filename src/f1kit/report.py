@@ -3,8 +3,9 @@
 A check runs a batch of exact comparisons and either all of them hold or
 there is a first failure worth naming.  Reports are plain values: ok flag,
 how many comparisons ran, and a JSON-able witness for the first failure.
-The module also holds the JSON conversions in both directions: jsonable
-for output, json_ints for integer fields of input files.
+The module also holds json_ints, the check on integer fields of input
+files; output needs no conversion, since json.dumps writes tuples as
+arrays.
 """
 
 from dataclasses import dataclass, field
@@ -35,26 +36,11 @@ class Report:
     def merge(parts: list["Report"]) -> "Report":
         """Combine subreports: first failure wins, check counts add."""
         total = sum(p.checks for p in parts)
-        notes: tuple[str, ...] = ()
-        for p in parts:
-            notes = notes + p.notes
+        notes = sum((p.notes for p in parts), ())
         for p in parts:
             if not p.ok:
                 return Report(False, total, p.witness, notes)
         return Report(True, total, None, notes)
-
-
-def jsonable(value: Any) -> Any:
-    """Render labels, sign vectors and witnesses as JSON-safe values.
-
-    Tuples become lists recursively; dict keys become strings when they
-    are not already; everything else is passed through.
-    """
-    if isinstance(value, tuple) or isinstance(value, list):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k if isinstance(k, str) else repr(k): jsonable(v) for k, v in value.items()}
-    return value
 
 
 def json_ints(value: Any, what: str, depth: int = 0) -> Any:

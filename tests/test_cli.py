@@ -10,15 +10,20 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import f1kit.cli
 import f1kit.counting
 import f1kit.reductive
-from f1kit.cli import main, parse_selector
+from f1kit.cli import _emit, _report_json, main, parse_selector
 from f1kit.counting import brute_count_monoid_homs
 from f1kit.errors import SelectorError
-from f1kit.linalg import relations
-from f1kit.monoids import PointedMonoid
-from f1kit.spectrum import face_masks
-from test_spectrum import _dd_passes
+from f1kit.groups import Cocycle, ExtensionLaw, FiniteGroupTable, ThetaRep, check_action, \
+    extension_model, sigma_check
+from f1kit.linalg import Mat, relations
+from f1kit.monoids import FgAbelianGroup, GroupHom, PointedMonoid
+from f1kit.schemes import MonomialMap, RankScheme, StrongMorphismRk, WeakMorphism, check_weak
+from f1kit.spectrum import face_masks, space_report, spec
+from test_groups import _flipped
+from test_spectrum import _dd_passes, _is_monoid, _oracle_corpus
 
 
 def run_cli(*args):
@@ -161,7 +166,7 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     mfile.write_text(json.dumps({"kind": "affine", "ambient_dim": 2, "generators": gens}))
     assert _dd_passes(monkeypatch, lambda: face_masks(gens, 2)) == 1
     sel = parse_selector(f"monoid:{mfile}")
-    assert sel.monoid() is sel.monoid()
+    assert sel.monoid is sel.monoid
     oracle = ["oracle", f"monoid:{mfile}", "--q", "2,3,5"]
     assert _dd_passes(monkeypatch, lambda: main(oracle)) == 1
     assert json.loads(capsys.readouterr().out)["equal"] is True
@@ -174,7 +179,7 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     assert len(face_masks(gens, 2)) == 4
     assert main(oracle) == 0
     assert len(calls) == 3
-    m = sel.monoid()
+    m = sel.monoid
     calls.clear()
     brute_count_monoid_homs(m, 2)
     assert len(calls) == 3
@@ -359,6 +364,80 @@ def test_pretty_flag_changes_formatting_only():
     assert flat.stdout != pretty.stdout
     assert json.loads(flat.stdout) == json.loads(pretty.stdout)
     assert flat.stdout.endswith(b"\n")
+
+
+def test_points_over_a_huge_prime_order_answers_at_once(capsys):
+    # h's invariant factors come from gcd and lcm, so a prime order of 61
+    # bits is not factored by trial division
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert main(["points", "torus:1", "--over", f"h:{p}"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == f'{{"count":{p},"over":[{p}]}}\n'
+    assert main(["points", "additive:3", "--over", "h:4,6"]) == 0
+    assert capsys.readouterr().out == '{"count":15625,"over":[2,12]}\n'
+
+
+def _jsonable(value):
+    """The converter _emit ran before it handed answers to json.dumps
+    as they are: tuples to lists, non-str dict keys to their repr."""
+    if isinstance(value, tuple) or isinstance(value, list):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k if isinstance(k, str) else repr(k): _jsonable(v) for k, v in value.items()}
+    return value
+
+
+def _assert_emits_as_before(obj):
+    for pretty in (False, True):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _emit(obj, pretty)
+        if pretty:
+            want = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+        else:
+            want = json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+        assert out.getvalue() == want + "\n"
+
+
+def _has_tuple(value):
+    if isinstance(value, dict):
+        return any(map(_has_tuple, value.values()))
+    return isinstance(value, tuple) or isinstance(value, list) and any(map(_has_tuple, value))
+
+
+def test_emit_writes_the_bytes_of_the_old_converter(monkeypatch):
+    for d, gens in _oracle_corpus():
+        if _is_monoid(gens):
+            _assert_emits_as_before(space_report(spec(PointedMonoid.affine(d, gens))))
+    answers = []
+    monkeypatch.setattr(f1kit.cli, "_emit", lambda obj, pretty: answers.append(obj))
+    for argv in (["points", "gr:2,4"], ["points", "gl:3"], ["points", "additive:3"],
+                 ["points", "parabolic:3:1+2", "--over", "h:2,3"],
+                 ["count", "gl:3", "--limit", "--eval", "2,3"],
+                 ["count", "gr:2,5", "--limit", "--eval", "4"],
+                 ["count", "torus:2", "--limit", "--eval", "5,7"],
+                 ["oracle", "gl:2", "--q", "2,3"], ["oracle", "additive:3", "--q", "2,3"],
+                 ["oracle", "gr:2,4", "--q", "2"]):
+        assert main(argv) == 0
+    assert len(answers) == 10 and _has_tuple([a["labels"] for a in answers[:3]])
+    # failing checks whose witnesses nest tuples: a law morphism with one
+    # target moved, a signed extension with tuple labels, halves that disagree
+    g, y, act = _flipped("z", "target")
+    w = FiniteGroupTable.cyclic(2, (("e", 0), ("s", 1)))
+    theta = ThetaRep(w, 1, (Mat.identity(1), Mat.from_rows(1, 1, [[-1]])))
+    signed = extension_model(ExtensionLaw(theta, Cocycle(w, 1, (((1,), (1,)), ((1,), (-1,))))),
+                             {("e", 0): 1, ("s", 1): 2})
+    one, free = Mat.identity(1), FgAbelianGroup.free(1)
+    a, b = RankScheme(((("p", 0), free),)), RankScheme(((("r", 1), free), (("s", 2), free)))
+    halves = WeakMorphism(
+        StrongMorphismRk(a, b, (("r", 1),), (GroupHom.on_free(free, free, one),)),
+        MonomialMap(a, b, (("s", 2),), (one,), ((1,),)))
+    for rep in (check_action(g, y, act), sigma_check(signed), check_weak(halves)):
+        assert not rep.ok and _has_tuple(rep.witness)
+        answers.append({"suite": {"x": _report_json(rep)}, "pass": False})
+    for obj in answers:
+        _assert_emits_as_before(obj)
 
 
 # -- exit-code contract, fuzzed ------------------------------------------------

@@ -44,6 +44,45 @@ def test_group_invariant_factors():
         FgAbelianGroup.free(1).order()
 
 
+def _invariant_factors_by_primes(orders):
+    """Invariant factors of the sum of Z/m over orders, by trial-division
+    factoring: each prime's exponents, sorted and right-aligned, multiply
+    into the factors."""
+    primes = {}
+    for m in orders:
+        d = 2
+        while d * d <= m:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            if e:
+                primes.setdefault(d, []).append(e)
+            d += 1
+        if m > 1:
+            primes.setdefault(m, []).append(1)
+    depth = max(map(len, primes.values()), default=0)
+    factors = [1] * depth
+    for p, exps in primes.items():
+        for i, e in enumerate([0] * (depth - len(exps)) + sorted(exps)):
+            factors[i] *= p ** e
+    return tuple(f for f in factors if f > 1)
+
+
+def test_invariant_factors_match_trial_division():
+    lists = [()] + [orders for k in (1, 2, 3) for orders in product(range(1, 31), repeat=k)]
+    for orders in lists:
+        assert FgAbelianGroup.from_orders(orders).torsion == _invariant_factors_by_primes(orders)
+    groups = {FgAbelianGroup.from_orders(orders) for orders in lists if max(orders, default=1) <= 12
+              and len(orders) <= 2}
+    for a, b in product(groups, repeat=2):
+        for ra, rb in ((0, 0), (1, 0), (0, 2)):
+            got = FgAbelianGroup(ra, a.torsion).direct_sum(FgAbelianGroup(rb, b.torsion))
+            assert got == FgAbelianGroup(ra + rb, _invariant_factors_by_primes(a.torsion + b.torsion))
+    with pytest.raises(ShapeMismatch):
+        FgAbelianGroup.from_orders([3, 0])
+
+
 def test_hom_count_exact():
     z2 = FgAbelianGroup.from_orders([2])
     z4 = FgAbelianGroup.from_orders([4])

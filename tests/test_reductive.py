@@ -197,7 +197,7 @@ def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
     # so both models are built at the default caps before the cap drops to
     # 86,400 x 1/17,280 = 5 < 1 x 6 pairs of gl:3 quotient:1
     g, p = gl_model(3), parabolic_model(3, (1, 2))
-    monkeypatch.setattr(cli.Selection, "group", lambda self: g)
+    monkeypatch.setattr(cli.Selection, "group", property(lambda self: g))
     monkeypatch.setattr(reductive, "parabolic_model", lambda n, parts: p)
     monkeypatch.setenv("F1KIT_MAX_SCALE", "1/17280")
     message = ("quotient square guard: 1 x 6 generator pairs = 6 exceeds cap 5 "
