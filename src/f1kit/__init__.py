@@ -48,8 +48,8 @@ _EXPORTS = {
     "groups": ("Cocycle", "ExtensionLaw", "FiniteGroupTable", "GroupModel", "ThetaRep",
                "check_action", "check_group_axioms", "constant_group", "extension_model",
                "f1_points_group", "inversion_weak_morphism", "law_weak_morphism",
-               "require_group", "self_action", "sigma_check", "torus_group",
-               "unit_weak_morphism", "z_rank_group"),
+               "require_group", "sigma_check", "torus_group", "unit_weak_morphism",
+               "z_rank_group"),
     "reductive": ("block_perms", "coset_subset", "coset_subset_bijection",
                   "gl_counting_identity", "gl_model", "grassmannian_model", "lambda_action",
                   "one_line_perms", "parabolic_model", "perm_compose", "perm_length",

@@ -296,9 +296,9 @@ def _run_check(name: str, sel: Selection) -> "Report":
         from .groups import sigma_check
         return sigma_check(sel.group)
     if name == "action":
-        from .groups import check_action, self_action
+        from .groups import check_action, law_weak_morphism
         g = sel.group
-        return check_action(g, g.rank_scheme, self_action(g))
+        return check_action(g, g.rank_scheme, law_weak_morphism(g))
     if name == "strongweak":
         from .groups import inversion_weak_morphism, law_weak_morphism, unit_weak_morphism
         from .report import Report

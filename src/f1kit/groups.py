@@ -25,10 +25,13 @@ act(x x', y) = act(x, act(x', y)) only for x' in the components of the
 generators (see its docstring).
 
 The catalog stores laws as (theta, cocycle) and materializes per-pair
-morphism data only when a check asks for it.  check_action reads an
-action's components by position in G x Y, splits each block of the
-halves' tables (schemes) once, reads each row pair (i, j) once, and compares
-exponents and signs once per distinct tuple of operands.
+morphism data only when a check asks for it.  _left_translation alone
+builds the multiplication on rows x G, signs and monoid law included: it
+is law_weak_morphism on G x G, and reductive's lambda on a subgroup.
+check_action reads an action's components by position in G x Y, splits
+each block of the halves' tables (schemes) once, reads each row pair
+(i, j) once, and compares exponents and signs once per distinct tuple
+of operands.
 """
 
 from dataclasses import dataclass
@@ -530,23 +533,37 @@ def law_weak_morphism(g: GroupModel) -> WeakMorphism:
     """The multiplication as an explicit morphism G x G -> G.
 
     Materializes |W|^2 components, so the count is guarded; intended
-    for small models (checks, corpus tests).  The monoid side uses the
-    model's comultiplication, the scheme side adds the cocycle signs.
+    for small models (checks, corpus tests).  It is G's left translation
+    of itself, whose action diagrams are the group diagrams require_group
+    proves; the action suite still scans it, as the end-to-end cross-check
+    of the materialized blocks against the law they come from.
     """
     n = g.w.order()
     guard("law morphism", f"{n}^2 components", n * n, 100_000)
-    w = g.w
-    rk = g.rank_scheme
+    return _left_translation(g, g.rank_scheme)
+
+
+def _left_translation(g: GroupModel, rows: RankScheme) -> WeakMorphism:
+    """rows x G -> G, rows labeled by elements of g: (u, w) goes to uw,
+    read from W's table.  The blocks [A | B] depend on u alone and are
+    read once per row; the scheme side adds the cocycle signs c(u, w)
+    when the cocycle is nontrivial, and the monoid side takes its own
+    blocks under the product law."""
+    w, n = g.w, g.w.order()
+    signed, product = not g.law.cocycle.is_trivial, g.mo_law == PRODUCT
     targets, exps, mo_exps, signs = [], [], [], []
-    for i in range(n):
-        # the blocks [A | B] depend on i only; the signs c(i, j) on (i, j)
+    for u in rows.labels():
+        i = w.index(u)
         za, zb, _ = g.law_blocks("z", i, w.identity)
-        ma, mb, _ = g.law_blocks("mo", i, w.identity)
         targets += map(w.elements.__getitem__, w.mult[i])
         exps += [za.hstack(zb)] * n
-        mo_exps += [ma.hstack(mb)] * n
-        signs += g.law.cocycle.table[i]
-    return monomial_morphism(product_scheme(rk, rk), rk, targets, exps, signs, mo_exps)
+        if signed:
+            signs += g.law.cocycle.table[i]
+        if product:
+            ma, mb, _ = g.law_blocks("mo", i, w.identity)
+            mo_exps += [ma.hstack(mb)] * n
+    return monomial_morphism(product_scheme(rows, g.rank_scheme), g.rank_scheme, targets, exps,
+                             signs if signed else None, mo_exps if product else None)
 
 
 def unit_weak_morphism(g: GroupModel) -> WeakMorphism:
@@ -555,15 +572,16 @@ def unit_weak_morphism(g: GroupModel) -> WeakMorphism:
 
 
 def inversion_weak_morphism(g: GroupModel) -> WeakMorphism:
-    w = g.w
+    w, cocycle = g.w, g.law.cocycle
     targets, exps, signs = [], [], []
     for i in range(w.order()):
         k = w.inv(i)
         targets.append(w.elements[k])
         exps.append(-g.law.theta.matrix(k))
-        signs.append(g.law.cocycle.value(k, i))
+        signs.append(cocycle.value(k, i))
     mo_exps = None if g.mo_law == TWISTED else (-Mat.identity(g.r),) * w.order()
-    return monomial_morphism(g.rank_scheme, g.rank_scheme, targets, exps, signs, mo_exps)
+    return monomial_morphism(g.rank_scheme, g.rank_scheme, targets, exps,
+                             None if cocycle.is_trivial else signs, mo_exps)
 
 
 def z_rank_group(g: GroupModel) -> FiniteGroupTable:
@@ -720,13 +738,3 @@ def check_action(g: GroupModel, y: RankScheme, act: WeakMorphism) -> Report:
                                              _diagram_witness(side, "action-associativity", labels, part))
     return Report.passed(2 * per_side)
 
-
-def self_action(g: GroupModel) -> WeakMorphism:
-    """Left translation of the model on its own rank part.
-
-    This is the law morphism itself, so its action diagrams are the group
-    diagrams that require_group already proves.  check_action still scans
-    it: the scan is the end-to-end cross-check of the blocks that
-    law_weak_morphism materializes against the law they come from.
-    """
-    return law_weak_morphism(g)

@@ -42,6 +42,7 @@ from .groups import (
     FiniteGroupTable,
     GroupModel,
     ThetaRep,
+    _left_translation,
     check_action,
     extension_model,
     require_group,
@@ -217,25 +218,10 @@ def _require_subgroup(p: GroupModel, g: GroupModel) -> None:
 
 
 def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
-    """Left translation of a subgroup model on the ambient rank part.
-
-    Component (u, w) goes to uw; torus coordinates multiply through the
-    permutation action of u, with no signs, so the morphism is strong.
-    """
+    """Left translation of a subgroup model on the ambient rank part: the
+    law morphism restricted to P x G, component (u, w) going to uw."""
     _require_subgroup(p, g)
     return _left_translation(g, p.rank_scheme)
-
-
-def _left_translation(g: GroupModel, rows: RankScheme) -> WeakMorphism:
-    """rows x G -> G, rows labeled by elements of g: (u, w) goes to uw,
-    read from g's table, with exponent (1 | theta(u))."""
-    r = g.r
-    targets, exps = [], []
-    for u in rows.labels():
-        gi = g.w.index(u)
-        targets += map(g.w.elements.__getitem__, g.w.mult[gi])
-        exps += [Mat.identity(r).hstack(g.law.theta.matrix(gi))] * g.w.order()
-    return monomial_morphism(product_scheme(rows, g.rank_scheme), g.rank_scheme, targets, exps)
 
 
 def coset_subset(w: Perm, k: int) -> tuple[int, ...]:
@@ -268,16 +254,13 @@ def coset_subset_bijection(k: int, n: int) -> dict[Perm, tuple[int, ...]]:
 
 
 def _recognize_two_block(p: GroupModel, g: GroupModel) -> int:
-    """The k with components(p) = embedded S_k x S_(n-k), else raise; the
-    callers require p to be a subgroup of g."""
+    """The k with components(p) = embedded S_k x S_(n-k), else raise, k being
+    the size of 1's orbit {1..k}; the callers require p to be a subgroup of g."""
     n = g.r
-    have = set(p.w.elements)
-    for k in range(1, n):
-        if set(block_perms(n, (k, n - k))) == have:
-            return k
-    raise TypeNotMaximal(
-        "quotient needs a two-part parabolic (k, n-k); components do not match any"
-    )
+    k = len({w[0] for w in p.w.elements})
+    if 0 < k < n and set(block_perms(n, (k, n - k))) == set(p.w.elements):
+        return k
+    raise TypeNotMaximal("quotient needs a two-part parabolic (k, n-k); components do not match any")
 
 
 def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphism]:
@@ -303,7 +286,7 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
 
 def _pr2_weak(g: GroupModel, source: RankScheme) -> WeakMorphism:
     """Second projection rows x G -> G as a weak (indeed strong) morphism,
-    source being rows x G as _left_translation built it."""
+    source being rows x G as groups._left_translation built it."""
     r = g.r
     e = Mat.zeros(r, r).hstack(Mat.identity(r))
     targets = g.w.elements * (len(source.components) // g.w.order())

@@ -22,6 +22,7 @@ check run their kernels once per distinct block or pair of blocks.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Any
@@ -154,67 +155,37 @@ class F1Scheme:
     is the discrete union of one group-with-zero patch per torus, which
     for family-compressed catalogs can be astronomically large.  The
     rank part, F1-points and counting never force it; accessing .mo or
-    .eval_pairs materializes it under a point budget.  affine_toric's
-    schemes build their spectrum the same way, on first use.
+    .eval_pairs builds it once, through _monoid_side, under a point
+    budget.  affine_toric's schemes build their spectrum the same way.
     """
 
-    def __init__(self, cells: Torification,
-                 mo: MoSpace | None = None,
-                 eval_pairs: tuple[tuple[int, Label], ...] | None = None):
+    def __init__(self, cells: Torification):
         self.cells = cells
-        self._mo = mo
-        self._eval = eval_pairs
-        if (mo is None) != (eval_pairs is None):
-            raise ShapeMismatch("mo and eval_pairs come together or not at all")
-        if mo is not None:
-            self._check_eval()
 
-    def _check_eval(self) -> None:
-        by_label = {c.label: c for c in self.cells.cells}
-        if len(self._eval) != len(self._mo.points):
-            raise ShapeMismatch("eval must cover every point exactly once")
-        seen = set()
-        for point_id, label in self._eval:
-            key = repr(label)
-            if key in seen:
-                raise ShapeMismatch(f"cell {label!r} matched twice")
-            seen.add(key)
-            cell = by_label.get(label)
-            if cell is None or cell.affine != 0:
-                raise ShapeMismatch(f"eval names no plain cell {label!r}")
-            p = self._mo.points[point_id]
-            if p.unit_group.rank != cell.dim:
-                raise ShapeMismatch(
-                    f"point {point_id} has rank {p.unit_group.rank}, cell {label!r} has dim {cell.dim}"
-                )
-
-    def _materialize(self) -> None:
+    def _monoid_side(self) -> tuple[MoSpace, tuple[tuple[int, Label], ...]]:
+        """The monoid side and its (point id, cell label) pairs: one
+        group-with-zero patch per torus of each family."""
         guard("monoid side", "torus points", self.cells.torus_count(), 1 << 15)
-        spaces = []
-        pairs = []
-        i = 0
+        spaces, pairs = [], []
         for cell in self.cells.cells:
             for k in range(cell.affine + 1):
                 for subset in combinations(range(1, cell.affine + 1), k):
-                    label = cell.label if not subset else (cell.label, subset)
-                    group = FgAbelianGroup.free(cell.dim + len(subset))
-                    spaces.append(spec(PointedMonoid.group_with_zero(group)))
-                    pairs.append((i, label))
-                    i += 1
-        self._mo = disjoint_union(spaces)
-        self._eval = tuple(pairs)
+                    pairs.append((len(spaces), cell.label if not subset else (cell.label, subset)))
+                    spaces.append(spec(PointedMonoid.group_with_zero(FgAbelianGroup.free(cell.dim + k))))
+        return disjoint_union(spaces), tuple(pairs)
+
+    # a getter that raises stores nothing, so a failed build raises on every access
+    @cached_property
+    def _side(self):
+        return self._monoid_side()
 
     @property
     def mo(self) -> MoSpace:
-        if self._mo is None:
-            self._materialize()
-        return self._mo
+        return self._side[0]
 
     @property
     def eval_pairs(self) -> tuple[tuple[int, Label], ...]:
-        if self._eval is None:
-            self._materialize()
-        return self._eval
+        return self._side[1]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, F1Scheme) and self.cells == other.cells
@@ -246,10 +217,19 @@ class _Toric(F1Scheme):
         super().__init__(cells)
         self._monoid = m
 
-    def _materialize(self) -> None:
+    def _monoid_side(self):
+        """spec(m), each point matched to its face's cell, which must be a
+        plain cell of the point's unit rank that no other point matched."""
         s = spec(self._monoid)
-        checked = F1Scheme(self.cells, s, tuple((p.id, p.face) for p in s.points))
-        self._mo, self._eval = checked._mo, checked._eval
+        cells = {c.label: c for c in self.cells.cells}
+        for p in s.points:
+            cell = cells.pop(p.face, None)
+            if cell is None or cell.affine != 0:
+                raise ShapeMismatch(f"point {p.id} names no unmatched plain cell {p.face!r}")
+            if p.unit_group.rank != cell.dim:
+                raise ShapeMismatch(
+                    f"point {p.id} has rank {p.unit_group.rank}, cell {p.face!r} has dim {cell.dim}")
+        return s, tuple((p.id, p.face) for p in s.points)
 
 
 def affine_toric(m: PointedMonoid) -> F1Scheme:
@@ -286,12 +266,15 @@ def h_points_count(x: F1Scheme, h: FgAbelianGroup) -> int:
 
     A d-dimensional torus contributes |h|^d and a refined affine family of
     extra dimension a sums to |h|^d (|h|+1)^a over its subset tori, so the
-    total is the counting polynomial evaluated at |h| + 1.  h must be
-    finite; a positive-rank h makes the set a union of positive-dimensional
-    families and only its parametrization rank would be reportable.
+    total is the counting polynomial evaluated at |h| + 1.  When every
+    cell is a point, each contributes one point over any h; otherwise a
+    positive-rank h makes the set a union of positive-dimensional families
+    and only its parametrization rank would be reportable.
     """
+    top = max(c.dim + c.affine for c in x.cells.cells)
+    if top == 0:
+        return len(x.cells.cells)
     if h.rank > 0:
-        top = max(c.dim + c.affine for c in x.cells.cells)
         raise InfiniteHomSet(
             f"points over a rank-{h.rank} group form families of rank up to {top * h.rank}"
         )

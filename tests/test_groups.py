@@ -1,6 +1,7 @@
 """Group models: tables, representations, cocycles, axiom checking."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +28,6 @@ from f1kit.groups import (
     inversion_weak_morphism,
     law_weak_morphism,
     require_group,
-    self_action,
     sigma_check,
     table_violation,
     tables_isomorphic_by,
@@ -36,7 +36,8 @@ from f1kit.groups import (
     unit_weak_morphism,
     z_rank_group,
 )
-from f1kit.cli import main
+from f1kit import schemes
+from f1kit.cli import main, parse_selector
 from f1kit.monoids import FgAbelianGroup, GroupHom
 from f1kit.reductive import gl_model, lambda_action, parabolic_model, tau_morphism
 from f1kit.schemes import (
@@ -262,13 +263,6 @@ def test_law_morphisms_check_weak():
     assert law_c.ok and "strong" in law_c.notes
 
 
-def test_self_action_satisfies_action_axioms():
-    for g in (sl2_model(), torus_group(2),
-              constant_group(FiniteGroupTable.cyclic(3))):
-        rep = check_action(g, g.rank_scheme, self_action(g))
-        assert rep.ok, rep.witness
-
-
 def test_broken_law_is_caught():
     # a cocycle that breaks normalization cannot even be built into a law;
     # instead break associativity by corrupting theta on a product model
@@ -475,6 +469,43 @@ def test_group_axioms_agree_with_literal_diagrams(name):
         assert failures.get(key) == rep.checks, (key, rep.checks, failures)
 
 
+EXT_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+LAMBDA_MODELS = {
+    **{name: ORACLE_MODELS[name] for name in ORACLE_MODELS if not name.startswith(BROKEN)},
+    **{f"ext:{f}": (lambda f=f: parse_selector(f"ext:{EXT_DATA / f}").group)
+       for f in ("ext.json", "ext_product.json")},
+}
+
+
+def test_self_action_satisfies_action_axioms():
+    # lambda is the law restricted to P x G, so on P = G it is the law
+    # morphism, cocycle signs and monoid law included: an action on weak
+    # models too
+    for name, build in LAMBDA_MODELS.items():
+        g = build()
+        assert check_group_axioms(g).ok, name
+        lam = lambda_action(g, g)
+        assert lam == law_weak_morphism(g), name
+        rep = check_action(g, g.rank_scheme, lam)
+        assert rep.ok, (name, rep.witness)
+
+
+def test_strong_law_morphisms_check_and_table_their_blocks_once(monkeypatch):
+    g = gl_model(4)
+    g.rank_scheme       # built before counting: the inversion maps it to itself
+    checks, tables = [], []
+    real_check, real_table = schemes._Tabled._check, schemes._table
+    monkeypatch.setattr(schemes._Tabled, "_check", lambda self: checks.append(self) or real_check(self))
+    monkeypatch.setattr(schemes, "_table", lambda *columns: tables.append(1) or real_table(*columns))
+    law_weak_morphism(g)
+    # +1 signs and one set of blocks: the monoid side's check covers both sides
+    assert len(checks) == 1
+    tables.clear()
+    inversion_weak_morphism(g)
+    # its exponents, tabled once for both sides
+    assert len(tables) == 1
+
+
 # -- exhaustive action oracle -------------------------------------------------
 
 def action_blocks(g: GroupModel, y: RankScheme, act: WeakMorphism, side: str, i: int, yc: int):
@@ -533,7 +564,7 @@ def exhaustive_action_failures(g: GroupModel, y: RankScheme, act: WeakMorphism):
 
 
 def _self(g):
-    return g, g.rank_scheme, self_action(g)
+    return g, g.rank_scheme, law_weak_morphism(g)
 
 
 def _lam(n, parts):
@@ -759,14 +790,14 @@ def test_action_halves_must_map_g_x_y_in_product_order_to_y():
 def test_action_check_requires_a_group_law():
     g = ORACLE_MODELS["cochain-not-cocycle"]()
     with pytest.raises(AxiomsFailed, match="group axioms fail"):
-        check_action(g, g.rank_scheme, self_action(g))
+        check_action(g, g.rank_scheme, law_weak_morphism(g))
 
 
 def test_action_and_law_morphism_guards_refuse_before_work(monkeypatch, capsys):
     # caps 1,000,000 x 1/10000 = 100 and 100,000 x 3/10000 = 30; at 1/10000 the
     # law morphism (36 components, cap 10) would refuse first, so it is built before
     g = gl_model(3)
-    act = self_action(g)
+    act = law_weak_morphism(g)
     y = g.rank_scheme
     lookups = []
     monkeypatch.setattr(RankScheme, "index", lambda *a: lookups.append(a))

@@ -24,8 +24,8 @@ from f1kit.groups import (
     check_group_axioms,
     constant_group,
     f1_points_group,
+    law_weak_morphism,
     require_group,
-    self_action,
     sigma_check,
     tables_isomorphic_by,
     torus_group,
@@ -497,7 +497,7 @@ def test_factorizations_share_their_blocks(monkeypatch):
 
 def test_self_action_work_counts(monkeypatch):
     g = gl_model(3)
-    y, act = g.rank_scheme, self_action(g)
+    y, act = g.rank_scheme, law_weak_morphism(g)
     lookups = _counting(monkeypatch, schemes.RankScheme, "index")
     products = _counting(monkeypatch, Mat, "__mul__")
     rep = check_action(g, y, act)
@@ -573,8 +573,9 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     assert (len(squares), len(lambdas), len(pr2s)) == (1, 1, 1)
     # lambda on S_P x G only, never on all of P x G
     assert whole_lambdas == []
-    # S_P x G once for lambda and pr2, G x Q once for tau; the quotient once
-    assert (len(products), len(grassmannians), len(quotients)) == (2, 1, 1)
+    # G x Q once for tau (S_P x G, once for lambda and pr2, is formed in
+    # groups' left translation); the quotient once
+    assert (len(products), len(grassmannians), len(quotients)) == (1, 1, 1)
     # universality reads k off the quotient's labels
     assert len(recognitions) == 1
     # the square's two, one factorization per distinct family member, the control's two

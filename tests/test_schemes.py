@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from f1kit import schemes
 from f1kit.counting import torification_poly
 from f1kit.errors import InfiniteHomSet, OutOfScale, ShapeMismatch
-from f1kit.groups import law_weak_morphism
+from f1kit.groups import FiniteGroupTable, constant_group, law_weak_morphism
 from f1kit.linalg import Mat
 from f1kit.monoids import FgAbelianGroup, GroupHom, PointedMonoid, compose_hom
-from f1kit.reductive import gl_model
+from f1kit.reductive import gl_model, grassmannian_model
 from f1kit.schemes import (
     Cell,
     F1Scheme,
@@ -152,6 +152,14 @@ def test_materialized_monoid_side_small():
 def test_h_points_infinite_guard():
     with pytest.raises(InfiniteHomSet):
         h_points_count(additive_chain(2), free(1))
+
+
+def test_h_points_over_a_positive_rank_group_count_point_cells():
+    # every cell a point (dim 0, affine 0): one point per cell over any h
+    assert h_points_count(constant_group(FiniteGroupTable.cyclic(3)).scheme(), free(1)) == 3
+    # a Grassmannian has positive-dimensional Schubert cells
+    with pytest.raises(InfiniteHomSet, match="families of rank up to 4$"):
+        h_points_count(grassmannian_model(2, 4), free(1))
 
 
 def test_monomial_map_algebra():
@@ -327,11 +335,12 @@ def test_composites_run_no_shape_check(monkeypatch):
     real = schemes._Tabled._check
     monkeypatch.setattr(schemes._Tabled, "_check", lambda self: checks.append(self) or real(self))
     g = gl_model(3)
-    law = law_weak_morphism(g)
-    assert len(checks) == 2     # the boundary checks both sides
-    # with +1 signs and one set of blocks the monoid side's check covers both
+    law_weak_morphism(g)
+    # a strong law passes +1 signs and one set of blocks, so the monoid
+    # side's check covers both sides
+    assert len(checks) == 1
     f = monomial_morphism(g.rank_scheme, g.rank_scheme, g.w.elements, (Mat.identity(3),) * 6)
-    assert len(checks) == 3
+    assert len(checks) == 2
     checks.clear()
     compose_weak(f, compose_weak(f, f))
     strong_to_weak(f.mo_side)
