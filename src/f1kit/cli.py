@@ -17,8 +17,12 @@ Exit status: 0 success, 1 a requested check or oracle comparison failed,
 2 bad selector, bad arguments, or an out-of-scale request.
 
 Each command imports the library modules it uses when it runs:
-``import f1kit.cli`` loads only ``errors``, and ``spec``, or ``count`` and
-``oracle`` on a ``monoid:`` file, load no schemes, groups or reductive code.
+``import f1kit.cli`` loads only ``errors``.  ``spec``, and ``count`` and
+``oracle`` on a ``monoid:`` file, load no schemes, groups or reductive
+code.  ``count``, ``points`` and ``oracle`` on ``gl:``, ``parabolic:`` and
+``gr:`` read the cells alone, built from block permutations and their
+lengths, so they load neither ``groups`` nor ``spectrum``; only ``check``
+builds their group law.
 """
 
 import argparse
@@ -141,6 +145,12 @@ class Selection:
 
     def scheme(self) -> "F1Scheme":
         k = self.kind
+        if k in ("gl", "parabolic"):
+            # the cells alone: counts and F1-points read no group law
+            from .reductive import _block_cells
+            from .schemes import from_torification
+            n = self.params["n"]
+            return from_torification(_block_cells(n, self.params.get("parts", (n,))))
         if k == "gr":
             from .reductive import grassmannian_model
             return grassmannian_model(self.params["k"], self.params["n"])

@@ -14,21 +14,19 @@ its supports; the tests check it against a 2^k subset loop, and the
 counter against the q^k enumeration it replaced.  It visits every unit
 assignment in exponent form (F_q^* is cyclic, so a relation holds on g^a
 exactly when r.a = 0 mod q-1), and asks for no relation basis on a face
-inside a relation-free face.
+inside a relation-free face.  The oracles import linalg, monoids and
+spectrum when they run, so the calculus loads no other module.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
 from operator import mul
 
+from ._record import record
 from .errors import NonDivisible, NotPrime, ZeroPolynomial, guard
-from .linalg import Mat, det, relations
-from .monoids import GROUP_WITH_ZERO, PointedMonoid
 
 
-@dataclass(frozen=True)
+@record
 class IntPolynomial:
     """Dense integer polynomial in q, coefficients ascending, trimmed.
 
@@ -130,6 +128,7 @@ class IntPolynomial:
         """Exact quotient; raises NonDivisible on any remainder."""
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
+        from fractions import Fraction
         rem = [Fraction(c) for c in self.coeffs]
         dcoeffs = other.coeffs
         dd = len(dcoeffs) - 1
@@ -173,7 +172,7 @@ class IntPolynomial:
         return result
 
 
-@dataclass(frozen=True)
+@record
 class LimitResult:
     """Vanishing order at q = 1 and the value of p / (q-1)^rho there."""
     rho: int
@@ -280,6 +279,7 @@ def brute_count_gl(n: int, q: int) -> int:
     """Count invertible n x n matrices over F_q by full enumeration."""
     _require_prime(q)
     guard("brute enumeration", f"{q}^{n * n} matrices", q ** (n * n), 4_000_000)
+    from .linalg import Mat, det
     total = 0
     for entries in product(range(q), repeat=n * n):
         rows = [entries[i * n:(i + 1) * n] for i in range(n)]
@@ -288,7 +288,7 @@ def brute_count_gl(n: int, q: int) -> int:
     return total
 
 
-def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
+def brute_count_monoid_homs(m: "PointedMonoid", q: int) -> int:
     """Count monoid homs M -> (F_q, *) by enumerating generator images.
 
     A hom sends each generator to a field element, zero allowed.  The
@@ -311,6 +311,7 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     among G's.  So an orthant makes one call.
     """
     _require_prime(q)
+    from .monoids import GROUP_WITH_ZERO
     if m.kind == GROUP_WITH_ZERO:
         g = m.group
         count = (q - 1) ** g.rank
@@ -321,10 +322,11 @@ def brute_count_monoid_homs(m: PointedMonoid, q: int) -> int:
     gens = m.generators
     k = len(gens)
     guard("brute enumeration", f"{q}^{k} generator images", q ** k, 4_000_000)
-    from .spectrum import face_ranks     # spectrum imports this module
+    from .spectrum import face_ranks
 
     memo = m.__dict__.get("_support_relations")
     if memo is None:
+        from .linalg import relations
         memo, free = {}, []       # free: the maximal relation-free faces so far
         for face in sorted((face for face, _ in face_ranks(m)), key=int.bit_count, reverse=True):
             covered = any(face & g == face for g in free)

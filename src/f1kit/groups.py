@@ -34,10 +34,10 @@ each block of the halves' tables (schemes) once, reads each row pair
 of operands.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+from ._record import record
 from .errors import AxiomsFailed, CocycleInvalid, ShapeMismatch, ThetaNotHomomorphism, guard
 from .linalg import Mat, det
 from .monoids import FgAbelianGroup
@@ -60,7 +60,7 @@ from .schemes import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGroupTable:
     """Finite group as an explicit multiplication table over labels."""
 
@@ -222,7 +222,7 @@ def tables_isomorphic_by(f: dict, a: FiniteGroupTable, b: FiniteGroupTable) -> b
     return True
 
 
-@dataclass(frozen=True)
+@record
 class ThetaRep:
     """Integral representation of W on Z^r by unimodular matrices."""
 
@@ -270,7 +270,7 @@ def theta_violation(theta: ThetaRep):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Cocycle:
     """Sign-valued 2-cochain on W x W, one +-1 vector of length r per pair."""
 
@@ -343,7 +343,7 @@ def cocycle_violation(cocycle: Cocycle, theta: ThetaRep):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionLaw:
     """The scheme-side group law data: a representation and a sign cocycle."""
 

@@ -19,16 +19,15 @@ keep their signed-permutation form beside the fields: two such factors
 multiply by composing tuples, and det reads the permutation's sign.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 
+from ._record import record
 from .errors import ShapeMismatch, guard
 
 
-@dataclass(frozen=True)
+@record
 class Mat:
     """Dense integer matrix with explicit shape.
 
@@ -280,6 +279,7 @@ def double_description(gens, d: int):
 def _int_row(values) -> tuple[int, ...]:
     """The values times the lcm of their denominators, gcd-normalised."""
     if not all(type(x) is int for x in values):
+        from fractions import Fraction
         fracs = [Fraction(x) for x in values]
         scale = lcm(*(x.denominator for x in fracs))
         values = [int(x * scale) for x in fracs]
@@ -297,6 +297,7 @@ def feasible(constraints: list[tuple], nvars: int) -> bool:
     strictness propagates through combined constraints, so mixed
     strict/weak systems are decided correctly.
 
+    >>> from fractions import Fraction
     >>> one = Fraction(1)
     >>> feasible([((one,), Fraction(-1), "ge"), ((-one,), Fraction(2), "gt")], 1)
     True

@@ -17,11 +17,11 @@ Both read one split of the generators at the minimal face of the cone:
 the face spans the unit lattice, and the cone is pointed modulo it.
 """
 
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from math import gcd, lcm, prod
 from operator import and_, mul
 
+from ._record import record
 from .errors import (
     InfiniteHomSet,
     SelectorError,
@@ -32,7 +32,7 @@ from .linalg import Mat, double_description, relations
 from .report import Report, json_ints
 
 
-@dataclass(frozen=True)
+@record
 class FgAbelianGroup:
     """Z^rank + Z/t_1 + ... + Z/t_k with t_1 | t_2 | ... | t_k, t_i >= 2.
 
@@ -125,7 +125,7 @@ def hom_count(a: FgAbelianGroup, h: FgAbelianGroup) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class GroupHom:
     """Homomorphism candidate given by images of all source generators.
 
@@ -222,7 +222,7 @@ def _lattice_guard(d: int) -> None:
     guard("lattice", f"{d}^2 kernel entries", d * d, 1_000_000)
 
 
-@dataclass(frozen=True)
+@record
 class PointedMonoid:
     kind: str
     ambient_dim: int = 0

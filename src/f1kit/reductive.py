@@ -13,6 +13,10 @@ into {1..k}.  A quotient suite builds the projection, and lambda and pr2
 on S_P x G only, S_P the parabolic's generators, once (quotient_maps);
 quotient_square_check and universality_check say why S_P suffices, and
 the suite shares the maps and the square's report between the checks.
+
+The cells of GL(n) and its parabolics need only block permutations and
+their lengths (_block_cells), so this module loads groups only inside
+the functions that build or read a group law.
 """
 
 from itertools import accumulate, combinations, permutations, product
@@ -35,17 +39,6 @@ from .schemes import (
     monomial_morphism,
     product_scheme,
     rank_part,
-)
-from .groups import (
-    Cocycle,
-    ExtensionLaw,
-    FiniteGroupTable,
-    GroupModel,
-    ThetaRep,
-    _left_translation,
-    check_action,
-    extension_model,
-    require_group,
 )
 
 Perm = tuple[int, ...]
@@ -76,7 +69,7 @@ def perm_matrix(w: Perm) -> Mat:
     return _signed_perm(tuple(sorted(range(len(w)), key=w.__getitem__)), (1,) * len(w))
 
 
-def symmetric_table(n: int) -> FiniteGroupTable:
+def symmetric_table(n: int) -> "FiniteGroupTable":
     """S_n on one-line labels; its generators are the adjacent transpositions.
 
     >>> t = symmetric_table(4)
@@ -86,11 +79,12 @@ def symmetric_table(n: int) -> FiniteGroupTable:
     return _block_table(n, (n,))
 
 
-def _block_table(n: int, parts) -> FiniteGroupTable:
+def _block_table(n: int, parts) -> "FiniteGroupTable":
     """block_perms(n, parts)'s table from its Coxeter generators, the adjacent
     transpositions s in the blocks (Bjorner and Brenti, 1.2): y -> s y swaps two
     values of y, a label permutation L_s, and row(x s)[y] = row(x)[L_s[y]], so a
     breadth-first walk of the Cayley graph gathers each row from its parent."""
+    from .groups import FiniteGroupTable
     elements = block_perms(n, parts)
     index = {w: x for x, w in enumerate(elements)}
     e, cuts, steps = index[tuple(range(1, n + 1))], set(accumulate(parts)), []
@@ -106,7 +100,7 @@ def _block_table(n: int, parts) -> FiniteGroupTable:
     return FiniteGroupTable._from_rows(elements, tuple(map(rows.__getitem__, range(len(elements)))))
 
 
-def gl_model(n: int) -> GroupModel:
+def gl_model(n: int) -> "GroupModel":
     """The GL(n) model: strong, components S_n, rank n.
 
     Total cell dimension over component w is n + n(n-1)/2 + l(w): the
@@ -133,7 +127,7 @@ def block_perms(n: int, parts) -> tuple[Perm, ...]:
     return tuple(sorted(sum(choice, ()) for choice in product(*blocks)))
 
 
-def parabolic_model(n: int, parts) -> GroupModel:
+def parabolic_model(n: int, parts) -> "GroupModel":
     """Standard parabolic of type (k_1, ..., k_r) inside the GL(n) model.
 
     Components are the block permutations; each cell picks up the
@@ -144,12 +138,18 @@ def parabolic_model(n: int, parts) -> GroupModel:
     return _block_model(n, parts)
 
 
-def _block_model(n: int, parts) -> GroupModel:
-    """The block-permutation model of type parts.
+def _block_cells(n: int, parts) -> Torification:
+    """The cells of the block-permutation model of type parts, one per
+    element w of block_perms(n, parts), in that order: the rank-n torus
+    times an affine cell of dimension l(w) + sum k_i(k_i - 1)/2 + dim_u,
+    dim_u = (n^2 - sum k_i^2)/2 the unipotent radical's.  They need no
+    group law, so counts and F1-points of gl: and parabolic: read them
+    alone (Selection.scheme).
 
-    Its component table has |W|^2 entries, |W| = prod k_i!; the guard
-    checks the product as it grows, so that gl:1000000000 is refused at
-    once, and says "at least" when it stops before the last factor.
+    The component table guard still runs first, as for the whole model:
+    the table has |W|^2 entries, |W| = prod k_i!; the guard checks the
+    product as it grows, so that gl:1000000000 is refused at once, and
+    says "at least" when it stops before the last factor.
     """
     parts = _check_composition(n, parts)
     order = 1
@@ -157,13 +157,20 @@ def _block_model(n: int, parts) -> GroupModel:
         guard("component table", f"at least {order}^2 entries", order * order, 518_400)
         order *= i
     guard("component table", f"{order}^2 entries", order * order, 518_400)
+    base = sum(k * (k - 1) // 2 for k in parts) + (n * n - sum(k * k for k in parts)) // 2
+    return Torification(tuple(Cell(n, w, base + perm_length(w)) for w in block_perms(n, parts)))
+
+
+def _block_model(n: int, parts) -> "GroupModel":
+    """The block-permutation model of type parts: _block_cells' cells
+    under the law of permutation matrices and the trivial cocycle on
+    _block_table's components, which come in the same order."""
+    cells = _block_cells(n, parts)
+    from .groups import Cocycle, ExtensionLaw, ThetaRep, extension_model
     w = _block_table(n, parts)
     theta = ThetaRep(w, n, tuple(perm_matrix(p) for p in w.elements))
     law = ExtensionLaw(theta, Cocycle.trivial(w, n))
-    dim_u = (n * n - sum(k * k for k in parts)) // 2
-    dim_b = sum(k * (k - 1) // 2 for k in parts)
-    dims = {p: n + dim_b + perm_length(p) + dim_u for p in w.elements}
-    return extension_model(law, dims)
+    return extension_model(law, {c.label: c.dim + c.affine for c in cells.cells})
 
 
 def schubert_dim(subset: tuple[int, ...]) -> int:
@@ -194,7 +201,7 @@ def grassmannian_model(k: int, n: int) -> F1Scheme:
     return from_torification(Torification(cells))
 
 
-def _require_subgroup(p: GroupModel, g: GroupModel) -> None:
+def _require_subgroup(p: "GroupModel", g: "GroupModel") -> None:
     """Raise NotASubgroup unless p's whole law is g's on p's components:
     rank, monoid law, labels, theta, the table and the cocycle (skipped
     when both are trivial)."""
@@ -217,10 +224,15 @@ def _require_subgroup(p: GroupModel, g: GroupModel) -> None:
                 raise NotASubgroup(f"cocycle differs from the ambient model at ({u!r}, {v!r})")
 
 
-def lambda_action(p: GroupModel, g: GroupModel) -> WeakMorphism:
+def lambda_action(p: "GroupModel", g: "GroupModel") -> WeakMorphism:
     """Left translation of a subgroup model on the ambient rank part: the
-    law morphism restricted to P x G, component (u, w) going to uw."""
+    law morphism restricted to P x G, component (u, w) going to uw.  Its
+    |W_P| |W| components are guarded as law_weak_morphism guards |W|^2,
+    before the subgroup test reads the two laws."""
+    guard("law morphism", f"{p.w.order()} x {g.w.order()} components",
+          p.w.order() * g.w.order(), 100_000)
     _require_subgroup(p, g)
+    from .groups import _left_translation
     return _left_translation(g, p.rank_scheme)
 
 
@@ -253,7 +265,7 @@ def coset_subset_bijection(k: int, n: int) -> dict[Perm, tuple[int, ...]]:
     return out
 
 
-def _recognize_two_block(p: GroupModel, g: GroupModel) -> int:
+def _recognize_two_block(p: "GroupModel", g: "GroupModel") -> int:
     """The k with components(p) = embedded S_k x S_(n-k), else raise, k being
     the size of 1's orbit {1..k}; the callers require p to be a subgroup of g."""
     n = g.r
@@ -263,7 +275,7 @@ def _recognize_two_block(p: GroupModel, g: GroupModel) -> int:
     raise TypeNotMaximal("quotient needs a two-part parabolic (k, n-k); components do not match any")
 
 
-def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphism]:
+def projection_to_quotient(g: "GroupModel", k: int) -> tuple[F1Scheme, WeakMorphism]:
     """Grassmannian quotient and the collapse morphism from the GL model."""
     n = g.r
     q = grassmannian_model(k, n)
@@ -273,7 +285,7 @@ def projection_to_quotient(g: GroupModel, k: int) -> tuple[F1Scheme, WeakMorphis
     return q, monomial_morphism(g.rank_scheme, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
-def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism]:
+def quotient_model(p: "GroupModel", g: "GroupModel") -> tuple[F1Scheme, WeakMorphism]:
     """Categorical quotient of the ambient model by a two-block parabolic.
 
     Recognizes k from the components of p, returns the Grassmannian
@@ -284,7 +296,7 @@ def quotient_model(p: GroupModel, g: GroupModel) -> tuple[F1Scheme, WeakMorphism
     return projection_to_quotient(g, _recognize_two_block(p, g))
 
 
-def _pr2_weak(g: GroupModel, source: RankScheme) -> WeakMorphism:
+def _pr2_weak(g: "GroupModel", source: RankScheme) -> WeakMorphism:
     """Second projection rows x G -> G as a weak (indeed strong) morphism,
     source being rows x G as groups._left_translation built it."""
     r = g.r
@@ -293,7 +305,7 @@ def _pr2_weak(g: GroupModel, source: RankScheme) -> WeakMorphism:
     return monomial_morphism(source, g.rank_scheme, targets, (e,) * len(targets))
 
 
-def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
+def quotient_maps(p: "GroupModel", g: "GroupModel") -> tuple[WeakMorphism, WeakMorphism, WeakMorphism]:
     """The projection to the quotient, and lambda and pr2 on S_P x G,
     S_P = p.w.generators, each built once after guarding their size.
 
@@ -304,12 +316,13 @@ def quotient_maps(p: GroupModel, g: GroupModel) -> tuple[WeakMorphism, WeakMorph
     guard("quotient square", f"{len(gens)} x {g.w.order()} generator pairs",
           len(gens) * g.w.order(), 86_400)
     _, proj = quotient_model(p, g)
+    from .groups import _left_translation, require_group
     require_group(g)
     lam = _left_translation(g, RankScheme(tuple(map(p.rank_scheme.components.__getitem__, gens))))
     return proj, lam, _pr2_weak(g, lam.z_side.source)
 
 
-def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
+def quotient_square_check(p: "GroupModel", g: "GroupModel", maps=None) -> Report:
     """proj after lambda equals proj after pr2 on all of P x G.
 
     maps is quotient_maps(p, g), built here when not given.  Its lambda
@@ -333,7 +346,7 @@ def quotient_square_check(p: GroupModel, g: GroupModel, maps=None) -> Report:
     return Report.passed(p.w.order() * g.w.order())
 
 
-def _test_family(g: GroupModel, k: int, subsets):
+def _test_family(g: "GroupModel", k: int, subsets):
     """Coinvariant test morphisms out of g's rank part, two per target.
 
     Targets have free stalks of rank m = 0..n on one or C(n, k) components
@@ -356,7 +369,7 @@ def _test_family(g: GroupModel, k: int, subsets):
             g.rank_scheme, target, targets, exps, [signs[ci % 2] for ci in cis])
 
 
-def universality_check(p: GroupModel, g: GroupModel, square: Report | None = None,
+def universality_check(p: "GroupModel", g: "GroupModel", square: Report | None = None,
                         maps=None) -> Report:
     """The projection coequalizes: every coinvariant map factors once.
 
@@ -422,7 +435,7 @@ def universality_check(p: GroupModel, g: GroupModel, square: Report | None = Non
     return Report.passed(checks)
 
 
-def tau_morphism(g: GroupModel, k: int, qrk: RankScheme | None = None) -> tuple[RankScheme, WeakMorphism]:
+def tau_morphism(g: "GroupModel", k: int, qrk: RankScheme | None = None) -> tuple[RankScheme, WeakMorphism]:
     """Transported action of the model on the quotient components.
 
     Component (sigma, A) goes to sigma(A); all stalk data is trivial
@@ -438,7 +451,7 @@ def tau_morphism(g: GroupModel, k: int, qrk: RankScheme | None = None) -> tuple[
     return qrk, monomial_morphism(src, qrk, targets, (Mat.zeros(0, n),) * len(targets))
 
 
-def tau_check(g: GroupModel, k: int, maps=None) -> Report:
+def tau_check(g: "GroupModel", k: int, maps=None) -> Report:
     """Coset transport matches the subset action, and tau is an action.
 
     The coset of w sigma^(-1), read from g's verified component table,
@@ -468,6 +481,7 @@ def tau_check(g: GroupModel, k: int, maps=None) -> Report:
                 "sigma": list(wt.elements[s]), "w": list(wt.elements[i]),
                 "transported": list(moved[i]), "subset_action": list(acted[subsets[i]]),
             })
+    from .groups import check_action
     action = check_action(g, qrk, tau)
     if not action.ok:
         return Report.failed(n * n + action.checks, action.witness)

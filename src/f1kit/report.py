@@ -8,18 +8,18 @@ files; output needs no conversion, since json.dumps writes tuples as
 arrays.
 """
 
-from dataclasses import dataclass, field
 from typing import Any
 
+from ._record import record
 from .errors import SelectorError
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     ok: bool
     checks: int
     witness: Any = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.ok

@@ -21,23 +21,22 @@ has the proof), and composition, check_strong, check_weak and the action
 check run their kernels once per distinct block or pair of blocks.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Any
 
+from ._record import record
 from .counting import cell_dimension_guard
 from .errors import InfiniteHomSet, ShapeMismatch, guard
 from .linalg import Mat
 from .monoids import FgAbelianGroup, GroupHom, PointedMonoid, compose_hom, validate_hom
 from .report import Report
-from .spectrum import MoSpace, _subset, disjoint_union, face_ranks, spec
 
 Label = Any
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     """A torus cell, or with affine > 0 a family of subset tori."""
     dim: int
@@ -52,7 +51,7 @@ class Cell:
         return 1 << self.affine
 
 
-@dataclass(frozen=True)
+@record
 class Torification:
     """Nonempty list of cells with distinct labels.
 
@@ -80,7 +79,7 @@ class Torification:
         return sum(c.torus_count() for c in self.cells)
 
 
-@dataclass(frozen=True)
+@record
 class RankScheme:
     """Disjoint finite union of labeled components with stalk groups."""
     components: tuple[tuple[Label, FgAbelianGroup], ...]
@@ -162,10 +161,11 @@ class F1Scheme:
     def __init__(self, cells: Torification):
         self.cells = cells
 
-    def _monoid_side(self) -> tuple[MoSpace, tuple[tuple[int, Label], ...]]:
+    def _monoid_side(self) -> tuple["MoSpace", tuple[tuple[int, Label], ...]]:
         """The monoid side and its (point id, cell label) pairs: one
         group-with-zero patch per torus of each family."""
         guard("monoid side", "torus points", self.cells.torus_count(), 1 << 15)
+        from .spectrum import disjoint_union, spec
         spaces, pairs = [], []
         for cell in self.cells.cells:
             for k in range(cell.affine + 1):
@@ -180,7 +180,7 @@ class F1Scheme:
         return self._monoid_side()
 
     @property
-    def mo(self) -> MoSpace:
+    def mo(self) -> "MoSpace":
         return self._side[0]
 
     @property
@@ -220,6 +220,7 @@ class _Toric(F1Scheme):
     def _monoid_side(self):
         """spec(m), each point matched to its face's cell, which must be a
         plain cell of the point's unit rank that no other point matched."""
+        from .spectrum import spec
         s = spec(self._monoid)
         cells = {c.label: c for c in self.cells.cells}
         for p in s.points:
@@ -245,6 +246,7 @@ def affine_toric(m: PointedMonoid) -> F1Scheme:
     """
     if m.kind != "affine":
         raise ShapeMismatch("affine_toric needs an affine monoid")
+    from .spectrum import _subset, face_ranks
     k = len(m.generators)
     return _Toric(Torification(tuple(Cell(r, _subset(face, k)) for face, r in face_ranks(m))), m)
 
@@ -365,7 +367,7 @@ class _Tabled:
                 raise ShapeMismatch(f"component {i}: {fault}")
 
 
-@dataclass(frozen=True)
+@record
 class MonomialMap(_Tabled):
     """Componentwise monomial morphism between free rank schemes.
 
@@ -409,7 +411,7 @@ def compose_maps(g: MonomialMap, f: MonomialMap) -> MonomialMap:
                            tuple(map(g._at.__getitem__, f._at)), tuple(blocks), kinds)
 
 
-@dataclass(frozen=True)
+@record
 class StrongMorphismRk(_Tabled):
     """Rank-part morphism with genuine stalk comaps.
 
@@ -467,7 +469,7 @@ def induced_monomial(f: StrongMorphismRk) -> MonomialMap:
                            f._kinds)
 
 
-@dataclass(frozen=True)
+@record
 class WeakMorphism:
     """A monoid-side rank morphism and a scheme-side monomial map.
 

@@ -18,17 +18,16 @@ are kept on the monoid instance: spec, point_count_poly, affine_toric,
 the brute hom counter and monoids.units_of share one pass.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .counting import IntPolynomial, cell_dimension_guard
+from ._record import record
 from .errors import TooManyGenerators, guard
 from .linalg import double_description, feasible
 from .monoids import GROUP_WITH_ZERO, FgAbelianGroup, PointedMonoid
 
 
-@dataclass(frozen=True)
+@record
 class MoPoint:
     """One prime: the face it corresponds to and the stalk unit group."""
     id: int
@@ -37,7 +36,7 @@ class MoPoint:
     unit_group: FgAbelianGroup
 
 
-@dataclass(frozen=True)
+@record
 class MoSpace:
     """Finite monoid spectrum: patches, points, and specialization order.
 
@@ -102,7 +101,7 @@ def face_ranks(m: PointedMonoid) -> tuple[tuple[int, int], ...]:
     proper intersections with the cone's facets, so F's height over the
     minimal face is one more than the largest of theirs; the whole cone
     has rank d minus the dual lineality.  Kept on the instance, outside
-    the dataclass fields, so ==, hash and repr do not see it.  First the
+    the record's fields, so ==, hash and repr do not see it.  First the
     face guard refuses a cone that may have more than 2^14 faces.
     """
     faces = m.__dict__.get("_face_ranks")
@@ -180,7 +179,7 @@ def disjoint_union(spaces) -> MoSpace:
     return MoSpace(tuple(patches), tuple(points), tuple(pairs))
 
 
-def point_count_poly(m: PointedMonoid) -> IntPolynomial:
+def point_count_poly(m: PointedMonoid) -> "IntPolynomial":
     """Counting polynomial sum over faces of (q-1)^(face rank).
 
     For affine monoids this equals the number of monoid homs into a
@@ -189,6 +188,7 @@ def point_count_poly(m: PointedMonoid) -> IntPolynomial:
     formula reads the free rank only; torsion units would contribute
     gcd factors that are not polynomial in q.
     """
+    from .counting import IntPolynomial, cell_dimension_guard
     if m.kind == GROUP_WITH_ZERO:
         cell_dimension_guard(m.group.rank)
         return IntPolynomial.qminus1_power(m.group.rank)

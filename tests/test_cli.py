@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import f1kit.cli
 import f1kit.counting
+import f1kit.linalg
 import f1kit.reductive
 from f1kit.cli import _emit, _report_json, main, parse_selector
 from f1kit.counting import brute_count_monoid_homs
@@ -175,7 +176,7 @@ def test_oracle_walks_the_faces_once(tmp_path, monkeypatch, capsys):
     # instance starts empty.  Of the wedge's 4 faces, the empty face lies in
     # the relation-free ray <(1, 0)>, so 3 calls
     calls = []
-    monkeypatch.setattr(f1kit.counting, "relations", lambda vs: calls.append(vs) or relations(vs))
+    monkeypatch.setattr(f1kit.linalg, "relations", lambda vs: calls.append(vs) or relations(vs))
     assert len(face_masks(gens, 2)) == 4
     assert main(oracle) == 0
     assert len(calls) == 3
@@ -282,6 +283,36 @@ def test_scale_factor_multiplies_every_cap(monkeypatch, capsys):
         assert main(["count", "gl:2"]) == 2
         assert capsys.readouterr().err == (
             f"error: F1KIT_MAX_SCALE must be a positive integer or fraction, got {bad!r}\n")
+
+
+@pytest.mark.parametrize("command", ["count", "points"])
+def test_gl7_cells_keep_the_component_table_refusal(command):
+    r = run_cli(command, "gl:7")
+    assert (r.returncode, r.stdout) == (2, b"")
+    assert r.stderr == (b"error: component table guard: 5040^2 entries = 25401600 exceeds cap 518400 "
+                        b"(scale caps with F1KIT_MAX_SCALE)\n")
+
+
+def test_catalog_counts_and_points_build_no_group_law(monkeypatch, capsys):
+    commands = (["count", "gl:4", "--limit"], ["count", "parabolic:5:2+3", "--eval", "2"],
+                ["points", "gl:3"], ["points", "parabolic:4:1+3", "--over", "h:2"],
+                ["oracle", "gl:2", "--q", "2,3"], ["count", "gr:2,4"])
+    answers = []
+    for argv in commands:
+        assert main(argv) == 0
+        answers.append(capsys.readouterr().out)
+
+    def refuse(*args):
+        raise AssertionError("a group law was built")
+
+    monkeypatch.setattr(f1kit.reductive, "_block_table", refuse)
+    monkeypatch.setattr(f1kit.reductive, "_block_model", refuse)
+    for argv, answer in zip(commands, answers):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == answer
+    # a check suite reads the law, so it meets the refusal
+    with pytest.raises(AssertionError, match="a group law was built"):
+        main(["check", "gl:2", "--suite", "group"])
 
 
 def test_selection_builds_its_group_model_once(monkeypatch, capsys):

@@ -1,6 +1,5 @@
 """Group models: tables, representations, cocycles, axiom checking."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -52,6 +51,12 @@ from f1kit.schemes import (
     mul_signs,
     product_scheme,
 )
+
+
+def replace(obj, **changes):
+    """obj rebuilt through its constructor with some fields changed, from
+    its __match_args__, so that __post_init__ runs on the new values."""
+    return type(obj)(**{**{f: getattr(obj, f) for f in obj.__match_args__}, **changes})
 
 
 def sl2_model() -> GroupModel:

@@ -46,7 +46,11 @@ PUBLIC = {
 }
 NAMES = sorted(name for names in PUBLIC.values() for name in names)
 NUM23 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "num23.json"
-HEAVY = {"f1kit.groups", "f1kit.reductive", "f1kit.schemes"}
+# what every command that builds a model loads, and what the cells of the
+# type-A catalog add to it
+CORE = {"f1kit", "f1kit._record", "f1kit.cli", "f1kit.errors", "f1kit.linalg", "f1kit.monoids",
+        "f1kit.report"}
+CELLS = CORE | {"f1kit.counting", "f1kit.reductive", "f1kit.schemes"}
 
 
 def _fresh(code: str, *argv: str) -> str:
@@ -58,7 +62,7 @@ def _fresh(code: str, *argv: str) -> str:
 
 
 def _loaded(code: str, *argv: str) -> set[str]:
-    """The f1kit modules, and fractions and dataclasses, loaded after code."""
+    """The f1kit modules, and fractions and dataclasses if loaded, after code."""
     return set(_fresh(code + "\nimport sys\nprint(*sorted(m for m in sys.modules if "
                       "m.startswith('f1kit') or m in ('fractions', 'dataclasses')))",
                       *argv).split())
@@ -93,18 +97,20 @@ def test_front_doors_load_no_library_module(code, expected):
     assert _loaded(code) == expected
 
 
-@pytest.mark.parametrize("argv", [
-    ("spec", "additive:3"),
-    ("count", f"monoid:{NUM23}"),
-    ("oracle", f"monoid:{NUM23}", "--q", "2,3"),
+@pytest.mark.parametrize("argv, code, expected", [
+    (("spec", "additive:3"), 0, CORE | {"f1kit.spectrum"}),
+    (("count", f"monoid:{NUM23}"), 0, CORE | {"f1kit.counting", "f1kit.spectrum"}),
+    (("oracle", f"monoid:{NUM23}", "--q", "2,3"), 0, CORE | {"f1kit.counting", "f1kit.spectrum"}),
+    # counts and F1-points of the type-A catalog read the cells, not the law
+    (("count", "gl:3"), 0, CELLS),
+    (("points", "gr:2,4"), 0, CELLS),
+    (("oracle", "gl:2", "--q", "2"), 0, CELLS),
+    (("count", "gl:7"), 2, CELLS),
+    (("points", "gl:7"), 2, CELLS),
+    (("check", "gl:2", "--suite", "group"), 0, CELLS | {"f1kit.groups"}),
+    (("count", "mystery:1"), 2, {"f1kit", "f1kit.cli", "f1kit.errors"}),
 ])
-def test_monoid_commands_load_no_group_or_scheme_module(argv):
-    loaded = _loaded("import sys\nfrom f1kit.cli import main\nassert main(sys.argv[1:]) == 0",
-                     *argv)
-    assert "f1kit.cli" in loaded and not loaded & HEAVY
-
-
-def test_group_checks_load_the_group_modules():
-    loaded = _loaded("import sys\nfrom f1kit.cli import main\nassert main(sys.argv[1:]) == 0",
-                     "check", "gl:2", "--suite", "group")
-    assert {"f1kit.groups", "f1kit.reductive"} <= loaded
+def test_each_command_loads_exactly_its_modules(argv, code, expected):
+    # exact sets: no command loads dataclasses or fractions either
+    assert _loaded("import sys\nfrom f1kit.cli import main\n"
+                   f"assert main(sys.argv[1:]) == {code}", *argv) == expected

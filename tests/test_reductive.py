@@ -1,7 +1,6 @@
 """GL(n), parabolic and Grassmannian models with their quotient checks."""
 
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -63,6 +62,7 @@ from f1kit.schemes import (
     monomial_morphism,
     mul_signs,
 )
+from test_groups import replace
 
 
 def all_compositions(n):
@@ -189,6 +189,16 @@ def test_catalog_guard_messages_name_request_cap_and_override(monkeypatch):
         parabolic_model(7, (3, 4))
 
 
+def test_selector_cells_are_the_law_models_cells():
+    # count, points and oracle read a gl: or parabolic: selector's cells
+    # without its law; they are the law model's cells, in the same order
+    for n in range(1, 6):
+        assert cli.parse_selector(f"gl:{n}").scheme().cells == gl_model(n).cells
+        for parts in all_compositions(n):
+            sel = cli.parse_selector(f"parabolic:{n}:{'+'.join(map(str, parts))}")
+            assert sel.scheme().cells == parabolic_model(n, parts).cells, (n, parts)
+
+
 def test_quotient_guard_refuses_before_any_composition(monkeypatch, capsys):
     compositions = []
     monkeypatch.setattr(reductive, "compose_weak", lambda *a: compositions.append(a))
@@ -308,6 +318,20 @@ def test_lambda_rejects_non_subgroups():
     g2 = gl_model(2)
     with pytest.raises(NotASubgroup):
         lambda_action(g2, g3)
+
+
+def test_lambda_action_guards_its_components_before_the_subgroup_test(monkeypatch):
+    g5, g4, p4 = gl_model(5), gl_model(4), parabolic_model(4, (2, 2))
+    # the law morphism's cap, 100,000 x 1/100: gl:5 on itself builds 120 x 120
+    monkeypatch.setenv("F1KIT_MAX_SCALE", "1/100")
+    with pytest.raises(OutOfScale, match=r"^law morphism guard: 120 x 120 components = 14400 "
+                       r"exceeds cap 1000 \(scale caps with F1KIT_MAX_SCALE\)$"):
+        lambda_action(g5, g5)
+    # refused before the subgroup test reads the laws: gl:5 is no subgroup of gl:4
+    with pytest.raises(OutOfScale, match="120 x 24 components"):
+        lambda_action(g5, g4)
+    lam = lambda_action(p4, g4)     # 4 x 24 components
+    assert check_action(p4, g4.rank_scheme, lam).ok
 
 
 def test_quotient_square_commutes():
@@ -560,7 +584,7 @@ def test_quotient_suite_builds_each_morphism_once(monkeypatch):
     # cli imports the square from reductive at call time, so one count sees
     # both its call and any through universality_check
     squares = _counting(monkeypatch, reductive, "quotient_square_check")
-    lambdas = _counting(monkeypatch, reductive, "_left_translation")
+    lambdas = _counting(monkeypatch, groups, "_left_translation")
     whole_lambdas = _counting(monkeypatch, reductive, "lambda_action")
     quotients = _counting(monkeypatch, reductive, "quotient_model")
     pr2s = _counting(monkeypatch, reductive, "_pr2_weak")

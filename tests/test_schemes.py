@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from f1kit import schemes
+from f1kit import schemes, spectrum
 from f1kit.counting import torification_poly
 from f1kit.errors import InfiniteHomSet, OutOfScale, ShapeMismatch
 from f1kit.groups import FiniteGroupTable, constant_group, law_weak_morphism
@@ -90,9 +90,9 @@ def test_affine_toric_matches_spectrum():
 
 
 def test_affine_toric_builds_its_spectrum_on_first_use(monkeypatch):
-    real = schemes.spec
+    real = spectrum.spec
     calls = []
-    monkeypatch.setattr(schemes, "spec", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(spectrum, "spec", lambda m: calls.append(m) or real(m))
     # a line through +-e3 under a pointed cone, and an orthant
     line = [(0, 0, 1), (0, 0, -1), (1, 0, 2), (1, 1, -1), (1, 2, 0), (2, 1, 1)]
     for m in (PointedMonoid.affine(3, line), PointedMonoid.orthant(3)):
@@ -117,7 +117,7 @@ def test_affine_toric_builds_its_spectrum_on_first_use(monkeypatch):
         bad = MoPoint(p.id, p.patch, p.face, FgAbelianGroup.free(p.unit_group.rank + 1))
         return MoSpace(s.patches, (bad, *s.points[1:]), s.specialization)
 
-    monkeypatch.setattr(schemes, "spec", wrong_rank)
+    monkeypatch.setattr(spectrum, "spec", wrong_rank)
     x = affine_toric(PointedMonoid.orthant(2))
     for _ in range(2):
         with pytest.raises(ShapeMismatch, match="point 0 has rank 1, cell"):
